@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import acceptance, corpus
 from .complexes import ingest
@@ -26,24 +25,6 @@ from .homology import (
 )
 from .lattice import CohomologyClass, Polytope, parse_rational
 from .morse import morse_reduce
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation depends on."""
-
-    subcommand: str
-    inputs: tuple = ()
-    coefficients: str = ""
-    klass: str = ""
-    vertices: str = ""
-    restrict: str = ""
-    weights_a: str = ""
-    weights_b: str = ""
-    order: int = 16
-    eps: str = ""
-    seed: int = 0
-    fmt: str = "text"
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +48,7 @@ def _parse_vertices(text: str, rank=None) -> Polytope:
     return Polytope([_parse_class(g, rank).periods for g in groups])
 
 
-def _parse_restrict(text: str):
+def _parse_restriction(text: str):
     if not text:
         return None
     try:
@@ -105,15 +86,15 @@ def _load_document(source: str) -> dict:
     )
 
 
-def _load_complex(cfg: RunConfig):
-    document = _load_document(cfg.inputs[0])
-    if cfg.coefficients:
+def _load_complex(args):
+    document = _load_document(args.input)
+    if args.coefficients:
         stated = document.get("coefficients")
-        if stated is not None and stated != cfg.coefficients:
+        if stated is not None and stated != args.coefficients:
             raise InputError(
-                f"document uses coefficients {stated!r}, flag says {cfg.coefficients!r}"
+                f"document uses coefficients {stated!r}, flag says {args.coefficients!r}"
             )
-        document = {**document, "coefficients": cfg.coefficients}
+        document = {**document, "coefficients": args.coefficients}
     return ingest(document)
 
 
@@ -121,41 +102,41 @@ def _load_complex(cfg: RunConfig):
 # subcommands, each returning (exit code, json payload)
 
 
-def _cmd_validate(cfg: RunConfig):
-    X = _load_complex(cfg)
+def _cmd_validate(args):
+    X = _load_complex(args)
     X.validate()
     return 0, {
         "subcommand": "validate",
-        "input": cfg.inputs[0],
+        "input": args.input,
         "cells": list(X.cell_counts()),
         "ok": True,
     }
 
 
-def _cmd_betti(cfg: RunConfig):
-    X = _load_complex(cfg)
+def _cmd_betti(args):
+    X = _load_complex(args)
     report = ordinary_betti(X)
     return 0, {
         "subcommand": "betti",
-        "input": cfg.inputs[0],
+        "input": args.input,
         "report": report.to_json(),
     }
 
 
-def _cmd_novikov(cfg: RunConfig):
-    X = _load_complex(cfg)
-    a = _parse_class(cfg.klass, X.deck.rank)
+def _cmd_novikov(args):
+    X = _load_complex(args)
+    a = _parse_class(args.klass, X.deck.rank)
     report = novikov_betti(X, a)
     payload = {
         "subcommand": "novikov",
-        "input": cfg.inputs[0],
+        "input": args.input,
         "class": a.to_json(),
         "report": report.to_json(),
         "oracle": None,
         "agree": None,
     }
     if not a.is_zero():
-        oracle = truncated_homology_oracle(X, a, order=cfg.order)
+        oracle = truncated_homology_oracle(X, a, order=args.order)
         payload["oracle"] = oracle.to_json()
         payload["agree"] = oracle.betti == report.betti
         if not payload["agree"]:
@@ -163,46 +144,46 @@ def _cmd_novikov(cfg: RunConfig):
     return 0, payload
 
 
-def _cmd_polytope(cfg: RunConfig):
-    X = _load_complex(cfg)
-    P = _parse_vertices(cfg.vertices, X.deck.rank)
-    B = _parse_restrict(cfg.restrict)
-    report = polytope_betti(X, P, B, seed=cfg.seed)
+def _cmd_polytope(args):
+    X = _load_complex(args)
+    P = _parse_vertices(args.vertices, X.deck.rank)
+    B = _parse_restriction(args.restrict)
+    report = polytope_betti(X, P, B, seed=args.seed)
     return 0, {
         "subcommand": "polytope",
-        "input": cfg.inputs[0],
+        "input": args.input,
         "vertices": P.to_json(),
         "restrict": list(B) if B is not None else None,
         "report": report.to_json(),
     }
 
 
-def _cmd_main_check(cfg: RunConfig):
-    X = _load_complex(cfg)
-    P = _parse_vertices(cfg.vertices, X.deck.rank)
-    B = _parse_restrict(cfg.restrict)
+def _cmd_main_check(args):
+    X = _load_complex(args)
+    P = _parse_vertices(args.vertices, X.deck.rank)
+    B = _parse_restriction(args.restrict)
     out = main_theorem_check(
         X,
         P,
-        _parse_weights(cfg.weights_a),
-        _parse_weights(cfg.weights_b),
+        _parse_weights(args.weights_a),
+        _parse_weights(args.weights_b),
         B=B,
-        seed=cfg.seed,
+        seed=args.seed,
     )
-    payload = {"subcommand": "main-check", "input": cfg.inputs[0], **out}
+    payload = {"subcommand": "main-check", "input": args.input, **out}
     return (0 if out["ok"] else 1), payload
 
 
-def _cmd_morse(cfg: RunConfig):
-    X = _load_complex(cfg)
-    reduced, matching = morse_reduce(X, seed=cfg.seed)
+def _cmd_morse(args):
+    X = _load_complex(args)
+    reduced, matching = morse_reduce(X, seed=args.seed)
     before = ordinary_betti(X)
     after = ordinary_betti(reduced)
     preserved = before.canonical() == after.canonical()
     payload = {
         "subcommand": "morse",
-        "input": cfg.inputs[0],
-        "seed": cfg.seed,
+        "input": args.input,
+        "seed": args.seed,
         "matching": [list(p) for p in matching.pairs],
         "cells_before": list(X.cell_counts()),
         "cells_after": list(reduced.cell_counts()),
@@ -212,14 +193,14 @@ def _cmd_morse(cfg: RunConfig):
     return (0 if preserved else 1), payload
 
 
-def _cmd_approx(cfg: RunConfig):
-    u = _parse_class(cfg.klass)
-    family = rational_approximation(u, parse_rational(cfg.eps))
+def _cmd_approx(args):
+    u = _parse_class(args.klass)
+    family = rational_approximation(u, parse_rational(args.eps))
     payload = {"subcommand": "approx", **family.to_json()}
     return (0 if family.ok else 1), payload
 
 
-def _cmd_demo(cfg: RunConfig):
+def _cmd_demo(args):
     rows = []
     ok = True
     for criterion, passed, detail in acceptance.run_all():
@@ -246,11 +227,6 @@ _COMMANDS = {
     "approx": _cmd_approx,
     "demo": _cmd_demo,
 }
-
-
-def run(cfg: RunConfig):
-    """Dispatch one configuration. Returns (exit code, payload)."""
-    return _COMMANDS[cfg.subcommand](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +333,7 @@ def _build_parser() -> _Parser:
         ),
         epilog=(
             "INPUT may be a JSON file or a bundled example name "
-            f"({', '.join(corpus.names())}). Rationals are written p/q. "
-            "Set POLYNOV_THREADS to parallelize per-degree ranks."
+            f"({', '.join(corpus.names())}). Rationals are written p/q."
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -418,35 +393,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=(args.input,) if getattr(args, "input", None) else (),
-        coefficients=getattr(args, "coefficients", ""),
-        klass=getattr(args, "klass", ""),
-        vertices=getattr(args, "vertices", ""),
-        restrict=getattr(args, "restrict", ""),
-        weights_a=getattr(args, "weights_a", ""),
-        weights_b=getattr(args, "weights_b", ""),
-        order=getattr(args, "order", 16),
-        eps=getattr(args, "eps", ""),
-        seed=getattr(args, "seed", 0),
-        fmt=args.format,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        code, payload = run(cfg)
+        code, payload = _COMMANDS[args.subcommand](args)
     except PolynovError as exc:
         info = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ValidationError):
             info["location"] = exc.location()
         sys.stderr.write(json.dumps({"error": info}, sort_keys=True) + "\n")
         return 1 if isinstance(exc, ValidationError) else 2
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(_render_text(payload))

@@ -94,10 +94,12 @@ class EquivariantComplex:
     def validate(self):
         """Exact square-zero check; reports the first offending entry."""
         for k in range(len(self.boundaries) - 1):
-            lower = [list(r) for r in self.boundaries[k]]
-            upper = [list(r) for r in self.boundaries[k + 1]]
             product = mat_mul(
-                lower, upper, self.ring, self.deck.rank, len(self.cells[k + 1])
+                self.boundaries[k],
+                self.boundaries[k + 1],
+                self.ring,
+                self.deck.rank,
+                len(self.cells[k + 1]),
             )
             for i, row in enumerate(product):
                 for j, entry in enumerate(row):
@@ -119,7 +121,7 @@ class EquivariantComplex:
             self.ring,
             lattice_map.rank_out,
             self.cells,
-            [mat_specialize([list(r) for r in m], lattice_map) for m in self.boundaries],
+            [mat_specialize(m, lattice_map) for m in self.boundaries],
         )
 
     # -- serialization --------------------------------------------------
@@ -150,6 +152,17 @@ class EquivariantComplex:
     def __repr__(self):
         counts = "x".join(str(c) for c in self.cell_counts())
         return f"<complex {counts} over {self.ring.value}[Z^{self.deck.rank}]>"
+
+
+def _betti_from_ranks(counts, ranks):
+    """Betti numbers from cell counts and boundary ranks, where ranks[i] is
+    the rank of the boundary leaving degree i + 1."""
+    out = []
+    for i, n in enumerate(counts):
+        left = ranks[i - 1] if i >= 1 else 0
+        right = ranks[i] if i < len(ranks) else 0
+        out.append(n - left - right)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +214,12 @@ def _parse_word(word, generators):
         for item in word:
             if isinstance(item, str):
                 push_token(item)
-            elif isinstance(item, (list, tuple)) and len(item) == 2:
-                push(item[0], int(item[1]))
+            elif (
+                isinstance(item, (list, tuple))
+                and len(item) == 2
+                and isinstance(item[0], str)
+            ):
+                push(item[0], _integer(item[1], "relator exponent"))
             else:
                 raise InputError(f"bad relator item {item!r}")
     else:
@@ -310,6 +327,16 @@ def fox_boundary(
 # ingest
 
 
+def _integer(value, what) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _is_table(value) -> bool:
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
+
+
 def ingest(document) -> EquivariantComplex:
     """Build a complex from a parsed JSON document (either input mode)."""
     if isinstance(document, (str, bytes)):
@@ -321,33 +348,41 @@ def ingest(document) -> EquivariantComplex:
         raise InputError("complex document must be a JSON object")
 
     if "generators" in document:
-        pres = GroupPresentation(
-            document["generators"], document.get("relators", ())
-        )
+        generators = document["generators"]
+        relators = document.get("relators", [])
+        if not isinstance(generators, list) or not isinstance(relators, list):
+            raise InputError("generators and relators must be lists")
+        pres = GroupPresentation(generators, relators)
         if "deck_map" not in document:
             raise InputError("presentation mode needs a deck_map")
+        if not _is_table(document["deck_map"]):
+            raise InputError("deck_map must be a list of integer rows")
+        deck_map = [
+            [_integer(v, "deck_map entry") for v in row]
+            for row in document["deck_map"]
+        ]
         ring = CoefficientRing.from_tag(document.get("coefficients", "Q"))
-        return fox_boundary(pres, document["deck_map"], ring)
+        return fox_boundary(pres, deck_map, ring)
 
     for field in ("coefficients", "rank", "cells", "boundaries"):
         if field not in document:
             raise InputError(f"complex document is missing {field!r}")
     ring = CoefficientRing.from_tag(document["coefficients"])
-    rank = int(document["rank"])
+    rank = _integer(document["rank"], "rank")
     if rank < 0:
         raise InputError("rank must be nonnegative")
     cells = document["cells"]
     raw = document["boundaries"]
-    if not isinstance(raw, list) or not isinstance(cells, list):
-        raise InputError("cells and boundaries must be lists")
-    boundaries = []
-    for matrix in raw:
-        parsed = []
-        for row in matrix:
-            parsed.append(
-                [GroupRingElement.from_string(e, ring, rank) for e in row]
-            )
-        boundaries.append(parsed)
+    if not _is_table(cells) or not isinstance(raw, list):
+        raise InputError("cells must be a list of name lists, boundaries a list")
+    if not all(_is_table(m) for m in raw):
+        raise InputError("each boundary must be a list of rows")
+    if not all(isinstance(e, str) for m in raw for row in m for e in row):
+        raise InputError("boundary entries must be strings")
+    boundaries = [
+        [[GroupRingElement.from_string(e, ring, rank) for e in row] for row in m]
+        for m in raw
+    ]
     X = EquivariantComplex(ring, rank, cells, boundaries)
     if not any(X.cells):
         raise InputError("a complex document needs at least one cell")

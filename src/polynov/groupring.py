@@ -7,7 +7,8 @@ documents, for example "3*t1^2*t2^-1 + 1" (terms sorted by descending
 lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
 Matrix rank over the fraction field of the (Laurent) polynomial ring is
-computed fraction-free below a size threshold and by repeated random
+computed by Gaussian elimination when the entries are rational constants,
+and otherwise fraction-free below a size threshold and by repeated random
 rational-point evaluation above it.
 """
 
@@ -86,10 +87,6 @@ class CoefficientRing(enum.Enum):
         if a in (1, -1):
             return a
         raise InputError(f"{a} is not a unit in Z")
-
-
-def _format_coeff(ring: CoefficientRing, c) -> str:
-    return str(c)
 
 
 _TERM_FACTOR = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
@@ -315,11 +312,11 @@ class GroupRingElement:
                 sign = "-" if coeff < 0 else "+"
                 mag = -coeff if coeff < 0 else coeff
                 if not mono:
-                    body = _format_coeff(self.ring, mag)
+                    body = str(mag)
                 elif mag == 1:
                     body = mono
                 else:
-                    body = f"{_format_coeff(self.ring, mag)}*{mono}"
+                    body = f"{mag}*{mono}"
             chunks.append((sign, body))
         first_sign, first_body = chunks[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -387,23 +384,6 @@ class GroupRingElement:
         return out
 
 
-def gr_arith(x: GroupRingElement, y, op: str):
-    """Named arithmetic entry point: op in {'add', 'mul', 'neg'}."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        if y is not None:
-            raise InputError("neg takes a single operand")
-        return -x
-    raise InputError(f"unknown op {op!r}")
-
-
-def gr_specialize(x: GroupRingElement, lattice_map: LatticeMap):
-    return x.specialize(lattice_map)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -434,19 +414,6 @@ def mat_mul(A, B, ring, rank, inner):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_is_zero(A) -> bool:
-    return all(e.is_zero() for row in A for e in row)
-
-
-def mat_eq(A, B) -> bool:
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb) or any(a != b for a, b in zip(ra, rb)):
-            return False
-    return True
 
 
 def mat_specialize(A, lattice_map):
@@ -608,7 +575,9 @@ def _evaluation_rank(rows, seed: int) -> int:
 def matrix_rank_fraction_field(rows, *, seed: int = 0, dense_threshold: int = 64):
     """Rank of a matrix of group-ring elements over the fraction field.
 
-    Fraction-free elimination when the larger dimension is at most
+    Over Z or Q with no deck variables the entries are rational constants
+    and Gaussian elimination gives the exact rank at any size. Otherwise
+    fraction-free elimination when the larger dimension is at most
     `dense_threshold` (and always over Z/2, where random evaluation has too
     few points to be sound); otherwise repeated random rational-point
     evaluation until two consecutive trials agree. The result records which
@@ -632,6 +601,9 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0, dense_threshold: int = 64
             for row in rows
         ]
         ring = CoefficientRing.RAT
+    if ring is CoefficientRing.RAT and rank == 0:
+        constants = [[e.terms.get((), 0) for e in row] for row in rows]
+        return RankResult(_fraction_rank(constants), True, "constant")
     if ring is CoefficientRing.MOD2 or max(n, m) <= dense_threshold:
         return RankResult(_bareiss_rank(rows), True, "fraction-free")
     value = _evaluation_rank(rows, seed)

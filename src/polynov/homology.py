@@ -14,11 +14,10 @@ path.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import EquivariantComplex
+from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import IncreaseOrder, InputError
 from .groupring import (
     CoefficientRing,
@@ -32,6 +31,7 @@ from .lattice import (
     format_rational,
     kernel_lattice,
     parse_rational,
+    period_eval,
     quotient_map,
     zero_class,
 )
@@ -41,7 +41,7 @@ from .novseries import (
     Truncation,
     leading_unit_inverse,
 )
-from .twist import TwistedComplex, tensor_base_change, twisted_complex
+from .twist import tensor_base_change, twisted_complex
 
 RANK_VALIDITY_NOTE = (
     "ranks taken over the fraction field of the quotient Laurent ring; "
@@ -83,41 +83,8 @@ def _as_class(a, rank=None) -> CohomologyClass:
     return a
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("POLYNOV_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _rank_results(boundaries, *, seed=0):
-    mats = [[list(row) for row in m] for m in boundaries]
-    workers = _thread_count()
-    if workers > 1 and len(mats) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    lambda rows: matrix_rank_fraction_field(rows, seed=seed),
-                    mats,
-                )
-            )
-    return [matrix_rank_fraction_field(rows, seed=seed) for rows in mats]
-
-
-def _betti_from_ranks(counts, ranks):
-    out = []
-    for i, n in enumerate(counts):
-        left = ranks[i - 1] if i >= 1 else 0
-        right = ranks[i] if i < len(ranks) else 0
-        out.append(n - left - right)
-    return tuple(out)
-
-
 def _rank_report(X: EquivariantComplex, ring_desc: dict, *, seed=0) -> BettiReport:
-    results = _rank_results(X.boundaries, seed=seed)
+    results = [matrix_rank_fraction_field(m, seed=seed) for m in X.boundaries]
     betti = _betti_from_ranks(X.cell_counts(), [r.rank for r in results])
     chi = euler_characteristic(X)
     method = (
@@ -193,6 +160,20 @@ def _field_complex(X: EquivariantComplex) -> EquivariantComplex:
     return EquivariantComplex(rat, X.deck.rank, X.cells, boundaries)
 
 
+def _lift_row(row, direction):
+    """Multiply a row by the unit monomial that moves its least
+    direction-period to 0. Windowing then drops only monomials of an ideal
+    (see `novseries`), and unit row scaling keeps the rank."""
+    support = [exp for e in row for exp in e.terms]
+    if not support:
+        return row
+    low = min(support, key=lambda exp: period_eval(direction, exp))
+    unit = GroupRingElement.monomial(
+        row[0].ring, row[0].rank, tuple(-x for x in low)
+    )
+    return [unit * e for e in row]
+
+
 def _series_rank(matrix, region, order, ring) -> int:
     """Rank by full-pivot elimination over windowed series.
 
@@ -206,7 +187,10 @@ def _series_rank(matrix, region, order, ring) -> int:
     if nrows == 0 or ncols == 0:
         return 0
     trunc = Truncation.interior(region, order)
-    work = [[TruncatedNovikovSeries(e, trunc) for e in row] for row in matrix]
+    work = [
+        [TruncatedNovikovSeries(e, trunc) for e in _lift_row(row, trunc.direction)]
+        for row in matrix
+    ]
     zero = TruncatedNovikovSeries.zero(ring, trunc)
     row_free = [True] * nrows
     col_free = [True] * ncols

@@ -151,16 +151,6 @@ class Polytope:
             "vertices": [v.to_json() for v in self.vertices],
         }
 
-    @classmethod
-    def from_json(cls, doc) -> "Polytope":
-        if not isinstance(doc, dict) or "vertices" not in doc:
-            raise InputError("polytope document needs a 'vertices' field")
-        rank = doc.get("rank")
-        vertices = [CohomologyClass(v) for v in doc["vertices"]]
-        if rank is not None and any(v.rank != rank for v in vertices):
-            raise InputError("vertex length disagrees with declared rank")
-        return cls(tuple(vertices))
-
 
 @dataclass(frozen=True)
 class Subpolytope:

@@ -95,19 +95,12 @@ def _band_is_acyclic(boundary, pairs) -> bool:
     return True
 
 
-def acyclic_matching(
-    X: EquivariantComplex, seed: int = 0, strategy: str = "greedy"
-) -> Matching:
+def acyclic_matching(X: EquivariantComplex, seed: int = 0) -> Matching:
     """Randomized greedy search for an acyclic unit-incidence matching.
 
     Candidates are shuffled with the seed, then accepted whenever both
     cells are still free and the band's V-path digraph stays acyclic.
-    strategy="none" returns the empty matching (useful as a control).
     """
-    if strategy == "none":
-        return Matching(())
-    if strategy != "greedy":
-        raise InputError(f"unknown matching strategy {strategy!r}")
     rng = random.Random(seed)
     candidates = [
         (k, i, j)
@@ -238,7 +231,7 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     return EquivariantComplex(ring, rank, cells, boundaries)
 
 
-def morse_reduce(X: EquivariantComplex, seed: int = 0, strategy: str = "greedy"):
+def morse_reduce(X: EquivariantComplex, seed: int = 0):
     """Search a matching and apply it; returns (reduced complex, matching)."""
-    matching = acyclic_matching(X, seed=seed, strategy=strategy)
+    matching = acyclic_matching(X, seed=seed)
     return vpath_boundary(X, matching), matching

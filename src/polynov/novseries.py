@@ -23,7 +23,7 @@ from .errors import (
     InputError,
     NotInvertibleUnderPolytope,
 )
-from .groupring import CoefficientRing, GroupRingElement
+from .groupring import GroupRingElement
 from .lattice import (
     CohomologyClass,
     active_vertices,
@@ -62,9 +62,6 @@ class Truncation:
 
     def contains(self, exponent) -> bool:
         return period_eval(self.direction, exponent) <= self.order
-
-    def shifted(self, delta) -> "Truncation":
-        return Truncation(self.direction, self.order + parse_rational(delta))
 
 
 class TruncatedNovikovSeries:
@@ -143,14 +140,6 @@ class TruncatedNovikovSeries:
     def __hash__(self):
         return hash((self.element, self.truncation))
 
-    def restrict(self, new_order) -> "TruncatedNovikovSeries":
-        new_order = parse_rational(new_order)
-        if new_order > self.truncation.order:
-            raise InputError("can only restrict to a smaller window")
-        return TruncatedNovikovSeries(
-            self.element, Truncation(self.truncation.direction, new_order)
-        )
-
     def to_string(self) -> str:
         return self.element.to_string()
 
@@ -217,15 +206,6 @@ def geom_inverse(x: GroupRingElement, truncation: Truncation, region):
     return _geometric_series(u, truncation)
 
 
-def series_arith(x: TruncatedNovikovSeries, y: TruncatedNovikovSeries, op: str):
-    """add/mul of series sharing one window (mixed windows are an error)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    raise InputError(f"unknown op {op!r}")
-
-
 def leading_unit_inverse(x, direction: CohomologyClass, truncation: Truncation):
     """Invert an element whose direction-minimal monomial is unique.
 
@@ -238,7 +218,7 @@ def leading_unit_inverse(x, direction: CohomologyClass, truncation: Truncation):
     of direction-period > order + min(m, 0), where m is the period of the
     leading monomial: for m < 0 the tail of the inverse times the leading
     term re-enters the plain window, so the identity can only be exact
-    above that shifted cutoff.
+    above that lowered cutoff.
     """
     if isinstance(x, TruncatedNovikovSeries):
         x = x.element
@@ -265,5 +245,4 @@ def leading_unit_inverse(x, direction: CohomologyClass, truncation: Truncation):
     # -A0 the result fills the requested window exactly
     inner = Truncation(direction, truncation.order + m)
     series = _geometric_series(-v, inner)
-    shifted = lead_inv * series.element
-    return TruncatedNovikovSeries(shifted, truncation)
+    return TruncatedNovikovSeries(lead_inv * series.element, truncation)

@@ -14,12 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import EquivariantComplex
+from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import InputError
 from .groupring import (
     CoefficientRing,
     GroupRingElement,
-    mat_eq,
     matrix_rank_fraction_field,
 )
 from .lattice import (
@@ -168,16 +167,6 @@ def zero_vertex_extend(P: Polytope):
     return extended, extended.vertices.index(zero)
 
 
-def _betti_from_ranks(counts, ranks):
-    # ranks[i] = rank of the boundary leaving degree i+1
-    out = []
-    for i, n in enumerate(counts):
-        left = ranks[i - 1] if i >= 1 else 0
-        right = ranks[i] if i < len(ranks) else 0
-        out.append(n - left - right)
-    return tuple(out)
-
-
 def lift_conjugation_self_test(T: TwistedComplex, seed: int = 0):
     """Re-pick the lift of every base cell and compare the outcome.
 
@@ -214,11 +203,7 @@ def lift_conjugation_self_test(T: TwistedComplex, seed: int = 0):
     relifted = EquivariantComplex(ring, rank, X.cells, boundaries)
 
     def boundary_ranks(Y):
-        out = []
-        for matrix in Y.boundaries:
-            rows = [list(r) for r in matrix]
-            out.append(matrix_rank_fraction_field(rows).rank)
-        return tuple(out)
+        return tuple(matrix_rank_fraction_field(m).rank for m in Y.boundaries)
 
     before = boundary_ranks(X)
     after = boundary_ranks(relifted)

@@ -11,6 +11,7 @@ code path.
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -72,6 +73,24 @@ def klein():
             [["t + 1"], ["0"]],
         ],
     })
+
+
+def koszul_t3():
+    """Koszul complex of T^3: cells are subsets of {0, 1, 2}; dropping the
+    p-th index i of a subset has incidence (-1)^p (t_i - 1)."""
+    cells = [list(combinations(range(3), k)) for k in range(4)]
+    zero = GroupRingElement.zero(Q, 3)
+    one = GroupRingElement.one(Q, 3)
+    boundaries = []
+    for k in range(3):
+        rows = {c: r for r, c in enumerate(cells[k])}
+        matrix = [[zero] * len(cells[k + 1]) for _ in cells[k]]
+        for j, cell in enumerate(cells[k + 1]):
+            for p, i in enumerate(cell):
+                t = GroupRingElement.monomial(Q, 3, tuple(int(x == i) for x in range(3)))
+                matrix[rows[cell[:p] + cell[p + 1:]]][j] = t - one if p % 2 == 0 else one - t
+        boundaries.append(matrix)
+    return EquivariantComplex(Q, 3, [[str(c) for c in d] for d in cells], boundaries)
 
 
 def genus2():
@@ -195,16 +214,6 @@ def test_reduction_preserves_reports():
         assert reduced.canonical() == lifted.canonical()
 
 
-def test_thread_count_does_not_change_bytes(monkeypatch):
-    X = genus2()
-    a = (1, 1, 1, 1)
-    base = novikov_betti(X, a).canonical()
-    monkeypatch.setenv("POLYNOV_THREADS", "4")
-    assert novikov_betti(X, a).canonical() == base
-    monkeypatch.setenv("POLYNOV_THREADS", "nope")
-    assert novikov_betti(X, a).canonical() == base
-
-
 def test_integer_coefficients_promote():
     X = ingest({
         "coefficients": "Z", "rank": 1,
@@ -294,6 +303,14 @@ def test_oracle_against_sympy_on_random_matrices():
 def test_oracle_negative_direction():
     rep = truncated_homology_oracle(circle(), ("-2/3",), 16)
     assert rep.betti == (0, 0)
+
+
+@pytest.mark.parametrize("a", [(-1, -1, -1), (1, -1, -1)])
+def test_oracle_stabilizes_on_negative_period_rows(a):
+    # these classes put rows such as 1 - t^-1 into the window, which once
+    # never stabilized
+    rep = truncated_homology_oracle(koszul_t3(), a, order=4, max_doublings=3)
+    assert rep.betti == (0, 0, 0, 0)
 
 
 def test_oracle_input_errors():

@@ -299,6 +299,3 @@ def test_validate_matching_rejects_bad_pairs():
 def test_matching_is_deterministic_per_seed():
     X = subdivided_torus()
     assert acyclic_matching(X, seed=7) == acyclic_matching(X, seed=7)
-    assert acyclic_matching(X, strategy="none") == Matching(())
-    with pytest.raises(InputError):
-        acyclic_matching(X, strategy="clever")

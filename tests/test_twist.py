@@ -14,7 +14,7 @@ import pytest
 
 from polynov.complexes import EquivariantComplex, GroupPresentation, fox_boundary, ingest
 from polynov.errors import InputError
-from polynov.groupring import CoefficientRing, GroupRingElement, mat_eq
+from polynov.groupring import CoefficientRing, GroupRingElement
 from polynov.lattice import (
     CohomologyClass,
     Polytope,
