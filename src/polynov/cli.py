@@ -103,8 +103,7 @@ def _load_complex(args):
 
 
 def _cmd_validate(args):
-    X = _load_complex(args)
-    X.validate()
+    X = _load_complex(args)  # ingest validates; complexes are immutable
     return 0, {
         "subcommand": "validate",
         "input": args.input,

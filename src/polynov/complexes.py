@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .errors import CoverMismatch, InputError, ValidationError
 from .groupring import (
     CoefficientRing,
     GroupRingElement,
-    mat_mul,
     mat_specialize,
 )
 from .lattice import (
@@ -92,25 +92,45 @@ class EquivariantComplex:
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        """Exact square-zero check; reports the first offending entry."""
+        """Exact square-zero check; reports the first offending entry.
+
+        Each row of the product d_k d_{k+1} is formed from the nonzero
+        entries only: row i of d_k meets row l of d_{k+1} for every nonzero
+        (i, l), and the term products are summed per column. The first
+        nonzero sum in row-major order is reported.
+        """
+        mod2 = self.ring is CoefficientRing.MOD2
         for k in range(len(self.boundaries) - 1):
-            product = mat_mul(
-                self.boundaries[k],
-                self.boundaries[k + 1],
-                self.ring,
-                self.deck.rank,
-                len(self.cells[k + 1]),
-            )
-            for i, row in enumerate(product):
-                for j, entry in enumerate(row):
-                    if not entry.is_zero():
-                        raise ValidationError(
-                            f"boundary square is nonzero from degree {k + 2}: "
-                            f"entry ({i}, {j}) is {entry.to_string()}",
-                            degree=k + 2,
-                            row=i,
-                            col=j,
-                        )
+            upper = [  # nonzero (column, terms) of each row of d_{k+1}
+                [(j, e.terms.items()) for j, e in enumerate(row) if e.terms]
+                for row in self.boundaries[k + 1]
+            ]
+            for i, row in enumerate(self.boundaries[k]):
+                sums = {}  # column -> {exponent: coefficient}
+                for l, a in enumerate(row):
+                    if not a.terms:
+                        continue
+                    for j, b_terms in upper[l]:
+                        acc = sums.setdefault(j, {})
+                        for e1, c1 in a.terms.items():
+                            for e2, c2 in b_terms:
+                                exp = tuple(map(add, e1, e2))
+                                acc[exp] = acc.get(exp, 0) + c1 * c2
+                bad = [
+                    j
+                    for j, acc in sums.items()
+                    if any(c % 2 if mod2 else c for c in acc.values())
+                ]
+                if bad:
+                    j = min(bad)
+                    entry = GroupRingElement(self.ring, self.deck.rank, sums[j])
+                    raise ValidationError(
+                        f"boundary square is nonzero from degree {k + 2}: "
+                        f"entry ({i}, {j}) is {entry.to_string()}",
+                        degree=k + 2,
+                        row=i,
+                        col=j,
+                    )
         return True
 
     # -- transport ----------------------------------------------------

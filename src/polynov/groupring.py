@@ -7,9 +7,9 @@ documents, for example "3*t1^2*t2^-1 + 1" (terms sorted by descending
 lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
 Matrix rank over the fraction field of the (Laurent) polynomial ring is
-computed by Gaussian elimination when the entries are rational constants,
-and otherwise fraction-free below a size threshold and by repeated random
-rational-point evaluation above it.
+exact elimination when the entries are constants (Gaussian elimination over
+Q, bitmask elimination over GF(2)), and otherwise fraction-free below a
+size threshold and by repeated random rational-point evaluation above it.
 """
 
 from __future__ import annotations
@@ -388,34 +388,6 @@ class GroupRingElement:
 # matrices
 
 
-def mat_from_strings(rows, ring, rank):
-    return [
-        [GroupRingElement.from_string(e, ring, rank) for e in row]
-        for row in rows
-    ]
-
-
-def mat_to_strings(rows):
-    return [[e.to_string() for e in row] for row in rows]
-
-
-def mat_mul(A, B, ring, rank, inner):
-    """A @ B where A is n x inner and B is inner x m."""
-    n = len(A)
-    m = len(B[0]) if B else 0
-    zero = GroupRingElement.zero(ring, rank)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = zero
-            for k in range(inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def mat_specialize(A, lattice_map):
     return [[e.specialize(lattice_map) for e in row] for row in A]
 
@@ -541,6 +513,24 @@ def _fraction_rank(rows) -> int:
     return rank
 
 
+def _gf2_rank(rows) -> int:
+    """Rank over GF(2) of a constant 0/1 matrix, one int bitmask per row."""
+    pivots = {}  # leading bit -> reduced row with that leading bit
+    for row in rows:
+        bits = 0
+        for j, e in enumerate(row):
+            if e.terms:
+                bits |= 1 << j
+        while bits:
+            top = bits.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = bits
+                break
+            bits ^= pivot
+    return len(pivots)
+
+
 def _evaluation_rank(rows, seed: int) -> int:
     rng = random.Random(seed)
     rank_vars = rows[0][0].rank
@@ -564,24 +554,31 @@ def _evaluation_rank(rows, seed: int) -> int:
             numeric.append(out)
         return _fraction_rank(numeric)
 
-    previous = trial()
-    while True:
+    # every trial is a proved lower bound, so keep the largest
+    best = trial()
+    misses = 0
+    while misses < 2:
         current = trial()
-        if current == previous:
-            return current
-        previous = current
+        if current > best:
+            best, misses = current, 0
+        else:
+            misses += 1
+    return best
 
 
 def matrix_rank_fraction_field(rows, *, seed: int = 0, dense_threshold: int = 64):
     """Rank of a matrix of group-ring elements over the fraction field.
 
-    Over Z or Q with no deck variables the entries are rational constants
-    and Gaussian elimination gives the exact rank at any size. Otherwise
+    With no deck variables the entries are constants and elimination gives
+    the exact rank at any size (route "constant"): Gaussian elimination over
+    Z or Q, elimination on int-bitmask rows over Z/2. Otherwise
     fraction-free elimination when the larger dimension is at most
     `dense_threshold` (and always over Z/2, where random evaluation has too
     few points to be sound); otherwise repeated random rational-point
-    evaluation until two consecutive trials agree. The result records which
-    route ran and whether the value is exact rather than probabilistic.
+    evaluation, keeping the largest rank seen (each trial is a proved lower
+    bound) until two consecutive trials do not raise it. The result records
+    which route ran and whether the value is exact rather than
+    probabilistic.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -601,7 +598,9 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0, dense_threshold: int = 64
             for row in rows
         ]
         ring = CoefficientRing.RAT
-    if ring is CoefficientRing.RAT and rank == 0:
+    if rank == 0:
+        if ring is CoefficientRing.MOD2:
+            return RankResult(_gf2_rank(rows), True, "constant")
         constants = [[e.terms.get((), 0) for e in row] for row in rows]
         return RankResult(_fraction_rank(constants), True, "constant")
     if ring is CoefficientRing.MOD2 or max(n, m) <= dense_threshold:

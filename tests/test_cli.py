@@ -11,6 +11,9 @@ import sys
 import pytest
 
 from polynov.cli import main
+from polynov.complexes import ingest
+from polynov.groupring import matrix_rank_fraction_field
+from polynov.lattice import quotient_map, zero_class
 
 
 def call(capsys, args):
@@ -44,14 +47,14 @@ TORUS_PRESENTATION = {
 }
 
 
-def subdivided_circle(n):
-    """The circle cut into n edges over Q[Z]; the last edge ends at t * v0."""
+def subdivided_circle(n, ring="Q"):
+    """The circle cut into n edges over ring[Z]; the last edge ends at t * v0."""
     matrix = [["0"] * n for _ in range(n)]
     for j in range(n):
         matrix[j][j] = "-1"
         matrix[(j + 1) % n][j] = "1" if j + 1 < n else "t"
     return {
-        "coefficients": "Q", "rank": 1,
+        "coefficients": ring, "rank": 1,
         "cells": [[f"v{i}" for i in range(n)], [f"e{i}" for i in range(n)]],
         "boundaries": [matrix],
     }
@@ -173,17 +176,21 @@ def test_morse_preserves_report(capsys):
 
 
 def test_constant_ranks_above_64_cells_are_exact(capsys, tmp_path):
-    path = tmp_path / "circle70.json"
-    path.write_text(json.dumps(subdivided_circle(70)))
-    code, out, _ = call(capsys, ["betti", str(path), "--format", "json"])
-    assert code == 0
-    report = json.loads(out)["report"]
-    assert report["betti"] == [1, 1]
-    assert report["method"] == "fraction-field exact"
-    assert report["checks"]["rank_exact"] is True
-    code, out, _ = call(capsys, ["morse", str(path), "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["preserved"] is True
+    for ring in ("Q", "Z2"):
+        document = subdivided_circle(70, ring)
+        X = ingest(document).specialize(quotient_map([zero_class(1)]))
+        assert matrix_rank_fraction_field(X.boundaries[0]) == (69, True, "constant")
+        path = tmp_path / f"circle70-{ring}.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = call(capsys, ["betti", str(path), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["betti"] == [1, 1]
+        assert report["method"] == "fraction-field exact"
+        assert report["checks"]["rank_exact"] is True
+        code, out, _ = call(capsys, ["morse", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["preserved"] is True
 
 
 def test_main_check_passes(capsys):

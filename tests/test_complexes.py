@@ -9,6 +9,7 @@ itself is validated by the fundamental identity
 sum_g (t^q(g) - 1) * d(w)/dg == t^q(ab w) - 1 on random open words.
 """
 
+import itertools
 import json
 import random
 
@@ -22,7 +23,8 @@ from polynov.complexes import (
     scale_check,
 )
 from polynov.errors import CoverMismatch, InputError, ValidationError
-from polynov.groupring import CoefficientRing, GroupRingElement, mat_to_strings
+from polynov.groupring import CoefficientRing, GroupRingElement
+from polynov.homology import ordinary_betti
 from polynov.lattice import CohomologyClass, Polytope, quotient_map
 
 Q = CoefficientRing.RAT
@@ -34,6 +36,10 @@ def elem(text, rank, ring=Q):
 
 def mono(exp, rank):
     return GroupRingElement.monomial(Q, rank, tuple(exp))
+
+
+def strings(matrix):
+    return [[e.to_string() for e in row] for row in matrix]
 
 
 # -- independent Fox oracle --------------------------------------------------
@@ -122,23 +128,23 @@ def test_fox_torus_frozen():
     X = fox_boundary(GroupPresentation(["x", "y"], ["xyXY"]), [[1, 0], [0, 1]])
     assert X.cell_counts() == (1, 2, 1)
     assert X.deck.rank == 2
-    assert mat_to_strings(X.boundaries[0]) == [["t1 - 1", "t2 - 1"]]
-    assert mat_to_strings(X.boundaries[1]) == [["-t2 + 1"], ["t1 - 1"]]
+    assert strings(X.boundaries[0]) == [["t1 - 1", "t2 - 1"]]
+    assert strings(X.boundaries[1]) == [["-t2 + 1"], ["t1 - 1"]]
 
 
 def test_fox_klein_bottle_frozen():
     # x y x y^-1 with the orientation cover: q(x) = 0, q(y) = 1
     X = fox_boundary(GroupPresentation(["x", "y"], ["xyxY"]), [[0, 1]])
     assert X.deck.rank == 1
-    assert mat_to_strings(X.boundaries[0]) == [["0", "t - 1"]]
-    assert mat_to_strings(X.boundaries[1]) == [["t + 1"], ["0"]]
+    assert strings(X.boundaries[0]) == [["0", "t - 1"]]
+    assert strings(X.boundaries[1]) == [["t + 1"], ["0"]]
 
 
 def test_fox_genus2_frozen():
     pres = GroupPresentation(["a", "b", "c", "d"], ["abABcdCD"])
     X = fox_boundary(pres, [[int(i == j) for j in range(4)] for i in range(4)])
     assert X.cell_counts() == (1, 4, 1)
-    assert mat_to_strings(X.boundaries[1]) == [
+    assert strings(X.boundaries[1]) == [
         ["-t2 + 1"],
         ["t1 - 1"],
         ["-t4 + 1"],
@@ -149,7 +155,7 @@ def test_fox_genus2_frozen():
 def test_fox_free_group_has_no_discs():
     X = fox_boundary(GroupPresentation(["x"], []), [[1]])
     assert X.cell_counts() == (1, 1)
-    assert mat_to_strings(X.boundaries[0]) == [["t - 1"]]
+    assert strings(X.boundaries[0]) == [["t - 1"]]
 
 
 def test_cover_mismatch_rejected():
@@ -227,6 +233,186 @@ def test_validate_skippable_then_explicit():
     )
     with pytest.raises(ValidationError):
         X.validate()
+
+
+# -- square-zero check against a dense reference -----------------------------
+
+
+def dense_violation(X):
+    """Reference for validate(): form every entry of every product
+    d_k d_{k+1} as a full dot product and return (degree, row, col, message)
+    of the first nonzero one in row-major order, or None. Zero summands are
+    skipped, which changes no sum."""
+    zero = GroupRingElement.zero(X.ring, X.deck.rank)
+    for k in range(len(X.boundaries) - 1):
+        A, B = X.boundaries[k], X.boundaries[k + 1]
+        for i, row in enumerate(A):
+            for j in range(len(X.cells[k + 2])):
+                entry = zero
+                for l, a in enumerate(row):
+                    if not a.is_zero():
+                        entry = entry + a * B[l][j]
+                if not entry.is_zero():
+                    message = (
+                        f"boundary square is nonzero from degree {k + 2}: "
+                        f"entry ({i}, {j}) is {entry.to_string()}"
+                    )
+                    return (k + 2, i, j, message)
+    return None
+
+
+def validate_outcome(X):
+    try:
+        X.validate()
+    except ValidationError as err:
+        return (err.degree, err.row, err.col, str(err))
+    return None
+
+
+def test_square_zero_first_violation_in_row_major_order():
+    # d1 d2 = 0 holds; d2 d3 = d3 is nonzero at (0, 2), (1, 0) and (1, 2)
+    d1 = [[elem("0", 1), elem("0", 1)]]
+    d2 = [[elem("1", 1), elem("0", 1)], [elem("0", 1), elem("1", 1)]]
+    d3 = [
+        [elem("0", 1), elem("0", 1), elem("t", 1)],
+        [elem("1", 1), elem("0", 1), elem("1 - t", 1)],
+    ]
+    X = EquivariantComplex(
+        Q, 1, [["v"], ["e0", "e1"], ["f0", "f1"], ["g0", "g1", "g2"]],
+        [d1, d2, d3], validate=False,
+    )
+    expected = (3, 0, 2, "boundary square is nonzero from degree 3: entry (0, 2) is t")
+    assert dense_violation(X) == expected
+    assert validate_outcome(X) == expected
+
+
+def test_mod2_contributions_cancel():
+    Z2 = CoefficientRing.MOD2
+    # each product entry gets two equal contributions, which cancel mod 2
+    d1 = [[elem("t", 1, Z2), elem("1", 1, Z2)]]
+    d2 = [[elem("1", 1, Z2), elem("t + 1", 1, Z2)], [elem("t", 1, Z2), elem("t^2 + t", 1, Z2)]]
+    X = EquivariantComplex(Z2, 1, [["v"], ["e0", "e1"], ["f0", "f1"]], [d1, d2])
+    assert X.validate()
+    assert dense_violation(X) is None
+    # over Q the same entries do not cancel
+    with pytest.raises(ValidationError):
+        EquivariantComplex(
+            Q, 1, [["v"], ["e0", "e1"], ["f0", "f1"]],
+            [[[elem(str(e), 1) for e in row] for row in m] for m in (d1, d2)],
+        )
+
+
+def random_poly(rng, ring, rank):
+    terms = {
+        tuple(rng.randint(-1, 1) for _ in range(rank)): rng.choice((1, -1, 2))
+        for _ in range(rng.randint(1, 2))
+    }
+    return GroupRingElement(ring, rank, terms)
+
+
+def random_square_zero(rng, ring, rank):
+    """Koszul complex on three random elements (square-zero for any choice),
+    then random elementary basis changes in the middle degrees: column b of
+    d_k gains g * column a, and row a of d_{k+1} loses g * row b."""
+    fs = [random_poly(rng, ring, rank) for _ in range(3)]
+    subsets = [list(itertools.combinations(range(3), k)) for k in range(4)]
+    zero = GroupRingElement.zero(ring, rank)
+    mats = []
+    for k in range(1, 4):
+        rows = [[zero] * len(subsets[k]) for _ in subsets[k - 1]]
+        for c, cell in enumerate(subsets[k]):
+            for pos, i in enumerate(cell):
+                face = cell[:pos] + cell[pos + 1:]
+                r = subsets[k - 1].index(face)
+                rows[r][c] = fs[i] if pos % 2 == 0 else -fs[i]
+        mats.append(rows)
+    for _ in range(6):
+        k = rng.randint(1, 2)
+        a, b = rng.sample(range(3), 2)
+        g = random_poly(rng, ring, rank)
+        for row in mats[k - 1]:
+            row[b] = row[b] + g * row[a]
+        mats[k][a] = [x - g * y for x, y in zip(mats[k][a], mats[k][b])]
+    names = [[f"c{k}_{j}" for j in range(len(subsets[k]))] for k in range(4)]
+    return names, mats
+
+
+@pytest.mark.parametrize("ring", list(CoefficientRing))
+def test_validate_matches_dense_reference_on_random_complexes(ring):
+    rng = random.Random(2024)
+    violations = 0
+    for _ in range(15):
+        rank = rng.randint(0, 2)
+        names, mats = random_square_zero(rng, ring, rank)
+        assert EquivariantComplex(ring, rank, names, mats).validate()
+        k = rng.randrange(3)
+        i = rng.randrange(len(mats[k]))
+        j = rng.randrange(len(mats[k][i]))
+        bump = GroupRingElement.monomial(
+            ring, rank, tuple(rng.randint(-1, 1) for _ in range(rank))
+        )
+        mats[k][i][j] = mats[k][i][j] + bump
+        X = EquivariantComplex(ring, rank, names, mats, validate=False)
+        expected = dense_violation(X)
+        assert validate_outcome(X) == expected
+        violations += expected is not None
+    assert violations >= 10
+
+
+def cubical_torus(n, m, ring):
+    """The n-torus cut into m^n cubes over ring[Z^n]: the tensor product of
+    n circles, each cut into m edges, where edge j of circle p runs from
+    vertex j to vertex j + 1 and the last edge ends at t_p * v0. Cells of
+    degree k number binomial(n, k) * m^n; ordinary Betti numbers are
+    binomial(n, k)."""
+    circle = [(0, j) for j in range(m)] + [(1, j) for j in range(m)]
+    cells = [[] for _ in range(n + 1)]
+    for cell in itertools.product(circle, repeat=n):
+        cells[sum(d for d, _ in cell)].append(cell)
+    index = [{cell: r for r, cell in enumerate(degree)} for degree in cells]
+    zero = GroupRingElement.zero(ring, n)
+    boundaries = []
+    for k in range(1, n + 1):
+        rows = [[zero] * len(cells[k]) for _ in cells[k - 1]]
+        for c, cell in enumerate(cells[k]):
+            sign = 1
+            for p, (d, j) in enumerate(cell):
+                if d == 0:
+                    continue
+                wrap = [0] * n
+                wrap[p] = int(j == m - 1)
+                for vertex, exp, coeff in ((j, (0,) * n, -sign), ((j + 1) % m, wrap, sign)):
+                    r = index[k - 1][cell[:p] + ((0, vertex),) + cell[p + 1:]]
+                    rows[r][c] = rows[r][c] + GroupRingElement.monomial(ring, n, exp, coeff)
+                sign = -sign
+        boundaries.append(rows)
+    names = [["x".join(f"{'ve'[d]}{j}" for d, j in cell) for cell in degree] for degree in cells]
+    return names, boundaries
+
+
+def test_cubical_t3_4_validates_and_locates_a_flipped_sign():
+    for ring in (Q, CoefficientRing.MOD2):
+        names, mats = cubical_torus(3, 4, ring)
+        X = EquivariantComplex(ring, 3, names, mats)
+        assert X.cell_counts() == (64, 192, 192, 64)
+        assert X.validate()
+    report = ordinary_betti(X)  # over Z/2: constant 0/1 boundaries
+    assert report.betti == (1, 3, 3, 1)
+    assert report.checks["rank_exact"] is True
+    names, mats = cubical_torus(3, 4, Q)
+    rng = random.Random(5)
+    for k in (0, 1, 2):
+        flipped = [[list(row) for row in m] for m in mats]
+        nonzero = [
+            (i, j) for i, row in enumerate(flipped[k]) for j, e in enumerate(row)
+            if not e.is_zero()
+        ]
+        i, j = rng.choice(nonzero)
+        flipped[k][i][j] = -flipped[k][i][j]
+        X = EquivariantComplex(Q, 3, names, flipped, validate=False)
+        expected = dense_violation(X)
+        assert expected is not None
+        assert validate_outcome(X) == expected
 
 
 def test_shape_errors():

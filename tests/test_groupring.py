@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from polynov import groupring
 from polynov.errors import InputError
 from polynov.groupring import (
     CoefficientRing,
     GroupRingElement,
-    mat_from_strings,
-    mat_mul,
+    _bareiss_rank,
     matrix_rank_fraction_field,
 )
 from polynov.lattice import CohomologyClass, quotient_map
@@ -149,7 +149,10 @@ def test_specialize_is_ring_homomorphism():
 
 def test_rank_of_torus_column_is_one():
     # frozen derived value: the column [(t1 - 1), (t2 - 1)] has rank 1
-    col = mat_from_strings([["t1 - 1"], ["t2 - 1"]], Q, 2)
+    col = [
+        [GroupRingElement.from_string("t1 - 1", Q, 2)],
+        [GroupRingElement.from_string("t2 - 1", Q, 2)],
+    ]
     res = matrix_rank_fraction_field(col)
     assert res.rank == 1
     assert res.exact
@@ -222,6 +225,35 @@ def test_rank_mod2_against_minor_oracle():
         assert got.rank == minor_rank(polys, n, m)
 
 
+def test_mod2_constant_rank_matches_bareiss():
+    rng = random.Random(53)
+    one = GroupRingElement.one(Z2, 0)
+    zero = GroupRingElement.zero(Z2, 0)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        m = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.3, 0.6))
+        rows = [
+            [one if rng.random() < density else zero for _ in range(m)]
+            for _ in range(n)
+        ]
+        if n > 2:  # a dependent row: the sum of two others
+            a, b = rng.sample(range(n - 1), 2)
+            rows[-1] = [x + y for x, y in zip(rows[a], rows[b])]
+        got = matrix_rank_fraction_field(rows)
+        assert got == (_bareiss_rank(rows), True, "constant")
+
+
+def test_evaluation_rank_keeps_the_largest_trial(monkeypatch):
+    # each trial is a proved lower bound: 3, 2, 2 means rank 3, not 2
+    script = iter([3, 2, 2])
+    monkeypatch.setattr(groupring, "_fraction_rank", lambda numeric: next(script))
+    t = GroupRingElement.from_string("t", Q, 1)
+    rows = [[t] * 3 for _ in range(3)]
+    got = matrix_rank_fraction_field(rows, dense_threshold=0)
+    assert got == (3, True, "evaluation")
+
+
 def test_evaluation_route_agrees_with_dense_route():
     rng = random.Random(41)
     for trial in range(10):
@@ -273,12 +305,12 @@ def test_unit_monomials():
 
 
 def test_matrix_helpers():
-    A = mat_from_strings([["t", "1"]], Q, 1)
-    B = mat_from_strings([["t - 1"], ["1 - t"]], Q, 1)
-    prod = mat_mul(A, B, Q, 1, 2)
-    assert prod[0][0].to_string() == "t^2 - 2*t + 1"
-    assert not all(e.is_zero() for row in prod for e in row)
-    assert A == mat_from_strings([["t", "1"]], Q, 1)
+    def matrix(rows):
+        return [[GroupRingElement.from_string(e, Q, 1) for e in row] for row in rows]
+
+    A = matrix([["t", "1"]])
+    B = matrix([["t - 1"], ["1 - t"]])
+    assert A == matrix([["t", "1"]])
     assert A != B
 
 
