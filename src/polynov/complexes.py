@@ -136,12 +136,22 @@ class EquivariantComplex:
     # -- transport ----------------------------------------------------
 
     def specialize(self, lattice_map: LatticeMap) -> "EquivariantComplex":
-        """Push all boundary entries forward along a deck-lattice quotient."""
+        """Push all boundary entries forward along a deck-lattice quotient.
+
+        The quotient induces a ring map, and a ring map keeps d∘d = 0, so
+        the image of this (validated) complex is not checked again.
+        """
+        if lattice_map.rank_in != self.deck.rank:
+            raise InputError(
+                f"map expects rank {lattice_map.rank_in}, complex has "
+                f"deck rank {self.deck.rank}"
+            )
         return EquivariantComplex(
             self.ring,
             lattice_map.rank_out,
             self.cells,
             [mat_specialize(m, lattice_map) for m in self.boundaries],
+            validate=False,
         )
 
     # -- serialization --------------------------------------------------

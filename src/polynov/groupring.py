@@ -8,15 +8,23 @@ lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
 Matrix rank over the fraction field of the (Laurent) polynomial ring is
 exact elimination when the entries are constants (Gaussian elimination over
-Q, bitmask elimination over GF(2)), and otherwise fraction-free below a
-size threshold and by repeated random rational-point evaluation above it.
+Q, bitmask elimination over GF(2)). Otherwise the matrix is evaluated at a
+seeded random point (in F_p with p = 2^61 - 1 over Z and Q, in GF(2^16)
+over Z/2), where its rank is a proved lower bound. `chain_ranks` certifies
+that bound as the exact rank when it is full or when d∘d = 0 pins it
+against a neighbouring boundary; "certified" means proved, whatever the
+point. Uncertified ranks fall back to fraction-free (Bareiss) elimination,
+over Z/2 at any size and over Z or Q up to 64 rows and columns; above that
+the lower bound is reported as such (route "evaluation", exact=False).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import re
+from array import array
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -389,7 +397,22 @@ class GroupRingElement:
 
 
 def mat_specialize(A, lattice_map):
-    return [[e.specialize(lattice_map) for e in row] for row in A]
+    """Push every entry forward along a lattice quotient. Only nonzero
+    entries are mapped; the zero entries all become one shared zero
+    element (elements are immutable)."""
+    zero = None
+    out = []
+    for row in A:
+        images = []
+        for e in row:
+            if e.terms:
+                images.append(e.specialize(lattice_map))
+            else:
+                if zero is None:
+                    zero = GroupRingElement.zero(e.ring, lattice_map.rank_out)
+                images.append(zero)
+        out.append(images)
+    return out
 
 
 class RankResult(NamedTuple):
@@ -531,59 +554,155 @@ def _gf2_rank(rows) -> int:
     return len(pivots)
 
 
-def _evaluation_rank(rows, seed: int) -> int:
-    rng = random.Random(seed)
-    rank_vars = rows[0][0].rank
+# ---------------------------------------------------------------------------
+# rank at a random point
 
-    def trial():
-        point = [
-            Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            for _ in range(rank_vars)
-        ]
-        numeric = []
-        for row in rows:
-            out = []
-            for e in row:
-                acc = Fraction(0)
-                for exp, coeff in e.terms.items():
-                    v = Fraction(coeff)
-                    for i, p in enumerate(exp):
-                        v *= point[i] ** p
-                    acc += v
-                out.append(acc)
-            numeric.append(out)
-        return _fraction_rank(numeric)
-
-    # every trial is a proved lower bound, so keep the largest
-    best = trial()
-    misses = 0
-    while misses < 2:
-        current = trial()
-        if current > best:
-            best, misses = current, 0
-        else:
-            misses += 1
-    return best
+# Z and Q entries are evaluated in F_p for this Mersenne prime
+_P = (1 << 61) - 1
+# Z/2 entries are evaluated in GF(2^16) = GF(2)[x] / (this primitive
+# polynomial), whose nonzero elements are the powers of x
+_GF_POLY = 0x1100B  # x^16 + x^12 + x^3 + x + 1
+_GF_ORDER = (1 << 16) - 1
+# fraction-free elimination on uncertified Q/Z matrices up to this size;
+# above it the rank at the point is reported as a labelled lower bound
+_BAREISS_LIMIT = 64
 
 
-def matrix_rank_fraction_field(rows, *, seed: int = 0, dense_threshold: int = 64):
-    """Rank of a matrix of group-ring elements over the fraction field.
+@functools.cache
+def _gf_tables():
+    """Antilog and log tables of GF(2^16), 384 KB, built on first use.
 
-    With no deck variables the entries are constants and elimination gives
-    the exact rank at any size (route "constant"): Gaussian elimination over
-    Z or Q, elimination on int-bitmask rows over Z/2. Otherwise
-    fraction-free elimination when the larger dimension is at most
-    `dense_threshold` (and always over Z/2, where random evaluation has too
-    few points to be sound); otherwise repeated random rational-point
-    evaluation, keeping the largest rank seen (each trial is a proved lower
-    bound) until two consecutive trials do not raise it. The result records
-    which route ran and whether the value is exact rather than
-    probabilistic.
+    The antilog table is stored twice over, so a product is one lookup
+    exp[log a + log b] without a reduction mod 2^16 - 1.
     """
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    if n == 0 or m == 0:
-        return RankResult(0, True, "empty")
+    exp = array("H", bytes(4 * _GF_ORDER))
+    log = array("H", bytes(2 * (_GF_ORDER + 1)))
+    x = 1
+    for i in range(_GF_ORDER):
+        exp[i] = exp[i + _GF_ORDER] = x
+        log[x] = i
+        x <<= 1
+        if x >> 16:
+            x ^= _GF_POLY
+    return exp, log
+
+
+def _point(ring, nvars, seed):
+    """A seeded random point with nonzero coordinates: residues mod p over
+    Z and Q, discrete logarithms (powers of x) over Z/2."""
+    rng = random.Random(seed)
+    if ring is CoefficientRing.MOD2:
+        return [rng.randrange(_GF_ORDER) for _ in range(nvars)]
+    return [rng.randrange(1, _P) for _ in range(nvars)]
+
+
+def _evaluate_mod_p(rows, point):
+    """The entries at the point, in F_p; None when a coefficient's
+    denominator is divisible by p (the point is then not in the domain)."""
+    monomials = {}
+    out = []
+    for row in rows:
+        values = []
+        for e in row:
+            acc = 0
+            for exp, c in e.terms.items():
+                mono = monomials.get(exp)
+                if mono is None:
+                    mono = 1
+                    for x, k in zip(point, exp):
+                        if k:
+                            mono = mono * pow(x, k, _P) % _P
+                    monomials[exp] = mono
+                den = c.denominator
+                if den != 1:
+                    if den % _P == 0:
+                        return None
+                    mono = mono * pow(den, -1, _P) % _P
+                acc += c.numerator * mono
+            values.append(acc % _P)
+        out.append(values)
+    return out
+
+
+def _evaluate_gf(rows, logs):
+    """The entries in GF(2^16) at the point whose coordinates have these
+    discrete logarithms; every coefficient is 1."""
+    exp_table, _ = _gf_tables()
+    monomials = {}
+    out = []
+    for row in rows:
+        values = []
+        for e in row:
+            acc = 0
+            for exp in e.terms:
+                mono = monomials.get(exp)
+                if mono is None:
+                    power = sum(k * l for k, l in zip(exp, logs)) % _GF_ORDER
+                    mono = monomials[exp] = exp_table[power]
+                acc ^= mono
+            values.append(acc)
+        out.append(values)
+    return out
+
+
+def _rank_mod_p(M) -> int:
+    pivots = {}  # leading column -> row with 1 there and zeros before it
+    for row in M:
+        col, m = 0, len(row)
+        while True:
+            while col < m and not row[col]:
+                col += 1
+            if col == m:
+                break
+            a = row[col]
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(a, -1, _P)
+                pivots[col] = [x * inv % _P for x in row]
+                break
+            row = [(x - a * y) % _P for x, y in zip(row, pivot)]
+    return len(pivots)
+
+
+def _rank_gf(M) -> int:
+    exp_table, log_table = _gf_tables()
+    pivots = {}  # leading column -> logs of a row with 1 there (-1 for 0)
+    for row in M:
+        col, m = 0, len(row)
+        while True:
+            while col < m and not row[col]:
+                col += 1
+            if col == m:
+                break
+            la = log_table[row[col]]
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = [
+                    (log_table[x] - la) % _GF_ORDER if x else -1 for x in row
+                ]
+                break
+            row = [
+                x ^ exp_table[la + l] if l >= 0 else x
+                for x, l in zip(row, pivot)
+            ]
+    return len(pivots)
+
+
+def _point_rank(rows, ring, point) -> int:
+    """Rank of the matrix at the point: a proved lower bound for the rank
+    over the fraction field, since evaluation is a ring map and so every
+    vanishing minor stays zero. 0 (still a lower bound) when the point is
+    outside the domain of a coefficient."""
+    if ring is CoefficientRing.MOD2:
+        return _rank_gf(_evaluate_gf(rows, point))
+    values = _evaluate_mod_p(rows, point)
+    return 0 if values is None else _rank_mod_p(values)
+
+
+def _shape(rows):
+    """(rows, cols, coefficient ring, deck rank) of a nonempty matrix;
+    InputError if it is ragged or mixes rings."""
+    n, m = len(rows), len(rows[0])
     ring = rows[0][0].ring
     rank = rows[0][0].rank
     for row in rows:
@@ -592,18 +711,83 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0, dense_threshold: int = 64
         for e in row:
             if e.ring is not ring or e.rank != rank:
                 raise InputError("mixed rings or ranks in matrix")
-    if ring is CoefficientRing.INT:
-        rows = [
-            [GroupRingElement(CoefficientRing.RAT, rank, e.terms) for e in row]
-            for row in rows
-        ]
-        ring = CoefficientRing.RAT
-    if rank == 0:
+    return n, m, ring, rank
+
+
+def _is_empty(rows) -> bool:
+    return not rows or not rows[0]
+
+
+def matrix_rank_fraction_field(rows, *, seed: int = 0):
+    """Rank of a matrix of group-ring elements over the fraction field.
+
+    With no deck variables the entries are constants and elimination gives
+    the exact rank at any size (route "constant"): Gaussian elimination
+    over Z or Q, elimination on int-bitmask rows over Z/2. Otherwise the
+    matrix is evaluated at a random point seeded by `seed` (in F_p with
+    p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), and the rank there is
+    a proved lower bound. A lone matrix can only certify it when it is
+    full, min(rows, cols) (route "modular"); `chain_ranks` certifies more
+    from d∘d = 0. Otherwise the rank is fraction-free elimination (route
+    "fraction-free"), over Z/2 at any size and over Z or Q up to 64 rows
+    and columns; above that the lower bound is returned with
+    exact=False (route "evaluation").
+    """
+    if _is_empty(rows):
+        return RankResult(0, True, "empty")
+    n, m, ring, nvars = _shape(rows)
+    if nvars == 0:
         if ring is CoefficientRing.MOD2:
             return RankResult(_gf2_rank(rows), True, "constant")
         constants = [[e.terms.get((), 0) for e in row] for row in rows]
         return RankResult(_fraction_rank(constants), True, "constant")
-    if ring is CoefficientRing.MOD2 or max(n, m) <= dense_threshold:
-        return RankResult(_bareiss_rank(rows), True, "fraction-free")
-    value = _evaluation_rank(rows, seed)
-    return RankResult(value, value == min(n, m), "evaluation")
+    bound = _point_rank(rows, ring, _point(ring, nvars, seed))
+    if bound == min(n, m):
+        return RankResult(bound, True, "modular")
+    if ring is not CoefficientRing.MOD2 and max(n, m) > _BAREISS_LIMIT:
+        return RankResult(bound, False, "evaluation")
+    if ring is CoefficientRing.INT:
+        rat = CoefficientRing.RAT
+        rows = [[GroupRingElement(rat, nvars, e.terms) for e in row] for row in rows]
+    return RankResult(_bareiss_rank(rows), True, "fraction-free")
+
+
+def chain_ranks(boundaries, *, seed: int = 0):
+    """Ranks over the fraction field of the boundaries of one complex.
+
+    `boundaries[i]` is the matrix from degree i + 1 to degree i, and the
+    caller guarantees boundaries[i] * boundaries[i + 1] = 0 (true of every
+    validated complex and of its images under ring maps). Each matrix
+    with deck variables is evaluated at one seeded random point, and its
+    rank there is a proved lower bound lb. It is the exact rank when it is
+    min(rows, cols), or when the chain bound closes: d∘d = 0 gives
+    rank d_i + rank d_{i+1} <= n_i, the cell count between them, so
+    lb_i + lb_{i+1} = n_i pins both ranks. These come back exact with
+    route "modular"; the randomness can only cost a certificate, never
+    make one wrong. Every other matrix goes to
+    `matrix_rank_fraction_field`, which evaluates it again at the same
+    point (cheap next to the elimination that follows).
+    """
+    results = [None] * len(boundaries)
+    bounds = []
+    for i, rows in enumerate(boundaries):
+        if _is_empty(rows) or rows[0][0].rank == 0:  # exact at any size
+            results[i] = matrix_rank_fraction_field(rows)
+            bounds.append(results[i].rank)
+        else:
+            _, _, ring, nvars = _shape(rows)
+            bounds.append(_point_rank(rows, ring, _point(ring, nvars, seed)))
+    certified = [
+        result is None and bound == min(len(rows), len(rows[0]))
+        for result, bound, rows in zip(results, bounds, boundaries)
+    ]
+    for i in range(1, len(boundaries)):
+        if bounds[i - 1] + bounds[i] == len(boundaries[i]):
+            certified[i - 1] = certified[i] = True
+    for i, rows in enumerate(boundaries):
+        if results[i] is None:
+            results[i] = (
+                RankResult(bounds[i], True, "modular") if certified[i]
+                else matrix_rank_fraction_field(rows, seed=seed)
+            )
+    return results

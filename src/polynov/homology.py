@@ -19,11 +19,7 @@ from fractions import Fraction
 
 from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import IncreaseOrder, InputError
-from .groupring import (
-    CoefficientRing,
-    GroupRingElement,
-    matrix_rank_fraction_field,
-)
+from .groupring import CoefficientRing, GroupRingElement, chain_ranks
 from .lattice import (
     CohomologyClass,
     Polytope,
@@ -84,7 +80,7 @@ def _as_class(a, rank=None) -> CohomologyClass:
 
 
 def _rank_report(X: EquivariantComplex, ring_desc: dict, *, seed=0) -> BettiReport:
-    results = [matrix_rank_fraction_field(m, seed=seed) for m in X.boundaries]
+    results = chain_ranks(X.boundaries, seed=seed)
     betti = _betti_from_ranks(X.cell_counts(), [r.rank for r in results])
     chi = euler_characteristic(X)
     method = (

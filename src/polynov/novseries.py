@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, gcd, lcm
+from operator import mul
 
 from .errors import (
     AmbiguousLeadingTerm,
@@ -42,8 +44,17 @@ class Truncation:
     def __init__(self, direction, order):
         if not isinstance(direction, CohomologyClass):
             direction = CohomologyClass(direction)
+        order = parse_rational(order)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "order", parse_rational(order))
+        object.__setattr__(self, "order", order)
+        # direction = weights / D with `weights` a primitive integer vector,
+        # so the window test is an integer comparison: weights . A is an
+        # integer, and it is <= order * D iff it is <= floor(order * D)
+        den = lcm(*(p.denominator for p in direction.periods))
+        ints = [int(p * den) for p in direction.periods]
+        g = gcd(*ints) or 1
+        object.__setattr__(self, "_weights", tuple(n // g for n in ints))
+        object.__setattr__(self, "_cutoff", floor(order * den / g))
 
     @classmethod
     def interior(cls, region, order) -> "Truncation":
@@ -61,7 +72,7 @@ class Truncation:
         return cls(CohomologyClass(tuple(avg)), order)
 
     def contains(self, exponent) -> bool:
-        return period_eval(self.direction, exponent) <= self.order
+        return sum(map(mul, self._weights, exponent)) <= self._cutoff
 
 
 class TruncatedNovikovSeries:
@@ -75,12 +86,10 @@ class TruncatedNovikovSeries:
                 f"element rank {element.rank} vs window rank "
                 f"{truncation.direction.rank}"
             )
-        kept = {
-            exp: c
-            for exp, c in element.terms.items()
-            if truncation.contains(exp)
-        }
-        self.element = GroupRingElement(element.ring, element.rank, kept)
+        inside = truncation.contains
+        kept = GroupRingElement.zero(element.ring, element.rank)
+        kept.terms = {exp: c for exp, c in element.terms.items() if inside(exp)}
+        self.element = kept
         self.truncation = truncation
 
     @classmethod

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import InputError
-from .groupring import (
-    CoefficientRing,
-    GroupRingElement,
-    matrix_rank_fraction_field,
-)
+from .groupring import CoefficientRing, GroupRingElement, chain_ranks
 from .lattice import (
     LatticeMap,
     Polytope,
@@ -203,7 +199,7 @@ def lift_conjugation_self_test(T: TwistedComplex, seed: int = 0):
     relifted = EquivariantComplex(ring, rank, X.cells, boundaries)
 
     def boundary_ranks(Y):
-        return tuple(matrix_rank_fraction_field(m).rank for m in Y.boundaries)
+        return tuple(r.rank for r in chain_ranks(Y.boundaries))
 
     before = boundary_ranks(X)
     after = boundary_ranks(relifted)

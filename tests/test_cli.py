@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from polynov.cli import main
-from polynov.complexes import ingest
+from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import matrix_rank_fraction_field
 from polynov.lattice import quotient_map, zero_class
 
@@ -191,6 +191,30 @@ def test_constant_ranks_above_64_cells_are_exact(capsys, tmp_path):
         code, out, _ = call(capsys, ["morse", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(out)["preserved"] is True
+
+
+def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
+    # ingest and the Morse reduction validate; the image under the quotient
+    # map is not checked again, because a ring map keeps d∘d = 0
+    calls = []
+    original = EquivariantComplex.validate
+
+    def counting(self):
+        calls.append(self.cell_counts())
+        return original(self)
+
+    monkeypatch.setattr(EquivariantComplex, "validate", counting)
+    path = tmp_path / "circle5-Z2.json"
+    path.write_text(json.dumps(subdivided_circle(5, "Z2")))
+    for args, expected in (
+        (["betti", "torus"], 1),
+        (["betti", str(path)], 1),
+        (["morse", str(path), "--seed", "2"], 2),  # 5 cells -> 1 per degree
+    ):
+        calls.clear()
+        code, _, _ = call(capsys, [*args, "--format", "json"])
+        assert code == 0
+        assert len(calls) == expected
 
 
 def test_main_check_passes(capsys):

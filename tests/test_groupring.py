@@ -156,7 +156,7 @@ def test_rank_of_torus_column_is_one():
     res = matrix_rank_fraction_field(col)
     assert res.rank == 1
     assert res.exact
-    assert res.method == "fraction-free"
+    assert res.method == "modular"  # full rank at the point certifies it
     assert sympy_rank(col) == 1
 
 
@@ -244,30 +244,59 @@ def test_mod2_constant_rank_matches_bareiss():
         assert got == (_bareiss_rank(rows), True, "constant")
 
 
-def test_evaluation_rank_keeps_the_largest_trial(monkeypatch):
-    # each trial is a proved lower bound: 3, 2, 2 means rank 3, not 2
-    script = iter([3, 2, 2])
-    monkeypatch.setattr(groupring, "_fraction_rank", lambda numeric: next(script))
-    t = GroupRingElement.from_string("t", Q, 1)
-    rows = [[t] * 3 for _ in range(3)]
-    got = matrix_rank_fraction_field(rows, dense_threshold=0)
-    assert got == (3, True, "evaluation")
+def test_evaluation_route_is_a_labelled_lower_bound():
+    # 65 rows (t1 - 1, t2 - 1) times unit monomials have rank 1 < 2 columns:
+    # a lone matrix cannot certify that, and above 64 rows over Q and Z
+    # there is no elimination fallback, so the point rank comes back inexact
+    rng = random.Random(47)
+    for ring in (Q, Z):
+        rows = []
+        for _ in range(65):
+            unit = GroupRingElement.monomial(
+                ring, 2, (rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice((1, -1))
+            )
+            rows.append([
+                unit * GroupRingElement.from_string("t1 - 1", ring, 2),
+                unit * GroupRingElement.from_string("t2 - 1", ring, 2),
+            ])
+        for seed in range(5):
+            assert matrix_rank_fraction_field(rows, seed=seed) == (1, False, "evaluation")
 
 
-def test_evaluation_route_agrees_with_dense_route():
+def point_rank(rows, seed):
+    ring = rows[0][0].ring
+    point = groupring._point(ring, rows[0][0].rank, seed)
+    return groupring._point_rank(rows, ring, point)
+
+
+def as_rational(rows):
+    return [[GroupRingElement(Q, e.rank, e.terms) for e in row] for row in rows]
+
+
+def test_point_rank_agrees_with_bareiss():
+    # the rank at a point is a lower bound for every ring and seed; mod p
+    # with p = 2^61 - 1 it meets the rank on these small matrices, and in
+    # GF(2^16) it does at most seeds
     rng = random.Random(41)
-    for trial in range(10):
+    hits = 0
+    for trial in range(30):
+        ring = (Q, Z, Z2)[trial % 3]
         rank = rng.randint(1, 2)
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
         rows = [
-            [random_element(rng, Q, rank, nterms=2, span=1) for _ in range(m)]
+            [random_element(rng, ring, rank, nterms=2, span=1) for _ in range(m)]
             for _ in range(n)
         ]
-        dense = matrix_rank_fraction_field(rows)
-        sampled = matrix_rank_fraction_field(rows, seed=trial, dense_threshold=0)
-        assert sampled.method == "evaluation"
-        assert sampled.rank == dense.rank
+        exact = _bareiss_rank(as_rational(rows) if ring is Z else rows)
+        for seed in range(3):
+            bound = point_rank(rows, seed)
+            assert bound <= exact
+            if ring is Z2:
+                hits += bound == exact
+            else:
+                assert bound == exact
+    assert hits >= 25
 
 
 def test_rank_monotone_under_specialization():
@@ -283,12 +312,82 @@ def test_rank_monotone_under_specialization():
         spec = [[e.specialize(q) for e in row] for row in rows]
         specialized = matrix_rank_fraction_field(spec).rank
         assert specialized <= full
-        # random-point evaluation achieves the full rank within 3 trials
-        best = max(
-            matrix_rank_fraction_field(rows, seed=s, dense_threshold=0).rank
-            for s in range(3)
-        )
-        assert best == full
+        # the rank at a random point mod p reaches the full rank
+        assert point_rank(rows, 0) == full
+
+
+def test_fractional_coefficients_evaluate_through_inverses():
+    # the rows (t/2, t) and (1, 2) are proportional: rank 1, never full
+    rows = [
+        [GroupRingElement.from_string("1/2*t", Q, 1), GroupRingElement.from_string("t", Q, 1)],
+        [GroupRingElement.from_string("1", Q, 1), GroupRingElement.from_string("2", Q, 1)],
+    ]
+    assert matrix_rank_fraction_field(rows) == (1, True, "fraction-free")
+    rng = random.Random(61)
+    for _ in range(20):
+        rows = [
+            [
+                GroupRingElement(Q, 2, {
+                    (rng.randint(-1, 1), rng.randint(-1, 1)):
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+                    for _ in range(2)
+                })
+                for _ in range(3)
+            ]
+            for _ in range(2)
+        ]
+        rows.append([x + y.scalar_mul(Fraction(2, 3)) for x, y in zip(*rows)])
+        assert point_rank(rows, 0) == _bareiss_rank(rows)
+
+
+def test_denominator_divisible_by_p_takes_the_fallback():
+    p = groupring._P
+    entry = GroupRingElement(Q, 1, {(1,): Fraction(1, p), (0,): 1})
+    assert point_rank([[entry]], 0) == 0  # outside the domain: bound 0
+    assert matrix_rank_fraction_field([[entry]]) == (1, True, "fraction-free")
+    zero = GroupRingElement.zero(Q, 1)
+    tall = [[entry]] + [[zero]] * 64
+    assert matrix_rank_fraction_field(tall) == (0, False, "evaluation")
+    # in a chain, the other boundary is ranked at the point as usual
+    t = GroupRingElement.from_string("t", Q, 1)
+    d1 = [[entry, -entry]]
+    d2 = [[t], [t]]
+    assert [r.method for r in groupring.chain_ranks([d1, d2])] == [
+        "fraction-free", "modular",
+    ]
+
+
+@pytest.mark.parametrize("ring", [Q, Z, Z2])
+def test_rank_deficient_lone_matrix_is_never_certified(ring):
+    # rows r1, r2 and r1 + u * r2 are dependent: rank at most 2 of 3
+    rng = random.Random(59)
+    for seed in range(10):
+        r1 = [random_element(rng, ring, 2, nterms=3) for _ in range(3)]
+        r2 = [random_element(rng, ring, 2, nterms=3) for _ in range(3)]
+        u = GroupRingElement.monomial(ring, 2, (1, -1))
+        rows = [r1, r2, [a + u * b for a, b in zip(r1, r2)]]
+        got = matrix_rank_fraction_field(rows, seed=seed)
+        assert got.method == "fraction-free"
+        assert got.rank == _bareiss_rank(as_rational(rows) if ring is Z else rows)
+
+
+def test_mat_specialize_maps_nonzero_entries_only(monkeypatch):
+    calls = []
+    original = GroupRingElement.specialize
+
+    def spy(self, lattice_map):
+        calls.append(self)
+        return original(self, lattice_map)
+
+    monkeypatch.setattr(GroupRingElement, "specialize", spy)
+    q = quotient_map([CohomologyClass((1, 1))])
+    t = GroupRingElement.from_string("t1 - t2 + 1", Q, 2)
+    zero = GroupRingElement.zero(Q, 2)
+    images = groupring.mat_specialize([[t, zero], [zero, zero]], q)
+    assert len(calls) == 1
+    assert images[0][0] == GroupRingElement.from_string("1", Q, 1)
+    assert images[0][1] is images[1][0] is images[1][1]
+    assert images[1][1] == GroupRingElement.zero(Q, 1)
 
 
 def test_unit_monomials():

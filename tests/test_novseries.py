@@ -44,6 +44,20 @@ def test_window_membership():
     assert x.element == gre("1 + t^2")
 
 
+def test_integer_window_test_matches_the_period():
+    # directions with fractional, negative, non-primitive and zero periods;
+    # orders with fractional parts, negative ones included
+    rng = random.Random(17)
+    for _ in range(200):
+        rank = rng.randint(1, 3)
+        periods = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)]
+        order = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        T = Truncation(CohomologyClass(tuple(periods)), order)
+        for _ in range(10):
+            exp = tuple(rng.randint(-5, 5) for _ in range(rank))
+            assert T.contains(exp) == (period_eval(T.direction, exp) <= order)
+
+
 def test_geom_inverse_single_variable_frozen():
     # derived: (1 - t) * (1 + t + t^2 + t^3) == 1 - t^4, and t^4 is outside
     # the order-3 window, so the inverse of 1 - t at order 3 is the sum
