@@ -82,13 +82,6 @@ class EquivariantComplex:
     def cell_counts(self):
         return tuple(len(names) for names in self.cells)
 
-    def boundary_operator(self, i: int):
-        """Matrix of the boundary leaving degree i (empty for i<1, i>dim)."""
-        if 1 <= i <= self.dimension:
-            return self.boundaries[i - 1]
-        ncells = len(self.cells[i - 1]) if 1 <= i - 1 < len(self.cells) else 0
-        return tuple(() for _ in range(ncells))
-
     # -- validation -------------------------------------------------------
 
     def validate(self):

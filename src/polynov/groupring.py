@@ -7,21 +7,26 @@ documents, for example "3*t1^2*t2^-1 + 1" (terms sorted by descending
 lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
 Matrix rank over the fraction field of the (Laurent) polynomial ring is
-exact elimination when the entries are constants (Gaussian elimination over
-Q, bitmask elimination over GF(2)). Otherwise the matrix is evaluated at a
-seeded random point (in F_p with p = 2^61 - 1 over Z and Q, in GF(2^16)
-over Z/2), where its rank is a proved lower bound. `chain_ranks` certifies
-that bound as the exact rank when it is full or when d∘d = 0 pins it
-against a neighbouring boundary; "certified" means proved, whatever the
-point. Uncertified ranks fall back to fraction-free (Bareiss) elimination,
-over Z/2 at any size and over Z or Q up to 64 rows and columns; above that
-the lower bound is reported as such (route "evaluation", exact=False).
+exact elimination when the entries are constants: fraction-free (Bareiss)
+elimination over the integers for Z and Q, bitmask elimination over GF(2)
+for Z/2. Otherwise the matrix is evaluated at a seeded random point (in F_p
+with p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), where its rank is a
+proved lower bound. `chain_ranks` certifies that bound as the exact rank
+when it is full or when d∘d = 0 pins it against a neighbouring boundary;
+"certified" means proved, whatever the point. Uncertified ranks fall back
+to the same fraction-free elimination, on polynomials with coefficients in
+Z (Z/2 over Z/2), over Z/2 at any size and over Z or Q up to 64 rows and
+columns; above that the lower bound is reported as such (route
+"evaluation", exact=False). Before elimination each row is multiplied by a
+unit of the fraction field that clears its negative exponents and its
+denominators, which keeps the rank.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import random
 import re
 from array import array
@@ -149,12 +154,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return set(self.terms)
-
-    def coefficient(self, exponent):
-        return self.terms.get(tuple(exponent), self.ring.coerce(0))
-
     def sorted_terms(self):
         """Terms by descending lexicographic exponent (canonical order)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -246,18 +245,6 @@ class GroupRingElement:
         ring = self.ring
         result = GroupRingElement.zero(self.ring, self.rank)
         result.terms = {exp: ring.mul(c, c0) for exp, c in self.terms.items()}
-        return result
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative powers need a unit; use monomial_inverse")
-        result = GroupRingElement.one(self.ring, self.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def __eq__(self, other):
@@ -421,74 +408,85 @@ class RankResult(NamedTuple):
     method: str
 
 
-def _lex_leading(x: GroupRingElement):
-    exp = max(x.terms)
-    return exp, x.terms[exp]
+def _normal_form(rows):
+    """Each row times a unit of the fraction field, which keeps the rank:
+    the monomial that makes every exponent nonnegative and the lcm of the
+    row's coefficient denominators (1 over Z and Z/2). The entries come
+    back as ints over Z and Q without deck variables, else as polynomials
+    over Z (over Z/2 for Z/2)."""
+    ring, nvars = rows[0][0].ring, rows[0][0].rank
+    target = ring if ring is CoefficientRing.MOD2 else CoefficientRing.INT
+    out = []
+    for row in rows:
+        shift = [0] * nvars
+        den = 1
+        for e in row:
+            for exp, c in e.terms.items():
+                shift = list(map(min, shift, exp))
+                den = math.lcm(den, c.denominator)
+        if nvars == 0 and target is CoefficientRing.INT:
+            out.append([int(e.terms.get((), 0) * den) for e in row])
+            continue
+        out.append([
+            GroupRingElement(target, nvars, {
+                tuple(x - s for x, s in zip(exp, shift)): c * den
+                for exp, c in e.terms.items()
+            })
+            for e in row
+        ])
+    return out
 
 
-def _exact_div(num: GroupRingElement, den: GroupRingElement):
-    """Exact division of multivariate polynomials over a field.
+def _exact_div(num, den):
+    """Exact division of ints, or of polynomials with nonnegative exponents
+    over Z or Z/2, dividing coefficients with divmod.
 
-    Requires den | num in the polynomial ring (guaranteed at every Bareiss
-    step); raises ArithmeticError otherwise.
+    Requires den | num (guaranteed at every Bareiss step); raises
+    ArithmeticError otherwise. Each coefficient quotient is then exact,
+    because the lex-leading term of num is that of den times that of the
+    quotient.
     """
-    if den.is_zero():
-        raise ArithmeticError("division by zero polynomial")
+    if isinstance(num, int):
+        quot, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError("inexact division")
+        return quot
     ring = num.ring
     quot = GroupRingElement.zero(ring, num.rank)
     rem = num
-    d_exp, d_coeff = _lex_leading(den)
-    d_inv = ring.invert(d_coeff)
+    d_exp = max(den.terms)
     while not rem.is_zero():
-        r_exp, r_coeff = _lex_leading(rem)
+        r_exp = max(rem.terms)
         q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
         if any(e < 0 for e in q_exp):
             raise ArithmeticError("inexact polynomial division")
         q_term = GroupRingElement.monomial(
-            ring, num.rank, q_exp, ring.mul(r_coeff, d_inv)
+            ring, num.rank, q_exp, _exact_div(rem.terms[r_exp], den.terms[d_exp])
         )
         quot = quot + q_term
         rem = rem - q_term * den
     return quot
 
 
-def _clear_row_denominators(row):
-    """Multiply a row by a unit monomial so all exponents are nonnegative.
-
-    Unit row scalings do not change the rank over the fraction field.
-    """
-    if all(e.is_zero() for e in row):
-        return row
-    rank = row[0].rank
-    shift = [0] * rank
-    for e in row:
-        for exp in e.terms:
-            for i, v in enumerate(exp):
-                shift[i] = min(shift[i], v)
-    if all(s == 0 for s in shift):
-        return row
-    mono = GroupRingElement.monomial(
-        row[0].ring, rank, tuple(-s for s in shift)
-    )
-    return [mono * e for e in row]
-
-
 def _bareiss_rank(rows) -> int:
-    M = [list(_clear_row_denominators(list(row))) for row in rows]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    one = GroupRingElement.one(rows[0][0].ring, rows[0][0].rank) if n and m else None
-    prev = one
+    """Rank over the fraction field by fraction-free elimination (Bareiss
+    1968) on the normal form of a nonempty matrix, where every division
+    is exact: on ints for constants over Z and Q, on polynomials over Z
+    or Z/2 otherwise."""
+    M = _normal_form(rows)
+    e = M[0][0]
+    if isinstance(e, int):
+        zero, prev = 0, 1
+    else:
+        zero = GroupRingElement.zero(e.ring, e.rank)
+        prev = GroupRingElement.one(e.ring, e.rank)
+    n, m = len(M), len(M[0])
     rank = 0
     for k in range(min(n, m)):
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, m):
-                if not M[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(
+            ((i, j) for i in range(k, n) for j in range(k, m) if M[i][j] != zero),
+            None,
+        )
         if pivot is None:
             break
         pi, pj = pivot
@@ -497,42 +495,16 @@ def _bareiss_rank(rows) -> int:
         if pj != k:
             for row in M:
                 row[k], row[pj] = row[pj], row[k]
+        # column k below the pivot is never read again
+        a, tail = M[k][k], M[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, m):
-                M[i][j] = _exact_div(
-                    M[k][k] * M[i][j] - M[i][k] * M[k][j], prev
-                )
-            M[i][k] = GroupRingElement.zero(M[i][k].ring, M[i][k].rank)
-        prev = M[k][k]
+            b = M[i][k]
+            M[i][k + 1:] = [
+                _exact_div(a * x - b * y, prev)
+                for x, y in zip(M[i][k + 1:], tail)
+            ]
+        prev = a
         rank += 1
-    return rank
-
-
-def _fraction_rank(rows) -> int:
-    # plain Gaussian elimination over Fraction entries
-    M = [list(r) for r in rows]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    rank = 0
-    col = 0
-    for col in range(m):
-        pivot_row = None
-        for i in range(rank, n):
-            if M[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[rank], M[pivot_row] = M[pivot_row], M[rank]
-        inv = 1 / M[rank][col]
-        M[rank] = [x * inv for x in M[rank]]
-        for i in range(n):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-        if rank == n:
-            break
     return rank
 
 
@@ -721,17 +693,20 @@ def _is_empty(rows) -> bool:
 def matrix_rank_fraction_field(rows, *, seed: int = 0):
     """Rank of a matrix of group-ring elements over the fraction field.
 
-    With no deck variables the entries are constants and elimination gives
-    the exact rank at any size (route "constant"): Gaussian elimination
-    over Z or Q, elimination on int-bitmask rows over Z/2. Otherwise the
-    matrix is evaluated at a random point seeded by `seed` (in F_p with
+    Fraction-free (Bareiss) elimination first multiplies each row by a
+    unit of the fraction field that clears its negative exponents and its
+    coefficient denominators, so it works on integer coefficients. With no
+    deck variables the entries are constants and elimination gives
+    the exact rank at any size (route "constant"): Bareiss on ints over Z
+    and Q, elimination on int-bitmask rows over Z/2. Otherwise the matrix
+    is evaluated at a random point seeded by `seed` (in F_p with
     p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), and the rank there is
     a proved lower bound. A lone matrix can only certify it when it is
     full, min(rows, cols) (route "modular"); `chain_ranks` certifies more
-    from d∘d = 0. Otherwise the rank is fraction-free elimination (route
-    "fraction-free"), over Z/2 at any size and over Z or Q up to 64 rows
-    and columns; above that the lower bound is returned with
-    exact=False (route "evaluation").
+    from d∘d = 0. Otherwise the rank is Bareiss on polynomials over Z (over
+    Z/2 for Z/2; route "fraction-free"), over Z/2 at any size and over Z or
+    Q up to 64 rows and columns; above that the lower bound is returned
+    with exact=False (route "evaluation").
     """
     if _is_empty(rows):
         return RankResult(0, True, "empty")
@@ -739,16 +714,12 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0):
     if nvars == 0:
         if ring is CoefficientRing.MOD2:
             return RankResult(_gf2_rank(rows), True, "constant")
-        constants = [[e.terms.get((), 0) for e in row] for row in rows]
-        return RankResult(_fraction_rank(constants), True, "constant")
+        return RankResult(_bareiss_rank(rows), True, "constant")
     bound = _point_rank(rows, ring, _point(ring, nvars, seed))
     if bound == min(n, m):
         return RankResult(bound, True, "modular")
     if ring is not CoefficientRing.MOD2 and max(n, m) > _BAREISS_LIMIT:
         return RankResult(bound, False, "evaluation")
-    if ring is CoefficientRing.INT:
-        rat = CoefficientRing.RAT
-        rows = [[GroupRingElement(rat, nvars, e.terms) for e in row] for row in rows]
     return RankResult(_bareiss_rank(rows), True, "fraction-free")
 
 

@@ -141,6 +141,8 @@ def polytope_betti(X: EquivariantComplex, P: Polytope, B=None, *, seed=0) -> Bet
 
 
 def _field_complex(X: EquivariantComplex) -> EquivariantComplex:
+    """X over Q when it is over Z. Promotion is a ring map, so the image
+    keeps d∘d = 0 and is not validated again."""
     if X.ring is not CoefficientRing.INT:
         return X
     rat = CoefficientRing.RAT
@@ -153,7 +155,9 @@ def _field_complex(X: EquivariantComplex) -> EquivariantComplex:
     boundaries = [
         [[promote(e) for e in row] for row in m] for m in X.boundaries
     ]
-    return EquivariantComplex(rat, X.deck.rank, X.cells, boundaries)
+    return EquivariantComplex(
+        rat, X.deck.rank, X.cells, boundaries, validate=False
+    )
 
 
 def _lift_row(row, direction):

@@ -42,11 +42,6 @@ class TwistedComplex:
     quotient: LatticeMap
     polytope: Polytope
     finiteness: tuple
-    source_rank: int
-
-    @property
-    def region(self) -> Subpolytope:
-        return Subpolytope(self.polytope, self.finiteness)
 
     def ring_descriptor(self):
         """Canonical description of the coefficient ring of the twist.
@@ -66,13 +61,6 @@ class TwistedComplex:
                 for i in self.finiteness
             ],
             "finiteness": list(self.finiteness),
-        }
-
-    def to_json(self):
-        return {
-            "complex": self.base.to_json(),
-            "ring": self.ring_descriptor(),
-            "source_rank": self.source_rank,
         }
 
 
@@ -106,7 +94,6 @@ def twisted_complex(X: EquivariantComplex, P: Polytope, B=None) -> TwistedComple
         quotient=q,
         polytope=_induced_polytope(P, q),
         finiteness=indices,
-        source_rank=X.deck.rank,
     )
 
 
@@ -143,7 +130,6 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
         quotient=q,
         polytope=_induced_polytope(P, q),
         finiteness=indices,
-        source_rank=X.deck.rank,
     )
 
 

@@ -7,13 +7,18 @@ pin down process-level behavior (exit codes, stderr, byte determinism).
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from polynov import homology
 from polynov.cli import main
 from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import matrix_rank_fraction_field
 from polynov.lattice import quotient_map, zero_class
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def call(capsys, args):
@@ -210,11 +215,47 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
         (["betti", "torus"], 1),
         (["betti", str(path)], 1),
         (["morse", str(path), "--seed", "2"], 2),  # 5 cells -> 1 per degree
+        # the oracle's copy over Q is the image of a ring map too
+        (["novikov", str(GOLDEN / "koszul3-Z.json"), "--class=1,2,3"], 1),
     ):
         calls.clear()
         code, _, _ = call(capsys, [*args, "--format", "json"])
         assert code == 0
         assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "name, args, route",
+    [
+        ("betti-constant-Q", ["betti", "constant-Q.json"], "constant"),
+        ("betti-constant-Z", ["betti", "constant-Z.json"], "constant"),
+        *(
+            (f"polytope-summand-{ring}",
+             ["polytope", f"summand-{ring}.json", "--vertices=1,0"],
+             "fraction-free")
+            for ring in ("Q", "Z", "Z2")
+        ),
+        ("novikov-koszul3-Z", ["novikov", "koszul3-Z.json", "--class=1,2,3"],
+         "modular"),
+    ],
+)
+def test_json_report_matches_golden_bytes(capsys, monkeypatch, name, args, route):
+    # tests/golden pins the stdout bytes of one command per rank route; the
+    # spy checks that the command still takes the route it stands for
+    routes = []
+    original = homology.chain_ranks
+
+    def spy(boundaries, **kwargs):
+        results = original(boundaries, **kwargs)
+        routes.extend(r.method for r in results)
+        return results
+
+    monkeypatch.setattr(homology, "chain_ranks", spy)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = call(capsys, [*args, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert route in routes
 
 
 def test_main_check_passes(capsys):

@@ -205,15 +205,6 @@ def test_bad_words_rejected():
 # -- construction and validation --------------------------------------------
 
 
-def subdivided_circle():
-    return EquivariantComplex(
-        Q,
-        1,
-        [["v0", "v1"], ["e0", "e1"]],
-        [[[elem("-1", 1), elem("t", 1)], [elem("1", 1), elem("-1", 1)]]],
-    )
-
-
 def test_square_zero_violation_located():
     # torus matrices with one sign flipped in the disc boundary
     d1 = [[elem("t1 - 1", 2), elem("t2 - 1", 2)]]
@@ -435,13 +426,6 @@ def test_empty_middle_degree_allowed():
     X = EquivariantComplex(Q, 1, [["v"], [], ["f"]], [[[]], []])
     assert X.cell_counts() == (1, 0, 1)
     assert X.validate()
-
-
-def test_boundary_operator_indexing():
-    X = subdivided_circle()
-    assert X.boundary_operator(1) == X.boundaries[0]
-    assert X.boundary_operator(2) == ((), ())
-    assert X.boundary_operator(0) == ()
 
 
 # -- ingest ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from polynov import groupring
 from polynov.errors import InputError
@@ -22,7 +23,8 @@ Z2 = CoefficientRing.MOD2
 
 
 def sympy_rank(rows):
-    """Independent oracle: symbolic rank over the rational function field."""
+    """Independent oracle: rank over the rational function field, by
+    sympy's elimination over QQ(s1, ..., sr) (over QQ for constants)."""
     if not rows or not rows[0]:
         return 0
     rank = rows[0][0].rank
@@ -37,9 +39,10 @@ def sympy_rank(rows):
                 for i, p in enumerate(exp):
                     term *= symbols[i] ** p
                 expr += term
-            srow.append(sympy.together(expr))
+            srow.append(expr)
         out.append(srow)
-    return sympy.Matrix(out).rank()
+    field = sympy.QQ.frac_field(*symbols) if rank else sympy.QQ
+    return DomainMatrix.from_list_sympy(len(out), len(out[0]), out).convert_to(field).rank()
 
 
 def random_element(rng, ring, rank, nterms=3, span=2):
@@ -120,7 +123,7 @@ def test_arithmetic_operators():
 def test_mod2_square_is_frobenius():
     # (1 + t)^2 == 1 + t^2 over Z/2
     x = GroupRingElement.from_string("1 + t", Z2, 1)
-    assert (x**2).terms == {(0,): 1, (2,): 1}
+    assert (x * x).terms == {(0,): 1, (2,): 1}
 
 
 def test_specialize_collision_cancels():
@@ -173,6 +176,41 @@ def test_rank_random_against_sympy_oracle():
         got = matrix_rank_fraction_field(rows)
         assert got.rank == sympy_rank(rows)
         assert got.exact
+
+
+@pytest.mark.parametrize(
+    "ring, rank, route",
+    [(Z, 2, "fraction-free"), (Q, 2, "fraction-free"), (Q, 0, "constant")],
+)
+def test_integer_bareiss_against_sympy_on_dependent_rows(ring, rank, route):
+    # one or two rows are polynomial combinations of the others, so with no
+    # more rows than columns the rank is never full and a matrix with deck
+    # variables cannot be certified at the point
+    rng = random.Random({Z: 67, Q: 71}[ring] + rank)
+
+    def random_entry(nterms):
+        # coefficients up to 4 in size, times p/q with q up to 4 over Q
+        x = random_element(rng, ring, rank, nterms=nterms, span=1)
+        if ring is Q:
+            return x.scalar_mul(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+        return x
+
+    ranks = set()
+    for seed in range(12):
+        n = rng.randint(2, 4)
+        m = rng.randint(n, 5)
+        rows = [[random_entry(3) for _ in range(m)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, 2)):
+            combo = [GroupRingElement.zero(ring, rank)] * m
+            for j in range(n):
+                if j != i:
+                    f = random_entry(2)
+                    combo = [c + f * x for c, x in zip(combo, rows[j])]
+            rows[i] = combo
+        got = matrix_rank_fraction_field(rows, seed=seed)
+        assert got == (sympy_rank(rows), True, route)
+        ranks.add(got.rank)
+    assert len(ranks) >= 2
 
 
 def test_rank_mod2_against_minor_oracle():

@@ -205,10 +205,3 @@ def test_ring_descriptor_is_ray_invariant():
         assert json.dumps(scaled.ring_descriptor(), sort_keys=True) == \
             json.dumps(base.ring_descriptor(), sort_keys=True)
         assert scaled.base == base.base
-
-
-def test_region_property():
-    T = twisted_complex(torus(), Polytope([(1, 0), (0, 1)]), [1])
-    region = T.region
-    assert isinstance(region, Subpolytope)
-    assert region.vertices == (T.polytope.vertices[1],)
