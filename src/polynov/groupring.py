@@ -2,7 +2,12 @@
 
 Elements are finite sums of monomials t1^e1 * ... * tr^er with coefficients
 in Z, Q, or Z/2, stored as a dict from exponent tuples to nonzero
-coefficients. The text form is the canonical interface used in JSON
+coefficients. Coefficients are ints, except that over Q a true fraction is
+a Fraction: `CoefficientRing.coerce` and `invert` return an int whenever
+the value is integral, so integral input is parsed, multiplied, summed and
+ranked in int arithmetic. (Arithmetic on true fractions may leave a
+Fraction with denominator 1; it equals and hashes like the int and prints
+the same.) The text form is the canonical interface used in JSON
 documents, for example "3*t1^2*t2^-1 + 1" (terms sorted by descending
 lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
@@ -14,12 +19,12 @@ with p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), where its rank is a
 proved lower bound. `chain_ranks` certifies that bound as the exact rank
 when it is full or when d∘d = 0 pins it against a neighbouring boundary;
 "certified" means proved, whatever the point. Uncertified ranks fall back
-to the same fraction-free elimination, on polynomials with coefficients in
-Z (Z/2 over Z/2), over Z/2 at any size and over Z or Q up to 64 rows and
-columns; above that the lower bound is reported as such (route
-"evaluation", exact=False). Before elimination each row is multiplied by a
-unit of the fraction field that clears its negative exponents and its
-denominators, which keeps the rank.
+to the same fraction-free elimination, on polynomials held as plain
+exponent -> int dicts with coefficients in Z (mod 2 over Z/2), over Z/2 at
+any size and over Z or Q up to 64 rows and columns; above that the lower
+bound is reported as such (route "evaluation", exact=False). Before
+elimination each row is multiplied by a unit of the fraction field that
+clears its negative exponents and its denominators, which keeps the rank.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import InputError
@@ -56,7 +62,11 @@ class CoefficientRing(enum.Enum):
         return self in (CoefficientRing.RAT, CoefficientRing.MOD2)
 
     def coerce(self, value):
-        """Normalize a raw coefficient into this ring (may normalize to 0)."""
+        """Normalize a raw coefficient into this ring (may normalize to 0).
+
+        Over Q the result is an int when the value is integral and a
+        Fraction only when it is not; over Z and Z/2 it is always an int.
+        """
         if isinstance(value, bool):
             raise InputError("booleans are not coefficients")
         if self is CoefficientRing.MOD2:
@@ -66,7 +76,10 @@ class CoefficientRing(enum.Enum):
                 value = value.numerator * value.denominator
             return int(value) % 2
         if self is CoefficientRing.RAT:
-            return Fraction(value)
+            if isinstance(value, int):
+                return value
+            value = Fraction(value)
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise InputError(f"{value} is not an integer coefficient")
@@ -93,12 +106,12 @@ class CoefficientRing(enum.Enum):
             if a % 2 == 0:
                 raise InputError("0 is not invertible")
             return 1
+        if a in (1, -1):
+            return int(a)
         if self is CoefficientRing.RAT:
             if a == 0:
                 raise InputError("0 is not invertible")
-            return 1 / Fraction(a)
-        if a in (1, -1):
-            return a
+            return self.coerce(Fraction(a.denominator, a.numerator))
         raise InputError(f"{a} is not a unit in Z")
 
 
@@ -331,15 +344,15 @@ class GroupRingElement:
         if s in ("", "0"):
             return cls.zero(ring, rank)
         # split into signed terms; a sign splits unless it follows '^'
-        terms = []
+        chunks = []
         start = 0
         for i in range(1, len(s)):
             if s[i] in "+-" and s[i - 1] not in "^+-*/":
-                terms.append(s[start:i])
+                chunks.append(s[start:i])
                 start = i
-        terms.append(s[start:])
-        out = cls.zero(ring, rank)
-        for chunk in terms:
+        chunks.append(s[start:])
+        acc = {}
+        for chunk in chunks:
             sign = 1
             while chunk and chunk[0] in "+-":
                 if chunk[0] == "-":
@@ -348,7 +361,7 @@ class GroupRingElement:
             if not chunk:
                 raise InputError(f"dangling sign in {text!r}")
             exp = [0] * rank
-            coeff = Fraction(sign)
+            coeff = sign
             for factor in chunk.split("*"):
                 if not factor:
                     raise InputError(f"empty factor in {text!r}")
@@ -370,12 +383,25 @@ class GroupRingElement:
                     exp[idx - 1] += int(pow_text) if pow_text else 1
                 else:
                     try:
-                        coeff *= Fraction(factor)
+                        if factor.isdigit():
+                            coeff *= int(factor)
+                        else:
+                            coeff *= Fraction(factor)
                     except (ValueError, ZeroDivisionError) as exc:
                         raise InputError(
                             f"bad factor {factor!r} in {text!r}"
                         ) from exc
-            out = out + cls(ring, rank, {tuple(exp): coeff})
+            c = ring.coerce(coeff)
+            exp = tuple(exp)
+            if exp in acc:
+                c = ring.add(acc[exp], c)
+                if not c:
+                    del acc[exp]
+                    continue
+            if c:
+                acc[exp] = c
+        out = cls.zero(ring, rank)
+        out.terms = acc
         return out
 
 
@@ -412,10 +438,9 @@ def _normal_form(rows):
     """Each row times a unit of the fraction field, which keeps the rank:
     the monomial that makes every exponent nonnegative and the lcm of the
     row's coefficient denominators (1 over Z and Z/2). The entries come
-    back as ints over Z and Q without deck variables, else as polynomials
-    over Z (over Z/2 for Z/2)."""
+    back as ints over Z and Q without deck variables, else as exponent ->
+    int dicts with nonnegative exponents (coefficient 1 over Z/2)."""
     ring, nvars = rows[0][0].ring, rows[0][0].rank
-    target = ring if ring is CoefficientRing.MOD2 else CoefficientRing.INT
     out = []
     for row in rows:
         shift = [0] * nvars
@@ -424,22 +449,40 @@ def _normal_form(rows):
             for exp, c in e.terms.items():
                 shift = list(map(min, shift, exp))
                 den = math.lcm(den, c.denominator)
-        if nvars == 0 and target is CoefficientRing.INT:
-            out.append([int(e.terms.get((), 0) * den) for e in row])
-            continue
-        out.append([
-            GroupRingElement(target, nvars, {
-                tuple(x - s for x, s in zip(exp, shift)): c * den
+        entries = [
+            {
+                tuple(map(sub, exp, shift)): c.numerator * (den // c.denominator)
                 for exp, c in e.terms.items()
-            })
+            }
             for e in row
-        ])
+        ]
+        if nvars == 0 and ring is not CoefficientRing.MOD2:
+            entries = [entry.get((), 0) for entry in entries]
+        out.append(entries)
     return out
 
 
-def _exact_div(num, den):
-    """Exact division of ints, or of polynomials with nonnegative exponents
-    over Z or Z/2, dividing coefficients with divmod.
+def _mul_sub(a, x, b, y, mod2):
+    """a*x - b*y of ints, or of exponent -> int dicts summed in one dict
+    and reduced mod 2 when asked."""
+    if isinstance(a, int):
+        return a * x - b * y
+    acc = {}
+    for p, q, sign in ((a, x, 1), (b, y, -1)):
+        for e1, c1 in p.items():
+            c1 *= sign
+            for e2, c2 in q.items():
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = acc.get(exp, 0) + c1 * c2
+    if mod2:
+        return {exp: 1 for exp, c in acc.items() if c & 1}
+    return {exp: c for exp, c in acc.items() if c}
+
+
+def _exact_div(num, den, mod2):
+    """Exact division of ints, or of exponent -> int dicts with nonnegative
+    exponents over Z (over Z/2 when mod2), dividing coefficients with
+    divmod.
 
     Requires den | num (guaranteed at every Bareiss step); raises
     ArithmeticError otherwise. Each coefficient quotient is then exact,
@@ -451,40 +494,41 @@ def _exact_div(num, den):
         if rem:
             raise ArithmeticError("inexact division")
         return quot
-    ring = num.ring
-    quot = GroupRingElement.zero(ring, num.rank)
-    rem = num
-    d_exp = max(den.terms)
-    while not rem.is_zero():
-        r_exp = max(rem.terms)
-        q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-        if any(e < 0 for e in q_exp):
+    d_exp = max(den)
+    d_coeff = den[d_exp]
+    rem = dict(num)
+    quot = {}
+    while rem:
+        r_exp = max(rem)
+        q_exp = tuple(map(sub, r_exp, d_exp))
+        if min(q_exp, default=0) < 0:
             raise ArithmeticError("inexact polynomial division")
-        q_term = GroupRingElement.monomial(
-            ring, num.rank, q_exp, _exact_div(rem.terms[r_exp], den.terms[d_exp])
-        )
-        quot = quot + q_term
-        rem = rem - q_term * den
+        q = quot[q_exp] = _exact_div(rem[r_exp], d_coeff, mod2)
+        for exp, c in den.items():
+            exp = tuple(map(add, q_exp, exp))
+            r = rem.get(exp, 0) - q * c
+            if mod2:
+                r &= 1
+            if r:
+                rem[exp] = r
+            else:
+                del rem[exp]
     return quot
 
 
 def _bareiss_rank(rows) -> int:
     """Rank over the fraction field by fraction-free elimination (Bareiss
     1968) on the normal form of a nonempty matrix, where every division
-    is exact: on ints for constants over Z and Q, on polynomials over Z
-    or Z/2 otherwise."""
+    is exact: on ints for constants over Z and Q, on exponent -> int
+    dicts over Z or Z/2 otherwise."""
     M = _normal_form(rows)
-    e = M[0][0]
-    if isinstance(e, int):
-        zero, prev = 0, 1
-    else:
-        zero = GroupRingElement.zero(e.ring, e.rank)
-        prev = GroupRingElement.one(e.ring, e.rank)
+    mod2 = rows[0][0].ring is CoefficientRing.MOD2
+    prev = 1 if isinstance(M[0][0], int) else {(0,) * rows[0][0].rank: 1}
     n, m = len(M), len(M[0])
     rank = 0
     for k in range(min(n, m)):
         pivot = next(
-            ((i, j) for i in range(k, n) for j in range(k, m) if M[i][j] != zero),
+            ((i, j) for i in range(k, n) for j in range(k, m) if M[i][j]),
             None,
         )
         if pivot is None:
@@ -499,8 +543,11 @@ def _bareiss_rank(rows) -> int:
         a, tail = M[k][k], M[k][k + 1:]
         for i in range(k + 1, n):
             b = M[i][k]
+            # a*x - b*y is zero, and so is its quotient, when x is zero and
+            # b or y is: then the entry x is kept as it is
             M[i][k + 1:] = [
-                _exact_div(a * x - b * y, prev)
+                _exact_div(_mul_sub(a, x, b, y, mod2), prev, mod2)
+                if x or b and y else x
                 for x, y in zip(M[i][k + 1:], tail)
             ]
         prev = a

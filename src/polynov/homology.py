@@ -147,13 +147,9 @@ def _field_complex(X: EquivariantComplex) -> EquivariantComplex:
         return X
     rat = CoefficientRing.RAT
 
-    def promote(e):
-        return GroupRingElement(
-            rat, e.rank, {exp: Fraction(c) for exp, c in e.terms.items()}
-        )
-
     boundaries = [
-        [[promote(e) for e in row] for row in m] for m in X.boundaries
+        [[GroupRingElement(rat, e.rank, e.terms) for e in row] for row in m]
+        for m in X.boundaries
     ]
     return EquivariantComplex(
         rat, X.deck.rank, X.cells, boundaries, validate=False

@@ -11,11 +11,12 @@ exact fallback has to run.
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from polynov.complexes import EquivariantComplex
+from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import (
     CoefficientRing,
     GroupRingElement,
@@ -187,3 +188,28 @@ def test_chain_bound_certifies_what_a_lone_matrix_cannot():
     # the zero map t -> 1 leaves nothing to certify: elimination decides
     zero = GroupRingElement.zero(Q, 1)
     assert chain_ranks([[[zero]]]) == [(0, True, "fraction-free")]
+
+
+def test_integral_rational_complex_builds_no_fraction(monkeypatch):
+    # over Q with integral coefficients, parsing, the square-zero check,
+    # specialization and the exact fallback all run on ints. Koszul T^3
+    # plus a summand R --(t1 - 1)--> R, at a class that kills t1: the
+    # summand leaves homology, so a rank there takes the fallback
+    rng = random.Random(89)
+    one = GroupRingElement.one(Q, 3)
+    t1 = GroupRingElement.monomial(Q, 3, (1, 0, 0))
+    document = hidden_complex(rng, Q, "koszul", 3, [(1, t1 - one)]).to_json()
+    q = quotient_map([CohomologyClass((0, 1, 2))])
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    results = chain_ranks(ingest(document).specialize(q).boundaries)
+    monkeypatch.undo()
+    assert built == []
+    assert all(r.exact for r in results)
+    assert "fraction-free" in {r.method for r in results}

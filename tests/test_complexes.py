@@ -226,6 +226,28 @@ def test_validate_skippable_then_explicit():
         X.validate()
 
 
+def test_non_integral_violation_over_q():
+    # the square's entry is 1/2*t1: a true fraction next to integral
+    # coefficients; message, degree, row and col as recorded before Q
+    # coefficients were stored as ints where integral
+    doc = {
+        "coefficients": "Q",
+        "rank": 2,
+        "cells": [["v"], ["e1", "e2"], ["f1", "f2"]],
+        "boundaries": [
+            [["1/2", "t2 - 1"]],
+            [["t2 - 1", "t1"], ["-1/2", "0"]],
+        ],
+    }
+    with pytest.raises(ValidationError) as info:
+        ingest(doc)
+    err = info.value
+    assert str(err) == (
+        "boundary square is nonzero from degree 2: entry (0, 1) is 1/2*t1"
+    )
+    assert (err.degree, err.row, err.col) == (2, 0, 1)
+
+
 # -- square-zero check against a dense reference -----------------------------
 
 

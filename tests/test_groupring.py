@@ -8,6 +8,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from polynov import groupring
+from polynov.complexes import ingest
 from polynov.errors import InputError
 from polynov.groupring import (
     CoefficientRing,
@@ -24,7 +25,8 @@ Z2 = CoefficientRing.MOD2
 
 def sympy_rank(rows):
     """Independent oracle: rank over the rational function field, by
-    sympy's elimination over QQ(s1, ..., sr) (over QQ for constants)."""
+    sympy's elimination over QQ(s1, ..., sr) (over QQ for constants), or
+    over GF(2)(s1, ..., sr) for Z/2 entries."""
     if not rows or not rows[0]:
         return 0
     rank = rows[0][0].rank
@@ -41,8 +43,12 @@ def sympy_rank(rows):
                 expr += term
             srow.append(expr)
         out.append(srow)
-    field = sympy.QQ.frac_field(*symbols) if rank else sympy.QQ
-    return DomainMatrix.from_list_sympy(len(out), len(out[0]), out).convert_to(field).rank()
+    base = sympy.GF(2) if rows[0][0].ring is Z2 else sympy.QQ
+    field = base.frac_field(*symbols) if rank else base
+    M = DomainMatrix.from_list_sympy(len(out), len(out[0]), out).convert_to(field)
+    # fraction-free elimination: over GF(2)(s1, s2) it is many times faster
+    # than rank(), whose divisions each cancel a gcd
+    return len(M.rref_den(method="FF")[2])
 
 
 def random_element(rng, ring, rank, nterms=3, span=2):
@@ -62,6 +68,51 @@ def test_string_round_trip_canonical_example():
     assert x.to_string() == "3*t1^2*t2^-1 + 1"
 
 
+def test_integral_rational_coefficients_are_ints():
+    # over Q an integral coefficient is stored as an int and only a true
+    # fraction as a Fraction; equality, hashing and the text form agree
+    x = GroupRingElement.from_string("3*t1 - 2 + 4/2*t2 + 1.0*t1*t2", Q, 2)
+    y = GroupRingElement.from_string("t1 - 1", Q, 2)
+    for z in (x, y, x + y, x - y, x * y, -x, x.scalar_mul(3)):
+        assert z.terms
+        assert all(type(c) is int for c in z.terms.values())
+    assert x.terms == {(1, 0): 3, (0, 0): -2, (0, 1): 2, (1, 1): 1}
+    for value, want in ((Fraction(4, 2), 2), (-3, -3), ("6/3", 2)):
+        assert type(Q.coerce(value)) is int and Q.coerce(value) == want
+    assert type(Q.invert(-1)) is int and Q.invert(-1) == -1
+    assert type(Q.invert(Fraction(1, 2))) is int and Q.invert(Fraction(1, 2)) == 2
+    assert Q.invert(2) == Fraction(1, 2)
+    half = GroupRingElement.from_string("1/2*t1", Q, 2)
+    assert type(half.terms[(1, 0)]) is Fraction
+    assert half.terms[(1, 0)] == Fraction(1, 2)
+    assert hash(GroupRingElement(Q, 2, {(1, 0): Fraction(3)})) == hash(
+        GroupRingElement.from_string("3*t1", Q, 2)
+    )
+
+
+def test_mixed_rational_text_is_unchanged():
+    # strings recorded while every Q coefficient was a Fraction
+    x = GroupRingElement.from_string(
+        "1/2*t1^2 - 3*t2 + 2 - 4/2*t1*t2^-1 + 1.5*t2^3", Q, 2
+    )
+    assert x.to_string() == "1/2*t1^2 - 2*t1*t2^-1 + 3/2*t2^3 - 3*t2 + 2"
+    y = GroupRingElement.from_string("t1 - 1", Q, 2)
+    assert (x * y).to_string() == (
+        "1/2*t1^3 - 1/2*t1^2 - 2*t1^2*t2^-1 + 3/2*t1*t2^3 - 3*t1*t2 + 2*t1"
+        " + 2*t1*t2^-1 - 3/2*t2^3 + 3*t2 - 2"
+    )
+    X = ingest({
+        "coefficients": "Q",
+        "rank": 2,
+        "cells": [["v"], ["e1", "e2"]],
+        "boundaries": [[["1/2*t1 - 3", "2*t2^-1 + 3/4"]]],
+    })
+    assert X.canonical_bytes() == (
+        b'{"boundaries":[[["1/2*t1 - 3","3/4 + 2*t2^-1"]]],'
+        b'"cells":[["v"],["e1","e2"]],"coefficients":"Q","rank":2}'
+    )
+
+
 def test_string_forms():
     assert GroupRingElement.from_string("t - 1", Q, 1).to_string() == "t - 1"
     assert GroupRingElement.from_string("t1-1", Q, 2).to_string() == "t1 - 1"
@@ -71,15 +122,29 @@ def test_string_forms():
         GroupRingElement.from_string("1/2*t1*t2^2", Q, 2).terms
         == {(1, 2): Fraction(1, 2)}
     )
+    assert GroupRingElement.from_string("1.5", Q, 1).terms == {(0,): Fraction(3, 2)}
+    assert GroupRingElement.from_string("2*t1*3", Q, 2).terms == {(1, 0): 6}
+    assert GroupRingElement.from_string("t", Z, 1).terms == {(1,): 1}
+    assert GroupRingElement.from_string("t1 + t1 - 2*t1", Q, 2).is_zero()
+    assert GroupRingElement.from_string("t1 + t1 - 2*t1", Z, 2).is_zero()
     # mod-2 coefficients collapse
     assert GroupRingElement.from_string("t + t", Z2, 1).is_zero()
     assert GroupRingElement.from_string("2", Z2, 1).is_zero()
+    assert GroupRingElement.from_string("3*t1 + t1", Z2, 2).is_zero()
     with pytest.raises(InputError):
         GroupRingElement.from_string("u + 1", Q, 1)
-    with pytest.raises(InputError):
-        GroupRingElement.from_string("t3", Q, 2)
-    with pytest.raises(InputError):
-        GroupRingElement.from_string("t", Q, 2)
+    for text, ring, rank, message in (
+        ("1/0", Q, 1, "bad factor '1/0' in '1/0'"),
+        ("t1 -", Q, 2, "dangling sign in 't1 -'"),
+        ("2*", Q, 1, "empty factor in '2*'"),
+        ("1/2*t", Z2, 1, "even denominator has no meaning mod 2"),
+        ("1/2*t", Z, 1, "1/2 is not an integer coefficient"),
+        ("t3", Q, 2, "variable t3 out of range for rank 2"),
+        ("t", Q, 2, "bare variable 't' needs rank 1, got rank 2"),
+    ):
+        with pytest.raises(InputError) as info:
+            GroupRingElement.from_string(text, ring, rank)
+        assert str(info.value) == message
 
 
 def test_round_trip_random():
@@ -89,6 +154,23 @@ def test_round_trip_random():
             rank = rng.randint(0, 3)
             x = random_element(rng, ring, rank)
             again = GroupRingElement.from_string(x.to_string(), ring, rank)
+            assert again == x
+
+
+def test_round_trip_of_long_entries():
+    # hidden-complex entries hold up to ~150 monomials
+    rng = random.Random(83)
+    exps = [(a, b, c) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+    for ring in (Q, Z, Z2):
+        for _ in range(4):
+            coeffs = [1] if ring is Z2 else [-3, -1, 1, 2, 5]
+            if ring is Q:
+                coeffs += [Fraction(1, 2), Fraction(-7, 3)]
+            x = GroupRingElement(
+                ring, 3, {e: rng.choice(coeffs) for e in rng.sample(exps, 150)}
+            )
+            assert len(x.terms) == 150
+            again = GroupRingElement.from_string(x.to_string(), ring, 3)
             assert again == x
 
 
@@ -180,13 +262,18 @@ def test_rank_random_against_sympy_oracle():
 
 @pytest.mark.parametrize(
     "ring, rank, route",
-    [(Z, 2, "fraction-free"), (Q, 2, "fraction-free"), (Q, 0, "constant")],
+    [
+        (Z, 2, "fraction-free"),
+        (Q, 2, "fraction-free"),
+        (Z2, 2, "fraction-free"),
+        (Q, 0, "constant"),
+    ],
 )
 def test_integer_bareiss_against_sympy_on_dependent_rows(ring, rank, route):
     # one or two rows are polynomial combinations of the others, so with no
     # more rows than columns the rank is never full and a matrix with deck
     # variables cannot be certified at the point
-    rng = random.Random({Z: 67, Q: 71}[ring] + rank)
+    rng = random.Random({Z: 67, Q: 71, Z2: 73}[ring] + rank)
 
     def random_entry(nterms):
         # coefficients up to 4 in size, times p/q with q up to 4 over Q
@@ -211,6 +298,56 @@ def test_integer_bareiss_against_sympy_on_dependent_rows(ring, rank, route):
         assert got == (sympy_rank(rows), True, route)
         ranks.add(got.rank)
     assert len(ranks) >= 2
+
+
+def test_mod2_fallback_on_single_monomial_entries():
+    # the main-check shape: a rank-deficient Z/2 matrix of single monomials
+    # and zeros. Diagonal blocks are rank-1 blocks x^(a_i + b_j) and 2x2
+    # blocks with m1*m4 != m2*m3; rows and columns are then scaled by
+    # monomials and permuted, which keeps the rank and the shape
+    rng = random.Random(79)
+
+    def mono():
+        return (rng.randint(-2, 2), rng.randint(-2, 2))
+
+    def plus(*exps):
+        return tuple(map(sum, zip(*exps)))
+
+    for seed in range(4):
+        entries, n, m, rank = {}, 0, 0, 0
+        for kind in rng.sample(["one"] * 3 + ["two"] * 2, 5):
+            if kind == "one":
+                r, c = rng.randint(2, 3), rng.randint(2, 3)
+                alpha = [mono() for _ in range(r)]
+                beta = [mono() for _ in range(c)]
+                for i in range(r):
+                    for j in range(c):
+                        entries[n + i, m + j] = plus(alpha[i], beta[j])
+                rank += 1
+            else:
+                r = c = 2
+                m1, m2, m3, m4 = mono(), mono(), mono(), mono()
+                while plus(m1, m4) == plus(m2, m3):
+                    m4 = mono()
+                entries.update({
+                    (n, m): m1, (n, m + 1): m2, (n + 1, m): m3, (n + 1, m + 1): m4
+                })
+                rank += 2
+            n, m = n + r, m + c
+        row_unit = [mono() for _ in range(n)]
+        col_unit = [mono() for _ in range(m)]
+        row_of = rng.sample(range(n), n)
+        col_of = rng.sample(range(m), m)
+        zero = GroupRingElement.zero(Z2, 2)
+        rows = [[zero] * m for _ in range(n)]
+        for (i, j), exp in entries.items():
+            rows[row_of[i]][col_of[j]] = GroupRingElement.monomial(
+                Z2, 2, plus(exp, row_unit[i], col_unit[j])
+            )
+        assert min(n, m) >= 8 and rank < min(n, m)
+        got = matrix_rank_fraction_field(rows, seed=seed)
+        assert got == (rank, True, "fraction-free")
+        assert sympy_rank(rows) == rank
 
 
 def test_rank_mod2_against_minor_oracle():
