@@ -8,6 +8,7 @@ reported as one JSON object on stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -323,7 +324,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and kept: argparse keeps no state
+    between parse_args calls, and building it costs milliseconds."""
     parser = _Parser(
         prog="polynov",
         description=(

@@ -8,7 +8,12 @@ Laurent ring, where column ranks agree. Reports say so explicitly.
 The truncated-series oracle recomputes rank-one cases by Gaussian
 elimination over windowed series, with the window doubled until two
 consecutive runs agree; it shares no rank code with the fraction-field
-path.
+path. On a rank-one quotient a windowed series is a plain
+{height: coefficient} dict, the height of t^e being s*e for the window
+weight s = +-1 and the window being height <= cutoff. The elimination
+multiplies only the pairs of terms whose heights sum to at most the
+cutoff: a pair lands at exactly that sum, so the pruned product equals
+the full product windowed afterwards.
 """
 
 from __future__ import annotations
@@ -27,15 +32,15 @@ from .lattice import (
     format_rational,
     kernel_lattice,
     parse_rational,
-    period_eval,
     quotient_map,
     zero_class,
 )
 from .morse import morse_reduce
 from .novseries import (
-    TruncatedNovikovSeries,
     Truncation,
-    leading_unit_inverse,
+    height_difference,
+    height_inverse,
+    height_product,
 )
 from .twist import tensor_base_change, twisted_complex
 
@@ -156,38 +161,45 @@ def _field_complex(X: EquivariantComplex) -> EquivariantComplex:
     )
 
 
-def _lift_row(row, direction):
-    """Multiply a row by the unit monomial that moves its least
-    direction-period to 0. Windowing then drops only monomials of an ideal
-    (see `novseries`), and unit row scaling keeps the rank."""
-    support = [exp for e in row for exp in e.terms]
-    if not support:
-        return row
-    low = min(support, key=lambda exp: period_eval(direction, exp))
-    unit = GroupRingElement.monomial(
-        row[0].ring, row[0].rank, tuple(-x for x in low)
-    )
-    return [unit * e for e in row]
+def _lift_row(row, weight, cutoff):
+    """One row as windowed height dicts, shifted so that its least height
+    is 0. The shift is a unit monomial, so it keeps the rank, and the
+    window then drops only monomials of an ideal (see `novseries`)."""
+    heights = [{weight * e: c for (e,), c in entry.terms.items()} for entry in row]
+    low = min((h for entry in heights for h in entry), default=0)
+    return [
+        {h - low: c for h, c in entry.items() if h - low <= cutoff}
+        for entry in heights
+    ]
 
 
 def _series_rank(matrix, region, order, ring) -> int:
     """Rank by full-pivot elimination over windowed series.
 
-    Pivots are chosen with minimal leading period, where the leading-term
-    inverse is most accurate; entries that vanish inside the window count
-    as zero. Soundness comes from the caller's doubling protocol, not
-    from any single run.
+    The quotient has rank one, so each series is a height dict (see
+    `novseries`): t^e has height s*e for the window weight s = +-1, and
+    the window is height <= cutoff. Every row starts with least height 0;
+    the pivot is the free entry of least lowest height, first in
+    row-major order, where the leading-term inverse is most accurate, so
+    every height stays in [0, cutoff]. A product lands each pair of terms
+    at the sum of their heights, so skipping the pairs above the cutoff is
+    the full product windowed afterwards. Coefficients are reduced mod 2
+    over Z/2; Z input arrives over Q (see `_field_complex`). So every
+    windowed entry, pivot and rank is the one the same elimination over
+    `TruncatedNovikovSeries` with `leading_unit_inverse` gives. Entries
+    that vanish inside the window count as zero. Soundness comes from the
+    caller's doubling protocol, not from any single run.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
     if nrows == 0 or ncols == 0:
         return 0
+    # the window's own integer form: primitive weight s and cutoff
     trunc = Truncation.interior(region, order)
-    work = [
-        [TruncatedNovikovSeries(e, trunc) for e in _lift_row(row, trunc.direction)]
-        for row in matrix
-    ]
-    zero = TruncatedNovikovSeries.zero(ring, trunc)
+    (weight,) = trunc._weights
+    cutoff = trunc._cutoff
+    mod2 = ring is CoefficientRing.MOD2
+    work = [_lift_row(row, weight, cutoff) for row in matrix]
     row_free = [True] * nrows
     col_free = [True] * ncols
     rank = 0
@@ -196,29 +208,27 @@ def _series_rank(matrix, region, order, ring) -> int:
         for r in range(nrows):
             if not row_free[r]:
                 continue
+            row = work[r]
             for c in range(ncols):
-                if not col_free[c]:
-                    continue
-                p = work[r][c].min_period()
-                if p is None:
-                    continue
-                if best is None or p < best[0]:
-                    best = (p, r, c)
+                if col_free[c] and row[c]:
+                    h = min(row[c])
+                    if best is None or h < best[0]:
+                        best = (h, r, c)
         if best is None:
             break
         _, pr, pc = best
-        pinv = leading_unit_inverse(work[pr][pc], trunc.direction, trunc)
+        pivot_row = work[pr]
+        pinv = height_inverse(pivot_row[pc], cutoff, mod2)
         for r in range(nrows):
-            if r == pr or not row_free[r]:
+            row = work[r]
+            if r == pr or not row_free[r] or not row[pc]:
                 continue
-            lead = work[r][pc]
-            if lead.is_zero():
-                continue
-            factor = lead * pinv
+            factor = height_product(row[pc], pinv, cutoff, mod2)
             for c in range(ncols):
-                if col_free[c]:
-                    work[r][c] = work[r][c] - factor * work[pr][c]
-            work[r][pc] = zero
+                if col_free[c] and c != pc and pivot_row[c]:
+                    step = height_product(factor, pivot_row[c], cutoff, mod2)
+                    row[c] = height_difference(row[c], step, mod2)
+            row[pc] = {}
         row_free[pr] = False
         col_free[pc] = False
         rank += 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 
@@ -400,10 +401,7 @@ class LatticeMap:
             raise InputError(
                 f"vector of length {len(exponent)} against rank {self.rank_in}"
             )
-        return tuple(
-            sum(row[i] * exponent[i] for i in range(self.rank_in))
-            for row in self.matrix
-        )
+        return tuple(sum(map(mul, row, exponent)) for row in self.matrix)
 
     def induced_class(self, a: CohomologyClass) -> CohomologyClass:
         """The unique class b on the quotient with b(apply(x)) == a(x).

@@ -11,6 +11,12 @@ Arithmetic computes exactly and then discards monomials outside the window.
 For data whose support has nonnegative direction-period (every series this
 module constructs) the discarded monomials form an ideal, so results agree
 with the untruncated computation modulo the window.
+
+For windows of rank one the `height_*` functions do the same arithmetic on
+plain {height: coefficient} dicts, without building elements: with
+primitive window weight s = +-1 the monomial t^e has height s*e, the window
+keeps exactly the heights <= its integer cutoff, and coefficients over Z/2
+are reduced mod 2.
 """
 
 from __future__ import annotations
@@ -255,3 +261,68 @@ def leading_unit_inverse(x, direction: CohomologyClass, truncation: Truncation):
     inner = Truncation(direction, truncation.order + m)
     series = _geometric_series(-v, inner)
     return TruncatedNovikovSeries(lead_inv * series.element, truncation)
+
+
+# ---------------------------------------------------------------------------
+# height dicts: rank-one windows in integers
+
+
+def _nonzero(acc, mod2):
+    if mod2:
+        return {h: 1 for h, c in acc.items() if c & 1}
+    return {h: c for h, c in acc.items() if c}
+
+
+def height_product(a, b, cutoff, mod2):
+    """The product a*b windowed at `cutoff`.
+
+    A pair of terms lands at height h1 + h2 and nowhere else, so skipping
+    the pairs above the cutoff gives the full product windowed afterwards.
+    """
+    acc = {}
+    get = acc.get
+    low = sorted(b.items())
+    for h1, c1 in a.items():
+        room = cutoff - h1
+        for h2, c2 in low:
+            if h2 > room:
+                break
+            h = h1 + h2
+            acc[h] = get(h, 0) + c1 * c2
+    return _nonzero(acc, mod2)
+
+
+def height_difference(a, b, mod2):
+    """a - b; a window holding both holds the difference."""
+    acc = dict(a)
+    get = acc.get
+    for h, c in b.items():
+        acc[h] = get(h, 0) - c
+    return _nonzero(acc, mod2)
+
+
+def height_inverse(x, cutoff, mod2):
+    """`leading_unit_inverse` of a nonzero height dict, windowed at `cutoff`.
+
+    With h0 the least height and a its coefficient, x = a t^h0 (1 - u)
+    where u has only positive heights, and the inverse is
+    a^-1 t^-h0 sum_j u^j. The sum is kept up to height cutoff + h0, the
+    integer form of the `order + m` inner window, so that after the shift
+    by -h0 it fills the window. Its coefficients are those of the power
+    series inverse s of 1 - u, s_k = sum_i u_i s_(k-i), which is the
+    truncated geometric sum term by term. Needs h0 >= -cutoff, which holds
+    in the oracle, where every height is in [0, cutoff].
+    """
+    h0 = min(x)
+    a = x[h0]
+    inv = a if a in (1, -1) else 1 / Fraction(a)
+    u = [(h - h0, -c * inv) for h, c in x.items() if h != h0]
+    top = cutoff + h0
+    s = [1] + [0] * top
+    for k in range(1, top + 1):
+        acc = 0
+        for i, c in u:
+            if i <= k:
+                acc += c * s[k - i]
+        s[k] = acc & 1 if mod2 else acc
+    return {k - h0: inv * c for k, c in enumerate(s) if c}

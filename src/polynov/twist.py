@@ -115,10 +115,16 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
     ring = X.ring
 
     def move(e: GroupRingElement) -> GroupRingElement:
-        out = GroupRingElement.zero(ring, q.rank_out)
+        terms = {}
         for exp, coeff in e.sorted_terms():
-            image = GroupRingElement.monomial(ring, q.rank_out, q.apply(exp))
-            out = out + image.scalar_mul(coeff)
+            image = q.apply(exp)
+            s = ring.add(terms.get(image, 0), coeff)
+            if s == 0:
+                del terms[image]
+            else:
+                terms[image] = s
+        out = GroupRingElement.zero(ring, q.rank_out)
+        out.terms = terms
         return out
 
     boundaries = [

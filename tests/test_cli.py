@@ -128,6 +128,25 @@ def test_usage_error_exits_2(capsys):
     assert json.loads(err)["error"]["type"] == "InputError"
 
 
+def test_commands_in_one_process_print_what_they_print_alone(capsys):
+    # the parser is built once per process and reused, usage errors included
+    valid = ["novikov", "circle", "--class", "1", "--format", "json"]
+    usage = ["novikov", "circle", "--format", "json"]
+    alone = {tuple(args): run_process(args) for args in (valid, usage)}
+    for args in (valid, usage, valid):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        expected = alone[tuple(args)]
+        assert code == expected.returncode == (2 if args is usage else 0)
+        if args is usage:
+            assert json.loads(captured.err)["error"]["type"] == "InputError"
+        assert captured.out.encode() == expected.stdout
+        assert captured.err.encode() == expected.stderr
+
+
 def test_novikov_circle_class_one(capsys):
     code, out, _ = call(
         capsys, ["novikov", "circle", "--class", "1", "--format", "json"]
@@ -237,6 +256,12 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
         ),
         ("novikov-koszul3-Z", ["novikov", "koszul3-Z.json", "--class=1,2,3"],
          "modular"),
+        # the oracle's orders and boundary ranks, at a negative class over
+        # Z/2 and at a class with a zero period over Q
+        ("novikov-koszul3-Z2",
+         ["novikov", "koszul3-Z2.json", "--class=-1,-1,-1"], "modular"),
+        ("novikov-koszul3-Q",
+         ["novikov", "koszul3-Q.json", "--class=1,-1,0"], "modular"),
     ],
 )
 def test_json_report_matches_golden_bytes(capsys, monkeypatch, name, args, route):

@@ -16,6 +16,7 @@ from itertools import combinations
 import pytest
 import sympy
 
+from polynov import homology
 from polynov.complexes import EquivariantComplex, GroupPresentation, fox_boundary, ingest
 from polynov.errors import IncreaseOrder, InputError
 from polynov.groupring import CoefficientRing, GroupRingElement
@@ -32,9 +33,15 @@ from polynov.homology import (
 )
 from polynov.lattice import CohomologyClass, Polytope, Subpolytope, period_eval
 from polynov.morse import morse_reduce
+from polynov.novseries import (
+    TruncatedNovikovSeries,
+    Truncation,
+    leading_unit_inverse,
+)
 from polynov.twist import twisted_complex
 
 Q = CoefficientRing.RAT
+Z2 = CoefficientRing.MOD2
 
 
 def circle():
@@ -311,6 +318,101 @@ def test_oracle_stabilizes_on_negative_period_rows(a):
     # never stabilized
     rep = truncated_homology_oracle(koszul_t3(), a, order=4, max_doublings=3)
     assert rep.betti == (0, 0, 0, 0)
+
+
+def reference_series_rank(matrix, region, order, ring):
+    """The oracle's elimination on the public series arithmetic: rows moved
+    to least period 0, minimal-period pivots first in row-major order,
+    inverted by leading_unit_inverse, every result windowed."""
+    trunc = Truncation.interior(region, order)
+    direction = trunc.direction
+    work = []
+    for row in matrix:
+        support = [exp for e in row for exp in e.terms]
+        if support:
+            low = min(support, key=lambda exp: period_eval(direction, exp))
+            unit = GroupRingElement.monomial(ring, 1, (-low[0],))
+            row = [unit * e for e in row]
+        work.append([TruncatedNovikovSeries(e, trunc) for e in row])
+    zero = TruncatedNovikovSeries.zero(ring, trunc)
+    nrows, ncols = len(work), len(work[0])
+    row_free, col_free = [True] * nrows, [True] * ncols
+    rank = 0
+    while True:
+        best = None
+        for r in range(nrows):
+            for c in range(ncols):
+                if row_free[r] and col_free[c]:
+                    p = work[r][c].min_period()
+                    if p is not None and (best is None or p < best[0]):
+                        best = (p, r, c)
+        if best is None:
+            return rank
+        _, pr, pc = best
+        pinv = leading_unit_inverse(work[pr][pc], direction, trunc)
+        for r in range(nrows):
+            if r == pr or not row_free[r] or work[r][pc].is_zero():
+                continue
+            factor = work[r][pc] * pinv
+            for c in range(ncols):
+                if col_free[c]:
+                    work[r][c] = work[r][c] - factor * work[pr][c]
+            work[r][pc] = zero
+        row_free[pr] = col_free[pc] = False
+        rank += 1
+
+
+def random_dependent_matrix(rng, ring):
+    """A few random Laurent rows in one variable, then rows that are
+    Laurent combinations of them, shuffled."""
+    def element(spread, size):
+        terms = {}
+        for _ in range(rng.randrange(size)):
+            c = Fraction(rng.choice((-2, -1, 1, 1, 3)), rng.choice((1, 1, 2)))
+            terms[(rng.randint(-spread, spread),)] = 1 if ring is Z2 else c
+        return GroupRingElement(ring, 1, terms)
+
+    ncols = rng.randint(1, 4)
+    rows = [[element(5, 4) for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 2)):
+        combo = [GroupRingElement.zero(ring, 1)] * ncols
+        for row in rows:
+            f = element(2, 3)
+            combo = [x + f * e for x, e in zip(combo, row)]
+        rows.append(combo)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_series_rank_matches_the_series_reference():
+    rng = random.Random(41)
+    classes = ("1", "-1", "2/3", "-3/2", "3")
+    for ring in (Q, Z2):
+        for trial in range(40):
+            matrix = random_dependent_matrix(rng, ring)
+            region = Polytope([(Fraction(rng.choice(classes)),)])
+            # the reference is slow at long windows, so few matrices see them
+            for order in (4, 5, 8, 16) + ((32, 64) if trial < 4 else ()):
+                expected = reference_series_rank(matrix, region, order, ring)
+                got = homology._series_rank(matrix, region, order, ring)
+                assert got == expected, (ring, region, order)
+
+
+def test_series_rank_builds_no_series_or_group_ring_elements(monkeypatch):
+    rng = random.Random(3)
+    cases = [(random_dependent_matrix(rng, ring), ring) for ring in (Q, Z2, Q, Z2)]
+    built = []
+    for cls in (TruncatedNovikovSeries, GroupRingElement):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for matrix, ring in cases:
+        homology._series_rank(matrix, Polytope([(-1,)]), 16, ring)
+    assert built == []
 
 
 def test_oracle_input_errors():

@@ -16,6 +16,9 @@ from polynov.novseries import (
     TruncatedNovikovSeries,
     Truncation,
     geom_inverse,
+    height_difference,
+    height_inverse,
+    height_product,
     leading_unit_inverse,
     positivity_check,
 )
@@ -242,3 +245,38 @@ def test_leading_unit_inverse_matches_geom_inverse_when_leading_is_one():
         x = GroupRingElement.one(Q, 1) - u
         T = Truncation(c, rng.randint(3, 6))
         assert leading_unit_inverse(x, c, T) == geom_inverse(x, T, P)
+
+
+def test_height_helpers_match_the_series_window():
+    # along the direction s = +-1 the monomial t^e has height s*e, and the
+    # window of order N keeps heights <= N: the height helpers must give
+    # the reference series arithmetic's windowed terms exactly
+    rng = random.Random(29)
+    coefficients = (-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 4))
+    for ring in (Q, Z2):
+        mod2 = ring is Z2
+        for _ in range(80):
+            s = rng.choice((1, -1))
+            c = CohomologyClass((s,))
+            N = rng.randint(0, 9)
+            T = Truncation(c, N)
+
+            def series(low):
+                terms = {
+                    (s * rng.randint(low, N + 2),): rng.choice(coefficients)
+                    for _ in range(rng.randint(1, 4))
+                }
+                if mod2:
+                    terms = {e: 1 for e in terms}
+                return TruncatedNovikovSeries(GroupRingElement(ring, 1, terms), T)
+
+            def heights(x):
+                return {s * e: v for (e,), v in x.element.terms.items()}
+
+            a, b = series(-3), series(-3)
+            assert height_product(heights(a), heights(b), N, mod2) == heights(a * b)
+            assert height_difference(heights(a), heights(b), mod2) == heights(a - b)
+            x = series(0)
+            if not x.is_zero():
+                inv = leading_unit_inverse(x, c, T)
+                assert height_inverse(heights(x), N, mod2) == heights(inv)

@@ -106,6 +106,31 @@ def test_specialization_can_cancel_entries():
         assert T.base.boundaries[0][0][0].is_zero()
 
 
+def crowded_edge(ring, rng):
+    """One edge whose two ~150-monomial boundary entries collide under any
+    polytope that kills t1/t2: the first is g*(t1 - t2), whose image
+    cancels to zero, the second adds random terms to it."""
+    def element(count, coefficients):
+        terms = {}
+        for _ in range(count):
+            exp = tuple(rng.randint(-4, 4) for _ in range(3))
+            terms[exp] = rng.choice(coefficients)
+        return GroupRingElement(ring, 3, terms)
+
+    coefficients = {
+        Q: (-2, -1, 1, 3, Fraction(1, 2)),
+        CoefficientRing.INT: (-2, -1, 1, 3),
+        CoefficientRing.MOD2: (1,),
+    }[ring]
+    g = element(90, coefficients)
+    t1 = GroupRingElement.monomial(ring, 3, (1, 0, 0))
+    t2 = GroupRingElement.monomial(ring, 3, (0, 1, 0))
+    first = g * (t1 - t2)
+    second = first + element(60, coefficients)
+    assert len(first.terms) > 120 and len(second.terms) > 140
+    return EquivariantComplex(ring, 3, [["v"], ["a", "b"]], [[[first, second]]])
+
+
 def test_tensor_route_agrees_everywhere():
     rng = random.Random(23)
     cases = [
@@ -117,13 +142,20 @@ def test_tensor_route_agrees_everywhere():
     ]
     for _ in range(10):
         cases.append((torus(), random_polytope(rng, 2, rng.randrange(1, 4))))
-    for X, P in cases:
+    crowded = []
+    for ring in (Q, CoefficientRing.INT, CoefficientRing.MOD2):
+        for P in (Polytope([(1, 1, 0)]), Polytope([(1, 1, 0), (1, 1, 2)])):
+            crowded.append((crowded_edge(ring, rng), P))
+    for X, P in cases + crowded:
         A = twisted_complex(X, P)
         B = tensor_base_change(X, P)
         assert A.base == B.base
         assert A.polytope == B.polytope
         assert A.finiteness == B.finiteness
         assert A.quotient.matrix == B.quotient.matrix
+    for X, P in crowded:
+        first, second = tensor_base_change(X, P).base.boundaries[0][0]
+        assert first.is_zero() and not second.is_zero()
 
 
 def test_induced_polytope_is_jointly_faithful():
