@@ -251,15 +251,6 @@ class GroupRingElement:
         result.terms = out
         return result
 
-    def scalar_mul(self, scalar):
-        c0 = self.ring.coerce(scalar)
-        if c0 == 0:
-            return GroupRingElement.zero(self.ring, self.rank)
-        ring = self.ring
-        result = GroupRingElement.zero(self.ring, self.rank)
-        result.terms = {exp: ring.mul(c, c0) for exp, c in self.terms.items()}
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElement)

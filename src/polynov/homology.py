@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import IncreaseOrder, InputError
-from .groupring import CoefficientRing, GroupRingElement, chain_ranks
+from .groupring import CoefficientRing, chain_ranks
 from .lattice import (
     CohomologyClass,
     Polytope,
@@ -145,22 +145,6 @@ def polytope_betti(X: EquivariantComplex, P: Polytope, B=None, *, seed=0) -> Bet
 # truncated-series oracle
 
 
-def _field_complex(X: EquivariantComplex) -> EquivariantComplex:
-    """X over Q when it is over Z. Promotion is a ring map, so the image
-    keeps d∘d = 0 and is not validated again."""
-    if X.ring is not CoefficientRing.INT:
-        return X
-    rat = CoefficientRing.RAT
-
-    boundaries = [
-        [[GroupRingElement(rat, e.rank, e.terms) for e in row] for row in m]
-        for m in X.boundaries
-    ]
-    return EquivariantComplex(
-        rat, X.deck.rank, X.cells, boundaries, validate=False
-    )
-
-
 def _lift_row(row, weight, cutoff):
     """One row as windowed height dicts, shifted so that its least height
     is 0. The shift is a unit monomial, so it keeps the rank, and the
@@ -173,7 +157,7 @@ def _lift_row(row, weight, cutoff):
     ]
 
 
-def _series_rank(matrix, region, order, ring) -> int:
+def _series_rank(matrix, weight, cutoff, ring) -> int:
     """Rank by full-pivot elimination over windowed series.
 
     The quotient has rank one, so each series is a height dict (see
@@ -183,8 +167,12 @@ def _series_rank(matrix, region, order, ring) -> int:
     row-major order, where the leading-term inverse is most accurate, so
     every height stays in [0, cutoff]. A product lands each pair of terms
     at the sum of their heights, so skipping the pairs above the cutoff is
-    the full product windowed afterwards. Coefficients are reduced mod 2
-    over Z/2; Z input arrives over Q (see `_field_complex`). So every
+    the full product windowed afterwards. The pivot's inverse is kept only
+    up to height cutoff - h0, h0 the pivot's least height: it only
+    multiplies free entries of the pivot column, whose heights are all
+    h0 or more. Coefficients are reduced mod 2 over Z/2; integral
+    coefficients are ints over Z and Q alike, so Z input runs as it is
+    over Q. So every
     windowed entry, pivot and rank is the one the same elimination over
     `TruncatedNovikovSeries` with `leading_unit_inverse` gives. Entries
     that vanish inside the window count as zero. Soundness comes from the
@@ -194,10 +182,6 @@ def _series_rank(matrix, region, order, ring) -> int:
     ncols = len(matrix[0]) if matrix else 0
     if nrows == 0 or ncols == 0:
         return 0
-    # the window's own integer form: primitive weight s and cutoff
-    trunc = Truncation.interior(region, order)
-    (weight,) = trunc._weights
-    cutoff = trunc._cutoff
     mod2 = ring is CoefficientRing.MOD2
     work = [_lift_row(row, weight, cutoff) for row in matrix]
     row_free = [True] * nrows
@@ -216,9 +200,9 @@ def _series_rank(matrix, region, order, ring) -> int:
                         best = (h, r, c)
         if best is None:
             break
-        _, pr, pc = best
+        h0, pr, pc = best
         pivot_row = work[pr]
-        pinv = height_inverse(pivot_row[pc], cutoff, mod2)
+        pinv = height_inverse(pivot_row[pc], cutoff - h0, mod2)
         for r in range(nrows):
             row = work[r]
             if r == pr or not row_free[r] or not row[pc]:
@@ -255,7 +239,7 @@ def truncated_homology_oracle(
     q = quotient_map([a])
     if q.rank_out != 1:
         raise InputError("class does not induce a rank-one quotient")
-    Y = _field_complex(X.specialize(q))
+    Y = X.specialize(q)
     induced = q.induced_class(a)
     region = Polytope([induced])
     counts = Y.cell_counts()
@@ -265,8 +249,11 @@ def truncated_homology_oracle(
     previous = None
     N = order
     for _ in range(max_doublings):
+        # the window's own integer form: primitive weight s and cutoff
+        trunc = Truncation.interior(region, N)
+        (weight,) = trunc._weights
         ranks = tuple(
-            _series_rank(m, region, N, Y.ring) for m in Y.boundaries
+            _series_rank(m, weight, trunc._cutoff, Y.ring) for m in Y.boundaries
         )
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)
@@ -276,7 +263,10 @@ def truncated_homology_oracle(
         if previous == ranks and consistent:
             ring_desc = {
                 "kind": "class",
-                "coefficients": Y.ring.value,
+                # Z input is ranked as it is, over Q, its fraction field
+                "coefficients": (
+                    "Q" if Y.ring is CoefficientRing.INT else Y.ring.value
+                ),
                 "deck_rank": X.deck.rank,
                 "class": a.ray_normalized().to_json(),
             }

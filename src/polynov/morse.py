@@ -54,45 +54,35 @@ def validate_matching(X: EquivariantComplex, matching: Matching) -> None:
         used.add(upper)
 
 
-def _band_pairs(matching: Matching, k: int):
-    return {i: j for kk, i, j in matching.pairs if kk == k}
+def _faces(X: EquivariantComplex):
+    """faces[k][j]: the (row, entry) pairs of the nonzero entries in
+    column j of boundaries[k], rows ascending."""
+    return [
+        [[(i, row[j]) for i, row in enumerate(m) if not row[j].is_zero()]
+         for j in range(len(X.cells[k + 1]))]
+        for k, m in enumerate(X.boundaries)
+    ]
 
 
-def _band_is_acyclic(boundary, pairs) -> bool:
-    """V-path digraph on the matched k-cells of one band, checked by DFS.
+def _closes_vpath(faces, pairs, i, j) -> bool:
+    """Whether matching k-cell i with j closes a V-path in its band.
 
-    Edge sigma -> sigma' when sigma' is a different face of sigma's partner
-    with nonzero incidence; a cycle is exactly a closed V-path.
+    The band's `pairs` close none, so a new one passes through i: follow
+    V-path steps from j (a matched face of a partner leads on to its own
+    partner) and look for a partner that has i as a face.
     """
-    matched = set(pairs)
-    color = {i: 0 for i in matched}  # 0 new, 1 active, 2 done
-
-    def neighbors(i):
-        j = pairs[i]
-        for i2 in matched:
-            if i2 != i and not boundary[i2][j].is_zero():
-                yield i2
-
-    for start in matched:
-        if color[start]:
-            continue
-        stack = [(start, iter(neighbors(start)))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return False
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(neighbors(nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
+    seen = set()
+    stack = [j]
+    while stack:
+        col = stack.pop()
+        for r, _ in faces[col]:
+            if r == i:
+                if col != j:
+                    return True
+            elif r in pairs and r not in seen:
+                seen.add(r)
+                stack.append(pairs[r])
+    return False
 
 
 def acyclic_matching(X: EquivariantComplex, seed: int = 0) -> Matching:
@@ -102,25 +92,24 @@ def acyclic_matching(X: EquivariantComplex, seed: int = 0) -> Matching:
     cells are still free and the band's V-path digraph stays acyclic.
     """
     rng = random.Random(seed)
-    candidates = [
+    faces = _faces(X)
+    candidates = sorted(
         (k, i, j)
-        for k, matrix in enumerate(X.boundaries)
-        for i, row in enumerate(matrix)
-        for j, entry in enumerate(row)
-        if entry.unit_monomial() is not None
-    ]
+        for k, band in enumerate(faces)
+        for j, column in enumerate(band)
+        for i, e in column
+        if e.unit_monomial() is not None
+    )
     rng.shuffle(candidates)
     used = set()
     accepted = []
-    band = {}
+    band = [{} for _ in faces]
     for k, i, j in candidates:
         if (k, i) in used or (k + 1, j) in used:
             continue
-        trial = dict(band.get(k, {}))
-        trial[i] = j
-        if not _band_is_acyclic(X.boundaries[k], trial):
+        if _closes_vpath(faces[k], band[k], i, j):
             continue
-        band[k] = trial
+        band[k][i] = j
         used.add((k, i))
         used.add((k + 1, j))
         accepted.append((k, i, j))
@@ -135,8 +124,8 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     upward to tau flows through the other faces of tau, weighted by
     -u^-1 times their incidences (u the unit incidence of the pair).
     The reduced boundary of a critical cell pushes each face through its
-    flow. A matching whose flow recursion re-enters itself is cyclic and
-    is reported as such.
+    flow. A matching whose flow search re-enters a cell it is still
+    resolving is cyclic and is reported as such.
     """
     validate_matching(X, matching)
     if not matching.pairs:
@@ -144,85 +133,71 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     ring, rank = X.ring, X.deck.rank
     zero = GroupRingElement.zero(ring, rank)
     one = GroupRingElement.one(ring, rank)
+    faces = _faces(X)
 
-    up = {k: _band_pairs(matching, k) for k in range(len(X.boundaries))}
-    down = {
-        k + 1: {j for kk, i, j in matching.pairs if kk == k}
-        for k in range(len(X.boundaries))
-    }
+    up = [{} for _ in X.cells]
+    down = [set() for _ in X.cells]
+    for k, i, j in matching.pairs:
+        up[k][i] = j
+        down[k + 1].add(j)
     critical = [
-        tuple(
-            i
-            for i in range(len(names))
-            if i not in up.get(k, {}) and i not in down.get(k, set())
-        )
+        tuple(i for i in range(len(names)) if i not in up[k] and i not in down[k])
         for k, names in enumerate(X.cells)
     ]
 
-    memo = [dict() for _ in X.cells]
-    active = set()
+    # flow[k][i]: the critical chain k-cell i flows to, as {critical
+    # k-cell index: coefficient}; cells matched upward are filled in below
+    flow = [
+        dict.fromkeys(d, {}) | {i: {i: one} for i in c}
+        for d, c in zip(down, critical)
+    ]
 
-    def flow(k, i):
-        # returns {critical k-cell index: coefficient}
-        if i in memo[k]:
-            return memo[k][i]
-        if (k, i) in active:
-            raise CyclicMatchingError(
-                f"closed alternating path through cell {i} of degree {k}"
-            )
-        if i in down.get(k, set()):
-            value = {}
-        elif i not in up.get(k, {}):
-            value = {i: one}
-        else:
-            active.add((k, i))
-            j = up[k][i]
-            u_inv = X.boundaries[k][i][j].monomial_inverse()
-            acc = {}
-            for i2 in range(len(X.cells[k])):
-                if i2 == i:
-                    continue
-                e = X.boundaries[k][i2][j]
-                if e.is_zero():
-                    continue
-                for c, val in flow(k, i2).items():
-                    term = e * val
-                    got = acc.get(c)
-                    acc[c] = term if got is None else got + term
-            value = {}
-            for c, val in acc.items():
-                scaled = -(u_inv * val)
-                if not scaled.is_zero():
-                    value[c] = scaled
-            active.discard((k, i))
-        memo[k][i] = value
-        return value
+    def push(k, j, skip=None):
+        # sum of d[i][j] * flow[k][i] over the faces i != skip of column j,
+        # as {critical k-cell index: nonzero coefficient}
+        acc = {}
+        for i, e in faces[k][j]:
+            if i == skip:
+                continue
+            for c, val in flow[k][i].items():
+                term = e * val
+                got = acc.get(c)
+                acc[c] = term if got is None else got + term
+        return {c: val for c, val in acc.items() if not val.is_zero()}
 
-    # force every flow up front so closed paths are caught even when no
-    # critical cell's boundary would ever walk into them
-    for k in range(len(X.cells)):
-        for i in range(len(X.cells[k])):
-            flow(k, i)
+    # every flow up front, so closed paths are caught even when no critical
+    # cell's boundary would ever walk into them; depth first from the lowest
+    # cell and in face order, on an explicit stack, since V-paths can be
+    # longer than Python's recursion limit
+    for k, band in enumerate(up):
+        active = set()
+        for start in sorted(band):
+            stack = [(start, False)]
+            while stack:
+                i, ready = stack.pop()
+                if ready:
+                    u_inv = X.boundaries[k][i][band[i]].monomial_inverse()
+                    # u_inv is a unit, so nonzero coefficients stay nonzero
+                    pushed = push(k, band[i], skip=i).items()
+                    flow[k][i] = {c: -(u_inv * val) for c, val in pushed}
+                    active.discard(i)
+                elif i not in flow[k]:
+                    if i in active:
+                        raise CyclicMatchingError(
+                            f"closed alternating path through cell {i} of degree {k}"
+                        )
+                    active.add(i)
+                    stack.append((i, True))
+                    faces_i = reversed(faces[k][band[i]])
+                    stack.extend((i2, False) for i2, _ in faces_i if i2 != i)
 
     boundaries = []
-    for k, matrix in enumerate(X.boundaries):
+    for k in range(len(X.boundaries)):
         rows = {c: r for r, c in enumerate(critical[k])}
-        reduced = [
-            [zero for _ in critical[k + 1]] for _ in critical[k]
-        ]
+        reduced = [[zero] * len(critical[k + 1]) for _ in critical[k]]
         for col, j in enumerate(critical[k + 1]):
-            acc = {}
-            for i in range(len(X.cells[k])):
-                e = matrix[i][j]
-                if e.is_zero():
-                    continue
-                for c, val in flow(k, i).items():
-                    term = e * val
-                    got = acc.get(c)
-                    acc[c] = term if got is None else got + term
-            for c, val in acc.items():
-                if not val.is_zero():
-                    reduced[rows[c]][col] = val
+            for c, val in push(k, j).items():
+                reduced[rows[c]][col] = val
         boundaries.append(reduced)
 
     cells = [

@@ -73,7 +73,8 @@ def test_integral_rational_coefficients_are_ints():
     # fraction as a Fraction; equality, hashing and the text form agree
     x = GroupRingElement.from_string("3*t1 - 2 + 4/2*t2 + 1.0*t1*t2", Q, 2)
     y = GroupRingElement.from_string("t1 - 1", Q, 2)
-    for z in (x, y, x + y, x - y, x * y, -x, x.scalar_mul(3)):
+    three = GroupRingElement.monomial(Q, 2, (0, 0), 3)
+    for z in (x, y, x + y, x - y, x * y, -x, x * three):
         assert z.terms
         assert all(type(c) is int for c in z.terms.values())
     assert x.terms == {(1, 0): 3, (0, 0): -2, (0, 1): 2, (1, 1): 1}
@@ -279,7 +280,8 @@ def test_integer_bareiss_against_sympy_on_dependent_rows(ring, rank, route):
         # coefficients up to 4 in size, times p/q with q up to 4 over Q
         x = random_element(rng, ring, rank, nterms=nterms, span=1)
         if ring is Q:
-            return x.scalar_mul(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+            c = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+            return x * GroupRingElement.monomial(ring, rank, (0,) * rank, c)
         return x
 
     ranks = set()
@@ -511,7 +513,8 @@ def test_fractional_coefficients_evaluate_through_inverses():
             ]
             for _ in range(2)
         ]
-        rows.append([x + y.scalar_mul(Fraction(2, 3)) for x, y in zip(*rows)])
+        c = GroupRingElement.monomial(Q, 2, (0, 0), Fraction(2, 3))
+        rows.append([x + y * c for x, y in zip(*rows)])
         assert point_rank(rows, 0) == _bareiss_rank(rows)
 
 

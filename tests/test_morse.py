@@ -9,6 +9,7 @@ library's flow-based reduction exactly.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from polynov.groupring import (
     GroupRingElement,
     matrix_rank_fraction_field,
 )
+from polynov.homology import ordinary_betti
 from polynov.morse import (
     Matching,
     acyclic_matching,
@@ -26,6 +28,7 @@ from polynov.morse import (
     validate_matching,
     vpath_boundary,
 )
+from test_complexes import cubical_torus
 
 Q = CoefficientRing.RAT
 
@@ -122,6 +125,54 @@ def subdivided_torus(ring=Q):
     return tensor_complex(c, c)
 
 
+def cubical(n, m, ring=Q):
+    """Cubical T^n,m; m = 1 is the Koszul complex of T^n."""
+    return EquivariantComplex(ring, n, *cubical_torus(n, m, ring))
+
+
+def with_unit_summand(X, k, u):
+    """X plus cells b of degree k and a of degree k + 1 with d(a) = u * b."""
+    zero = GroupRingElement.zero(X.ring, X.deck.rank)
+    cells = [
+        list(names) + [f"s{len(names)}"] * (d in (k, k + 1))
+        for d, names in enumerate(X.cells)
+    ]
+    mats = [[list(row) for row in m] for m in X.boundaries]
+    if k >= 1:
+        for row in mats[k - 1]:
+            row.append(zero)
+    mats[k] = [row + [zero] for row in mats[k]]
+    mats[k].append([zero] * len(X.cells[k + 1]) + [u])
+    if k + 1 < len(mats):
+        mats[k + 1].append([zero] * len(cells[k + 2]))
+    return EquivariantComplex(X.ring, X.deck.rank, cells, mats)
+
+
+def random_unit(ring, rank, rng):
+    exp = tuple(rng.randint(-1, 1) for _ in range(rank))
+    return GroupRingElement.monomial(ring, rank, exp, rng.choice((1, -1)))
+
+
+def conjugate(X, rng, steps):
+    """X in another basis, after `steps` elementary changes P = 1 + g E_ab
+    of one degree, g a random +-monomial: d_(d-1) <- d_(d-1) P and
+    d_d <- P^-1 d_d."""
+    rank = X.deck.rank
+    mats = [[list(row) for row in m] for m in X.boundaries]
+    for _ in range(steps):
+        d = rng.randrange(len(X.cells))
+        if len(X.cells[d]) < 2:
+            continue
+        a, b = rng.sample(range(len(X.cells[d])), 2)
+        g = random_unit(X.ring, rank, rng)
+        if d >= 1:
+            for row in mats[d - 1]:
+                row[b] = row[b] + g * row[a]
+        if d < len(mats):
+            mats[d][a] = [x - g * y for x, y in zip(mats[d][a], mats[d][b])]
+    return EquivariantComplex(X.ring, rank, X.cells, mats)
+
+
 def ff_betti(X):
     ranks = [
         matrix_rank_fraction_field([list(r) for r in m]).rank
@@ -188,6 +239,89 @@ def test_vpath_matches_elimination_oracle():
             if not m.pairs:
                 continue
             assert vpath_boundary(X, m) == eliminate_pairs(X, m)
+
+
+def test_vpath_matches_elimination_oracle_on_cubical_t3_4():
+    X = cubical(3, 4, CoefficientRing.MOD2)
+    m = acyclic_matching(X, seed=1)
+    R = vpath_boundary(X, m)
+    assert R == eliminate_pairs(X, m)
+    assert ordinary_betti(R).betti == (1, 3, 3, 1)
+
+
+def reference_matching(X: EquivariantComplex, seed: int):
+    """The greedy search that reruns a three-colour DFS over the whole
+    band's V-path digraph for every candidate; returns the matching and
+    how many free candidates the digraph check rejected."""
+    def band_is_acyclic(boundary, pairs):
+        color = dict.fromkeys(pairs, 0)  # 0 new, 1 active, 2 done
+
+        def neighbors(i):
+            j = pairs[i]
+            return (i2 for i2 in pairs if i2 != i and not boundary[i2][j].is_zero())
+
+        for start in pairs:
+            if color[start]:
+                continue
+            stack = [(start, neighbors(start))]
+            color[start] = 1
+            while stack:
+                node, it = stack[-1]
+                for nxt in it:
+                    if color[nxt] == 1:
+                        return False
+                    if color[nxt] == 0:
+                        color[nxt] = 1
+                        stack.append((nxt, neighbors(nxt)))
+                        break
+                else:
+                    color[node] = 2
+                    stack.pop()
+        return True
+
+    rng = random.Random(seed)
+    candidates = [
+        (k, i, j)
+        for k, matrix in enumerate(X.boundaries)
+        for i, row in enumerate(matrix)
+        for j, entry in enumerate(row)
+        if entry.unit_monomial() is not None
+    ]
+    rng.shuffle(candidates)
+    used, accepted, band, rejected = set(), [], {}, 0
+    for k, i, j in candidates:
+        if (k, i) in used or (k + 1, j) in used:
+            continue
+        trial = {**band.get(k, {}), i: j}
+        if not band_is_acyclic(X.boundaries[k], trial):
+            rejected += 1
+            continue
+        band[k] = trial
+        used |= {(k, i), (k + 1, j)}
+        accepted.append((k, i, j))
+    return Matching(accepted), rejected
+
+
+def test_matching_equals_the_whole_band_search():
+    rng = random.Random(17)
+    Z2 = CoefficientRing.MOD2
+    cases = [subdivided_circle(), subdivided_torus(Z2)]
+    for ring in (Q, Z2):
+        cases += [conjugate(cubical(n, m, ring), rng, 6)
+                  for n, m in ((2, 3), (2, 4), (3, 2), (3, 3))]
+        for _ in range(3):
+            koszul = cubical(3, 1, ring)
+            for k in (0, 1, 1, 2):
+                koszul = with_unit_summand(koszul, k, random_unit(ring, 3, rng))
+            cases.append(conjugate(koszul, rng, 20))
+    rejected = 0
+    for X in cases:
+        for seed in range(6):
+            expected, r = reference_matching(X, seed)
+            assert acyclic_matching(X, seed=seed) == expected
+            rejected += r
+    # the digraph check decides: without it the matchings would differ
+    assert rejected > 100
 
 
 # -- frozen small cases --------------------------------------------------------
@@ -282,6 +416,18 @@ def test_cyclic_matching_detected():
     validate_matching(X, cyclic)  # structurally fine, dynamically cyclic
     with pytest.raises(CyclicMatchingError):
         vpath_boundary(X, cyclic)
+    # the search starts from the lowest matched cell, whatever the pair order
+    with pytest.raises(CyclicMatchingError, match="through cell 0 of degree 0"):
+        vpath_boundary(X, Matching([(0, 1, 1), (0, 0, 0)]))
+
+
+def test_vpath_longer_than_the_recursion_limit():
+    # vertex j matched up to edge j: the flow of v0 runs through every
+    # other vertex
+    n = sys.getrecursionlimit() + 200
+    R = vpath_boundary(cubical(1, n), Matching([(0, j, j) for j in range(n - 1)]))
+    assert R.cell_counts() == (1, 1)
+    assert R.boundaries[0][0][0].to_string() == "t - 1"
 
 
 def test_validate_matching_rejects_bad_pairs():
