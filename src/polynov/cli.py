@@ -24,7 +24,7 @@ from .homology import (
     rational_approximation,
     truncated_homology_oracle,
 )
-from .lattice import CohomologyClass, Polytope, parse_rational
+from .lattice import CohomologyClass, Polytope, check_deck_rank, parse_rational
 from .morse import morse_reduce
 
 
@@ -36,6 +36,7 @@ def _parse_class(text: str, rank=None) -> CohomologyClass:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise InputError("empty class; expected comma-separated rationals")
+    check_deck_rank(len(parts))
     periods = tuple(parse_rational(p) for p in parts)
     if rank is not None and len(periods) != rank:
         raise InputError(f"class of rank {len(periods)} against deck rank {rank}")

@@ -2,8 +2,11 @@
 
 A complex stores, per degree, the list of base cell names and the boundary
 matrix whose entries live in the deck group ring (rows indexed by cells one
-degree down, columns by cells of the degree). Square-zero is validated
-exactly on construction.
+degree down, columns by cells of the degree). It is stored once, as sparse
+columns with zeros never stored, and every layer reads those; the dense
+`boundaries` view serves only serialization, the rank engine and the
+truncated-series oracle, whose eliminations fill in zeros anyway.
+Square-zero is validated exactly on construction.
 
 Two JSON input modes are understood by `ingest`: explicit matrices, and a
 group presentation whose 2-complex (one vertex, one edge per generator, one
@@ -17,15 +20,12 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import CoverMismatch, InputError, ValidationError
-from .groupring import (
-    CoefficientRing,
-    GroupRingElement,
-    mat_specialize,
-)
+from .groupring import CoefficientRing, GroupRingElement
 from .lattice import (
     DeckGroup,
     LatticeMap,
     Polytope,
+    check_deck_rank,
     kernel_lattice,
     parse_rational,
     quotient_map,
@@ -33,45 +33,79 @@ from .lattice import (
 
 
 class EquivariantComplex:
-    """A finite free chain complex over R[Z^rank], validated square-zero."""
+    """A finite free chain complex over R[Z^rank], validated square-zero.
 
-    __slots__ = ("ring", "deck", "cells", "boundaries")
+    columns[k][j] is {row: element} for the nonzero entries of column j
+    of the boundary from degree k + 1 to degree k, rows ascending.
+    """
+
+    __slots__ = ("ring", "deck", "cells", "columns")
 
     def __init__(self, ring, rank, cells, boundaries, validate=True):
-        self.ring = ring
-        self.deck = DeckGroup(int(rank))
-        self.cells = tuple(tuple(str(n) for n in degree) for degree in cells)
-        for degree, names in enumerate(self.cells):
+        deck = DeckGroup(int(rank))
+        cells = tuple(tuple(str(n) for n in degree) for degree in cells)
+        for degree, names in enumerate(cells):
             if len(set(names)) != len(names):
                 raise InputError(f"duplicate cell names in degree {degree}")
-        boundaries = [
-            [list(row) for row in matrix] for matrix in boundaries
-        ]
-        if len(boundaries) != len(self.cells) - 1:
+        boundaries = [[list(row) for row in matrix] for matrix in boundaries]
+        if len(boundaries) != len(cells) - 1:
             raise InputError(
-                f"{len(self.cells)} degrees need {len(self.cells) - 1} "
+                f"{len(cells)} degrees need {len(cells) - 1} "
                 f"boundary matrices, got {len(boundaries)}"
             )
+        columns = []
         for k, matrix in enumerate(boundaries):
-            if len(matrix) != len(self.cells[k]):
+            if len(matrix) != len(cells[k]):
                 raise InputError(
                     f"boundary into degree {k}: {len(matrix)} rows for "
-                    f"{len(self.cells[k])} cells"
+                    f"{len(cells[k])} cells"
                 )
-            for row in matrix:
-                if len(row) != len(self.cells[k + 1]):
+            band = [{} for _ in cells[k + 1]]
+            for i, row in enumerate(matrix):
+                if len(row) != len(band):
                     raise InputError(
                         f"boundary from degree {k + 1}: row of length "
-                        f"{len(row)} for {len(self.cells[k + 1])} cells"
+                        f"{len(row)} for {len(band)} cells"
                     )
-                for e in row:
+                for column, e in zip(band, row):
                     if not isinstance(e, GroupRingElement):
                         raise InputError("boundary entries must be ring elements")
-                    if e.ring is not ring or e.rank != self.deck.rank:
+                    if e.ring is not ring or e.rank != deck.rank:
                         raise InputError("boundary entry in the wrong ring")
-        self.boundaries = tuple(tuple(tuple(row) for row in m) for m in boundaries)
+                    if e.terms:
+                        column[i] = e
+            columns.append(tuple(band))
+        self.ring, self.deck, self.cells = ring, deck, cells
+        self.columns = tuple(columns)
         if validate:
             self.validate()
+
+    @classmethod
+    def from_columns(cls, ring, rank, cells, columns, validate=True):
+        """Build from stored cells (name tuples) and columns; drops zeros."""
+        X = cls.__new__(cls)
+        X.ring, X.deck, X.cells = ring, DeckGroup(rank), cells
+        X.columns = tuple(
+            tuple({i: e for i, e in column.items() if e.terms} for column in band)
+            for band in columns
+        )
+        if validate:
+            X.validate()
+        return X
+
+    @property
+    def boundaries(self):
+        """Dense view, built on each call: boundaries[k][i][j] is entry (i, j)
+        of the boundary from degree k + 1, and zeros share one element."""
+        zero = GroupRingElement.zero(self.ring, self.deck.rank)
+        dense = []
+        for k, band in enumerate(self.columns):
+            rows = [[zero] * len(band) for _ in self.cells[k]]
+            for j, column in enumerate(band):
+                for i, e in column.items():
+                    rows[i][j] = e
+            dense.append(tuple(map(tuple, rows)))
+        return tuple(dense)
 
     # -- shape ----------------------------------------------------------
 
@@ -87,43 +121,39 @@ class EquivariantComplex:
     def validate(self):
         """Exact square-zero check; reports the first offending entry.
 
-        Each row of the product d_k d_{k+1} is formed from the nonzero
-        entries only: row i of d_k meets row l of d_{k+1} for every nonzero
-        (i, l), and the term products are summed per column. The first
-        nonzero sum in row-major order is reported.
+        Column j of the product d_k d_{k+1} is formed from the stored
+        entries only: entry (l, j) of d_{k+1} meets every entry (i, l) of
+        d_k, and the term products are summed per row. The first nonzero
+        sum in row-major order is reported.
         """
         mod2 = self.ring is CoefficientRing.MOD2
-        for k in range(len(self.boundaries) - 1):
-            upper = [  # nonzero (column, terms) of each row of d_{k+1}
-                [(j, e.terms.items()) for j, e in enumerate(row) if e.terms]
-                for row in self.boundaries[k + 1]
-            ]
-            for i, row in enumerate(self.boundaries[k]):
-                sums = {}  # column -> {exponent: coefficient}
-                for l, a in enumerate(row):
-                    if not a.terms:
-                        continue
-                    for j, b_terms in upper[l]:
-                        acc = sums.setdefault(j, {})
+        for k, (lower, upper) in enumerate(zip(self.columns, self.columns[1:])):
+            bad = []
+            for j, column in enumerate(upper):
+                sums = {}  # row -> {exponent: coefficient}
+                for l, b in column.items():
+                    b_terms = b.terms.items()
+                    for i, a in lower[l].items():
+                        acc = sums.setdefault(i, {})
                         for e1, c1 in a.terms.items():
                             for e2, c2 in b_terms:
                                 exp = tuple(map(add, e1, e2))
                                 acc[exp] = acc.get(exp, 0) + c1 * c2
-                bad = [
-                    j
-                    for j, acc in sums.items()
+                bad.extend(
+                    (i, j, acc)
+                    for i, acc in sums.items()
                     if any(c % 2 if mod2 else c for c in acc.values())
-                ]
-                if bad:
-                    j = min(bad)
-                    entry = GroupRingElement(self.ring, self.deck.rank, sums[j])
-                    raise ValidationError(
-                        f"boundary square is nonzero from degree {k + 2}: "
-                        f"entry ({i}, {j}) is {entry.to_string()}",
-                        degree=k + 2,
-                        row=i,
-                        col=j,
-                    )
+                )
+            if bad:
+                i, j, acc = min(bad, key=lambda hit: hit[:2])
+                entry = GroupRingElement(self.ring, self.deck.rank, acc)
+                raise ValidationError(
+                    f"boundary square is nonzero from degree {k + 2}: "
+                    f"entry ({i}, {j}) is {entry.to_string()}",
+                    degree=k + 2,
+                    row=i,
+                    col=j,
+                )
         return True
 
     # -- transport ----------------------------------------------------
@@ -139,12 +169,12 @@ class EquivariantComplex:
                 f"map expects rank {lattice_map.rank_in}, complex has "
                 f"deck rank {self.deck.rank}"
             )
-        return EquivariantComplex(
-            self.ring,
-            lattice_map.rank_out,
-            self.cells,
-            [mat_specialize(m, lattice_map) for m in self.boundaries],
-            validate=False,
+        columns = [
+            [{i: e.specialize(lattice_map) for i, e in c.items()} for c in band]
+            for band in self.columns
+        ]
+        return EquivariantComplex.from_columns(
+            self.ring, lattice_map.rank_out, self.cells, columns, validate=False
         )
 
     # -- serialization --------------------------------------------------
@@ -169,7 +199,7 @@ class EquivariantComplex:
             and self.ring is other.ring
             and self.deck == other.deck
             and self.cells == other.cells
-            and self.boundaries == other.boundaries
+            and self.columns == other.columns
         )
 
     def __repr__(self):
@@ -361,7 +391,10 @@ def _is_table(value) -> bool:
 
 
 def ingest(document) -> EquivariantComplex:
-    """Build a complex from a parsed JSON document (either input mode)."""
+    """Build a complex from a parsed JSON document (either input mode).
+
+    A deck rank (`rank`, or the row count of `deck_map`) above
+    `lattice.MAX_DECK_RANK` is an InputError."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -380,6 +413,7 @@ def ingest(document) -> EquivariantComplex:
             raise InputError("presentation mode needs a deck_map")
         if not _is_table(document["deck_map"]):
             raise InputError("deck_map must be a list of integer rows")
+        check_deck_rank(len(document["deck_map"]))
         deck_map = [
             [_integer(v, "deck_map entry") for v in row]
             for row in document["deck_map"]
@@ -394,6 +428,7 @@ def ingest(document) -> EquivariantComplex:
     rank = _integer(document["rank"], "rank")
     if rank < 0:
         raise InputError("rank must be nonnegative")
+    check_deck_rank(rank)
     cells = document["cells"]
     raw = document["boundaries"]
     if not _is_table(cells) or not isinstance(raw, list):
@@ -402,8 +437,10 @@ def ingest(document) -> EquivariantComplex:
         raise InputError("each boundary must be a list of rows")
     if not all(isinstance(e, str) for m in raw for row in m for e in row):
         raise InputError("boundary entries must be strings")
+    zero = GroupRingElement.zero(ring, rank)
+    parse = GroupRingElement.from_string
     boundaries = [
-        [[GroupRingElement.from_string(e, ring, rank) for e in row] for row in m]
+        [[zero if e == "0" else parse(e, ring, rank) for e in row] for row in m]
         for m in raw
     ]
     X = EquivariantComplex(ring, rank, cells, boundaries)

@@ -400,25 +400,6 @@ class GroupRingElement:
 # matrices
 
 
-def mat_specialize(A, lattice_map):
-    """Push every entry forward along a lattice quotient. Only nonzero
-    entries are mapped; the zero entries all become one shared zero
-    element (elements are immutable)."""
-    zero = None
-    out = []
-    for row in A:
-        images = []
-        for e in row:
-            if e.terms:
-                images.append(e.specialize(lattice_map))
-            else:
-                if zero is None:
-                    zero = GroupRingElement.zero(e.ring, lattice_map.rank_out)
-                images.append(zero)
-        out.append(images)
-    return out
-
-
 class RankResult(NamedTuple):
     rank: int
     exact: bool

@@ -245,6 +245,7 @@ def truncated_homology_oracle(
     counts = Y.cell_counts()
     chi = euler_characteristic(Y)
 
+    boundaries = Y.boundaries
     orders = []
     previous = None
     N = order
@@ -253,7 +254,7 @@ def truncated_homology_oracle(
         trunc = Truncation.interior(region, N)
         (weight,) = trunc._weights
         ranks = tuple(
-            _series_rank(m, weight, trunc._cutoff, Y.ring) for m in Y.boundaries
+            _series_rank(m, weight, trunc._cutoff, Y.ring) for m in boundaries
         )
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)

@@ -48,6 +48,21 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+# The largest deck rank accepted from outside: a document's rank or
+# deck_map, a --class or a --vertices class. Quotient and approximation
+# work grows like the cube of the rank or faster; at rank 64 a command
+# takes well under a second, at rank 10000 it ran for minutes. Every
+# bundled and benchmark complex has rank 5 or less.
+MAX_DECK_RANK = 64
+
+
+def check_deck_rank(rank: int) -> int:
+    """Return `rank`, or raise InputError when it is above MAX_DECK_RANK."""
+    if rank > MAX_DECK_RANK:
+        raise InputError(f"deck rank {rank} is above the limit {MAX_DECK_RANK}")
+    return rank
+
+
 @dataclass(frozen=True)
 class DeckGroup:
     """The free-abelian deck lattice Z^rank."""

@@ -8,7 +8,7 @@ extension; the reduced boundary sums incidences transported along
 alternating paths through matched pairs.
 
 Pairs are recorded positionally: (k, i, j) matches cell i of degree k
-with cell j of degree k + 1 through entry boundaries[k][i][j].
+with cell j of degree k + 1 through the stored incidence columns[k][j][i].
 """
 
 from __future__ import annotations
@@ -38,30 +38,21 @@ class Matching:
 def validate_matching(X: EquivariantComplex, matching: Matching) -> None:
     used = set()
     for k, i, j in matching.pairs:
-        if not 0 <= k < len(X.boundaries):
+        if not 0 <= k < len(X.columns):
             raise InputError(f"pair degree {k} out of range")
         if not 0 <= i < len(X.cells[k]) or not 0 <= j < len(X.cells[k + 1]):
             raise InputError(f"pair ({k}, {i}, {j}) out of range")
-        if X.boundaries[k][i][j].unit_monomial() is None:
+        e = X.columns[k][j].get(i)
+        if e is None or e.unit_monomial() is None:
             raise InputError(
                 f"pair ({k}, {i}, {j}) has non-unit incidence "
-                f"{X.boundaries[k][i][j].to_string()}"
+                f"{'0' if e is None else e.to_string()}"
             )
         lower, upper = (k, i), (k + 1, j)
         if lower in used or upper in used:
             raise InputError("matching reuses a cell")
         used.add(lower)
         used.add(upper)
-
-
-def _faces(X: EquivariantComplex):
-    """faces[k][j]: the (row, entry) pairs of the nonzero entries in
-    column j of boundaries[k], rows ascending."""
-    return [
-        [[(i, row[j]) for i, row in enumerate(m) if not row[j].is_zero()]
-         for j in range(len(X.cells[k + 1]))]
-        for k, m in enumerate(X.boundaries)
-    ]
 
 
 def _closes_vpath(faces, pairs, i, j) -> bool:
@@ -75,7 +66,7 @@ def _closes_vpath(faces, pairs, i, j) -> bool:
     stack = [j]
     while stack:
         col = stack.pop()
-        for r, _ in faces[col]:
+        for r in faces[col]:
             if r == i:
                 if col != j:
                     return True
@@ -92,22 +83,21 @@ def acyclic_matching(X: EquivariantComplex, seed: int = 0) -> Matching:
     cells are still free and the band's V-path digraph stays acyclic.
     """
     rng = random.Random(seed)
-    faces = _faces(X)
     candidates = sorted(
         (k, i, j)
-        for k, band in enumerate(faces)
+        for k, band in enumerate(X.columns)
         for j, column in enumerate(band)
-        for i, e in column
+        for i, e in column.items()
         if e.unit_monomial() is not None
     )
     rng.shuffle(candidates)
     used = set()
     accepted = []
-    band = [{} for _ in faces]
+    band = [{} for _ in X.columns]
     for k, i, j in candidates:
         if (k, i) in used or (k + 1, j) in used:
             continue
-        if _closes_vpath(faces[k], band[k], i, j):
+        if _closes_vpath(X.columns[k], band[k], i, j):
             continue
         band[k][i] = j
         used.add((k, i))
@@ -131,9 +121,8 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     if not matching.pairs:
         return X
     ring, rank = X.ring, X.deck.rank
-    zero = GroupRingElement.zero(ring, rank)
     one = GroupRingElement.one(ring, rank)
-    faces = _faces(X)
+    faces = X.columns
 
     up = [{} for _ in X.cells]
     down = [set() for _ in X.cells]
@@ -156,7 +145,7 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
         # sum of d[i][j] * flow[k][i] over the faces i != skip of column j,
         # as {critical k-cell index: nonzero coefficient}
         acc = {}
-        for i, e in faces[k][j]:
+        for i, e in faces[k][j].items():
             if i == skip:
                 continue
             for c, val in flow[k][i].items():
@@ -176,7 +165,7 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
             while stack:
                 i, ready = stack.pop()
                 if ready:
-                    u_inv = X.boundaries[k][i][band[i]].monomial_inverse()
+                    u_inv = faces[k][band[i]][i].monomial_inverse()
                     # u_inv is a unit, so nonzero coefficients stay nonzero
                     pushed = push(k, band[i], skip=i).items()
                     flow[k][i] = {c: -(u_inv * val) for c, val in pushed}
@@ -189,21 +178,19 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
                     active.add(i)
                     stack.append((i, True))
                     faces_i = reversed(faces[k][band[i]])
-                    stack.extend((i2, False) for i2, _ in faces_i if i2 != i)
+                    stack.extend((i2, False) for i2 in faces_i if i2 != i)
 
-    boundaries = []
-    for k in range(len(X.boundaries)):
+    # push lists cells in accumulation order; sorted, the rows ascend
+    columns = []
+    for k in range(len(faces)):
         rows = {c: r for r, c in enumerate(critical[k])}
-        reduced = [[zero] * len(critical[k + 1]) for _ in critical[k]]
-        for col, j in enumerate(critical[k + 1]):
-            for c, val in push(k, j).items():
-                reduced[rows[c]][col] = val
-        boundaries.append(reduced)
+        columns.append([
+            {rows[c]: val for c, val in sorted(push(k, j).items())}
+            for j in critical[k + 1]
+        ])
 
-    cells = [
-        tuple(X.cells[k][i] for i in critical[k]) for k in range(len(X.cells))
-    ]
-    return EquivariantComplex(ring, rank, cells, boundaries)
+    cells = tuple(tuple(X.cells[k][i] for i in c) for k, c in enumerate(critical))
+    return EquivariantComplex.from_columns(ring, rank, cells, columns)
 
 
 def morse_reduce(X: EquivariantComplex, seed: int = 0):

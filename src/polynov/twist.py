@@ -127,10 +127,11 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
         out.terms = terms
         return out
 
-    boundaries = [
-        [[move(e) for e in row] for row in matrix] for matrix in X.boundaries
+    columns = [
+        [{i: move(e) for i, e in column.items()} for column in band]
+        for band in X.columns
     ]
-    base = EquivariantComplex(ring, q.rank_out, X.cells, boundaries)
+    base = EquivariantComplex.from_columns(ring, q.rank_out, X.cells, columns)
     return TwistedComplex(
         base=base,
         quotient=q,
@@ -178,17 +179,14 @@ def lift_conjugation_self_test(T: TwistedComplex, seed: int = 0):
     units = [[unit() for _ in names] for names in X.cells]
     inverses = [[u.monomial_inverse() for u in row] for row in units]
 
-    boundaries = []
-    for k, matrix in enumerate(X.boundaries):
-        conj = [
-            [
-                inverses[k][i] * entry * units[k + 1][j]
-                for j, entry in enumerate(row)
-            ]
-            for i, row in enumerate(matrix)
+    columns = [
+        [
+            {i: inverses[k][i] * e * units[k + 1][j] for i, e in column.items()}
+            for j, column in enumerate(band)
         ]
-        boundaries.append(conj)
-    relifted = EquivariantComplex(ring, rank, X.cells, boundaries)
+        for k, band in enumerate(X.columns)
+    ]
+    relifted = EquivariantComplex.from_columns(ring, rank, X.cells, columns)
 
     def boundary_ranks(Y):
         return tuple(r.rank for r in chain_ranks(Y.boundaries))

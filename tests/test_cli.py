@@ -102,6 +102,28 @@ def test_malformed_document_is_input_error(capsys, tmp_path, document):
     assert json.loads(err)["error"]["type"] == "InputError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["approx", "--class", ",".join(["1"] * 800), "--eps", "1/10"],
+        ["novikov", "torus", "--class", ",".join(["1"] * 65)],
+        ["polytope", "torus", "--vertices", "1,0;" + ",".join(["1"] * 65)],
+        ["betti", "{doc}"],
+    ],
+)
+def test_deck_ranks_above_the_limit_are_input_errors(capsys, tmp_path, args):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"coefficients": "Q", "rank": 10000, "cells": [["v"]], "boundaries": []}
+    ))
+    args = [str(path) if a == "{doc}" else a for a in args]
+    code, out, err = call(capsys, [*args, "--format", "json"])
+    assert (code, out) == (2, "")
+    info = json.loads(err)["error"]
+    assert info["type"] == "InputError"
+    assert "above the limit 64" in info["message"]
+
+
 def test_missing_input(capsys):
     code, _, err = call(capsys, ["betti", "no_such_thing"])
     assert code == 2

@@ -25,7 +25,7 @@ from polynov.complexes import (
 from polynov.errors import CoverMismatch, InputError, ValidationError
 from polynov.groupring import CoefficientRing, GroupRingElement
 from polynov.homology import ordinary_betti
-from polynov.lattice import CohomologyClass, Polytope, quotient_map
+from polynov.lattice import MAX_DECK_RANK, CohomologyClass, Polytope, quotient_map
 
 Q = CoefficientRing.RAT
 
@@ -517,6 +517,128 @@ def test_ingest_square_zero_failure_is_validation_error():
     doc["boundaries"][1] = [["t2 - 1"], ["t1 - 1"]]
     with pytest.raises(ValidationError):
         ingest(doc)
+
+
+def test_ingest_rejects_ranks_above_the_limit():
+    assert MAX_DECK_RANK >= 5  # every bundled and benchmark rank
+    doc = {"coefficients": "Q", "rank": MAX_DECK_RANK, "cells": [["v"]], "boundaries": []}
+    assert ingest(doc).deck.rank == MAX_DECK_RANK
+    for rank in (MAX_DECK_RANK + 1, 10000):
+        with pytest.raises(InputError, match="above the limit"):
+            ingest({**doc, "rank": rank})
+    rows = [[0] for _ in range(MAX_DECK_RANK + 1)]
+    with pytest.raises(InputError, match="above the limit"):
+        ingest({"generators": ["x"], "relators": [], "deck_map": rows})
+    assert ingest({"generators": ["x"], "deck_map": rows[1:]}).deck.rank == MAX_DECK_RANK
+
+
+# -- the sparse store --------------------------------------------------------
+
+
+def assert_sparse_store(X):
+    """Stored entries are nonzero, rows ascend in every column, and the
+    dense view rebuilds the same complex."""
+    assert EquivariantComplex(X.ring, X.deck.rank, X.cells, X.boundaries) == X
+    for k, band in enumerate(X.columns):
+        assert len(band) == len(X.cells[k + 1])
+        for column in band:
+            assert all(not e.is_zero() for e in column.values())
+            assert list(column) == sorted(column)
+            assert all(0 <= i < len(X.cells[k]) for i in column)
+
+
+def test_ingest_stores_only_the_nonzero_entries(monkeypatch):
+    names, mats = cubical_torus(2, 6, Q)
+    document = EquivariantComplex(Q, 2, names, mats).to_json()
+    entries = [e for m in document["boundaries"] for row in m for e in row]
+    nonzero = [e for e in entries if e != "0"]
+    assert (len(entries), len(nonzero)) == (5184, 288)
+    parsed = []
+    parse = GroupRingElement.from_string
+
+    def spy(text, ring, rank):
+        parsed.append(text)
+        return parse(text, ring, rank)
+
+    monkeypatch.setattr(GroupRingElement, "from_string", spy)
+    X = ingest(document)
+    assert sorted(parsed) == sorted(nonzero)  # no element per "0" string
+    stored = [e for band in X.columns for column in band for e in column.values()]
+    assert len(stored) == 288
+    assert X.to_json() == document
+    assert_sparse_store(X)
+
+
+def test_every_layer_keeps_the_sparse_store():
+    from polynov import corpus
+    from polynov.morse import morse_reduce
+    from polynov.twist import tensor_base_change, twisted_complex
+
+    complexes = [corpus.load(name) for name in corpus.names()]
+    complexes += [
+        fox_boundary(GroupPresentation(["a", "b"], ["abAB", "aabb"]), [[1, -1]]),
+        ingest(torus_doc()),
+    ]
+    for n, m, ring in ((2, 3, Q), (2, 4, CoefficientRing.MOD2), (3, 2, Q)):
+        complexes.append(EquivariantComplex(ring, n, *cubical_torus(n, m, ring)))
+    checked = 0
+    for X in complexes:
+        assert_sparse_store(X)
+        for seed in range(4):
+            assert_sparse_store(morse_reduce(X, seed=seed)[0])
+        rank = X.deck.rank
+        if rank == 0:
+            continue
+        a = CohomologyClass(tuple(range(1, rank + 1)))
+        assert_sparse_store(X.specialize(quotient_map([a])))
+        P = Polytope([a, CohomologyClass((1,) + (0,) * (rank - 1))])
+        for route in (twisted_complex, tensor_base_change):
+            assert_sparse_store(route(X, P).base)
+        checked += 1
+    assert checked >= 8
+
+
+# The dense view serves serialization, the rank engine (whose elimination
+# fills in zeros), and the truncated-series oracle; every other layer reads
+# the stored columns.
+DENSE_CONSUMERS = {
+    ("complexes", "to_json"),
+    ("homology", "_rank_report"),
+    ("homology", "truncated_homology_oracle"),
+    ("twist", "lift_conjugation_self_test"),
+}
+
+
+def test_only_the_dense_consumers_read_the_dense_view():
+    import ast
+    from pathlib import Path
+
+    import polynov
+
+    readers = set()
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr == "boundaries":
+                readers.add((self.module, self.scope[0] if self.scope else None))
+            self.generic_visit(node)
+
+    sources = sorted(Path(polynov.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert ("complexes", "to_json") in readers  # the scan sees the view
+    assert readers - DENSE_CONSUMERS == set()
 
 
 # -- specialization and ray invariance ---------------------------------------

@@ -8,7 +8,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from polynov import groupring
-from polynov.complexes import ingest
+from polynov.complexes import EquivariantComplex, ingest
 from polynov.errors import InputError
 from polynov.groupring import (
     CoefficientRing,
@@ -549,7 +549,7 @@ def test_rank_deficient_lone_matrix_is_never_certified(ring):
         assert got.rank == _bareiss_rank(as_rational(rows) if ring is Z else rows)
 
 
-def test_mat_specialize_maps_nonzero_entries_only(monkeypatch):
+def test_specialize_maps_stored_entries_only(monkeypatch):
     calls = []
     original = GroupRingElement.specialize
 
@@ -560,12 +560,14 @@ def test_mat_specialize_maps_nonzero_entries_only(monkeypatch):
     monkeypatch.setattr(GroupRingElement, "specialize", spy)
     q = quotient_map([CohomologyClass((1, 1))])
     t = GroupRingElement.from_string("t1 - t2 + 1", Q, 2)
+    cancels = GroupRingElement.from_string("t1 - t2", Q, 2)
     zero = GroupRingElement.zero(Q, 2)
-    images = groupring.mat_specialize([[t, zero], [zero, zero]], q)
-    assert len(calls) == 1
-    assert images[0][0] == GroupRingElement.from_string("1", Q, 1)
-    assert images[0][1] is images[1][0] is images[1][1]
-    assert images[1][1] == GroupRingElement.zero(Q, 1)
+    X = EquivariantComplex(Q, 2, [["v", "w"], ["e", "f"]], [[[t, zero], [cancels, zero]]])
+    Y = X.specialize(q)
+    assert len(calls) == 2  # one per stored entry, none per zero
+    # t1 - t2 vanishes on the quotient and is not stored
+    assert Y.columns == (({0: GroupRingElement.one(Q, 1)}, {}),)
+    assert Y.to_json()["boundaries"] == [[["1", "0"], ["0", "0"]]]
 
 
 def test_unit_monomials():

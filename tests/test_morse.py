@@ -440,6 +440,15 @@ def test_validate_matching_rejects_bad_pairs():
         validate_matching(X, Matching([(0, 0, 5)]))
     with pytest.raises(InputError):
         validate_matching(X, Matching([(0, 0, 0), (0, 0, 1)]))
+    # a zero incidence is not stored; it is still named as an incidence
+    T = cubical(2, 2)
+    i, j = next(
+        (i, j) for i, row in enumerate(T.boundaries[0])
+        for j, e in enumerate(row) if e.is_zero()
+    )
+    assert i not in T.columns[0][j]
+    with pytest.raises(InputError, match=rf"^pair \(0, {i}, {j}\) has non-unit incidence 0$"):
+        validate_matching(T, Matching([(0, i, j)]))
 
 
 def test_matching_is_deterministic_per_seed():
