@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import add
+from operator import mul
 
 from .errors import CoverMismatch, InputError, ValidationError
-from .groupring import CoefficientRing, GroupRingElement
+from .groupring import CoefficientRing, GroupRingElement, kronecker_weights
 from .lattice import (
     DeckGroup,
     LatticeMap,
@@ -123,30 +123,68 @@ class EquivariantComplex:
 
         Column j of the product d_k d_{k+1} is formed from the stored
         entries only: entry (l, j) of d_{k+1} meets every entry (i, l) of
-        d_k, and the term products are summed per row. The first nonzero
-        sum in row-major order is reported.
+        d_k. Each term product goes to one int key
+        (`groupring.kronecker_weights`) whose digits are the row i and the
+        exponent sum, so a product of monomials is one int addition and
+        one dict holds the column. Exponents are taken relative to their
+        least value in the band, and the radix of variable v is its span
+        in d_k plus its span in d_{k+1} plus one: every sum of two
+        exponents has digits of its own, so a sum is zero exactly when the
+        sum on exponent tuples is, over Z, Q and Z/2. The least nonzero
+        key of a column gives its first offending row; the first offending
+        entry in row-major order is recomputed with group-ring arithmetic
+        for the report.
         """
         mod2 = self.ring is CoefficientRing.MOD2
+        exps = [
+            {x for c in band for e in c.values() for x in e.terms}
+            for band in self.columns
+        ]
         for k, (lower, upper) in enumerate(zip(self.columns, self.columns[1:])):
+            a_exps, b_exps = exps[k], exps[k + 1]
+            if not a_exps or not b_exps:
+                continue
+            a_low = [min(p) for p in zip(*a_exps)]
+            b_low = [min(p) for p in zip(*b_exps)]
+            row_w, *weights = kronecker_weights(
+                [len(self.cells[k])]
+                + [
+                    max(p) - la + max(q) - lb + 1
+                    for p, q, la, lb in zip(zip(*a_exps), zip(*b_exps), a_low, b_low)
+                ]
+            )
+            a_off = sum(map(mul, a_low, weights))
+            b_off = sum(map(mul, b_low, weights))
+            a_key = {x: sum(map(mul, x, weights)) - a_off for x in a_exps}
+            b_key = {x: sum(map(mul, x, weights)) - b_off for x in b_exps}
+            a_terms = [
+                [
+                    (i * row_w + a_key[x], c)
+                    for i, e in column.items()
+                    for x, c in e.terms.items()
+                ]
+                for column in lower
+            ]
             bad = []
             for j, column in enumerate(upper):
-                sums = {}  # row -> {exponent: coefficient}
+                acc = {}  # (row, exponent sum) key -> coefficient
+                get = acc.get
                 for l, b in column.items():
-                    b_terms = b.terms.items()
-                    for i, a in lower[l].items():
-                        acc = sums.setdefault(i, {})
-                        for e1, c1 in a.terms.items():
-                            for e2, c2 in b_terms:
-                                exp = tuple(map(add, e1, e2))
-                                acc[exp] = acc.get(exp, 0) + c1 * c2
-                bad.extend(
-                    (i, j, acc)
-                    for i, acc in sums.items()
-                    if any(c % 2 if mod2 else c for c in acc.values())
-                )
+                    a_column = a_terms[l]
+                    for x, c2 in b.terms.items():
+                        k2 = b_key[x]
+                        for k1, c1 in a_column:
+                            s = k1 + k2
+                            acc[s] = get(s, 0) + c1 * c2
+                nonzero = [s for s, c in acc.items() if (c % 2 if mod2 else c)]
+                if nonzero:
+                    bad.append((min(nonzero) // row_w, j))
             if bad:
-                i, j, acc = min(bad, key=lambda hit: hit[:2])
-                entry = GroupRingElement(self.ring, self.deck.rank, acc)
+                i, j = min(bad)
+                entry = GroupRingElement.zero(self.ring, self.deck.rank)
+                for l, b in upper[j].items():
+                    if i in lower[l]:
+                        entry = entry + lower[l][i] * b
                 raise ValidationError(
                     f"boundary square is nonzero from degree {k + 2}: "
                     f"entry ({i}, {j}) is {entry.to_string()}",

@@ -19,12 +19,18 @@ with p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), where its rank is a
 proved lower bound. `chain_ranks` certifies that bound as the exact rank
 when it is full or when d∘d = 0 pins it against a neighbouring boundary;
 "certified" means proved, whatever the point. Uncertified ranks fall back
-to the same fraction-free elimination, on polynomials held as plain
-exponent -> int dicts with coefficients in Z (mod 2 over Z/2), over Z/2 at
-any size and over Z or Q up to 64 rows and columns; above that the lower
-bound is reported as such (route "evaluation", exact=False). Before
-elimination each row is multiplied by a unit of the fraction field that
-clears its negative exponents and its denominators, which keeps the rank.
+to the same fraction-free elimination, over Z/2 at any size and over Z or
+Q up to 64 rows and columns; above that the lower bound is reported as
+such (route "evaluation", exact=False). Before elimination each row is
+multiplied by a unit of the fraction field that clears its negative
+exponents and its denominators, which keeps the rank. The polynomials are
+then plain packed-key -> int dicts with coefficients in Z (mod 2 over
+Z/2): each exponent vector is one int key of a mixed-radix Kronecker map
+(`kronecker_weights`), radix 2 * S_v + 1 for variable v, S_v the sum over
+the rows of the row's largest exponent of v. Every Bareiss entry is a
+minor, of degree at most S_v in v, and a*x - b*y has degree at most
+2 * S_v, so every key stays in the box where the map is injective and its
+int order is the lex order of the exponents.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
-from operator import add, sub
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError
@@ -406,96 +412,171 @@ class RankResult(NamedTuple):
     method: str
 
 
+def kronecker_weights(radices):
+    """Weights W of the mixed-radix (Kronecker) packing e -> sum(e_v * W_v)
+    of exponent vectors into ints, variable 0 the most significant digit:
+    W_v is the product of the radices of the variables after v.
+
+    Two vectors whose coordinates v differ by less than radices[v] pack
+    to the same int only if they are equal (at the first coordinate where
+    they differ, the difference outweighs everything after it), so no
+    offset is needed for negative exponents. On vectors with every
+    coordinate v in [0, radices[v]) the packing is the lex order, and
+    a key's digits key // W_v % radices[v] give the vector back. A product
+    of monomials is then one int addition (Kronecker substitution).
+    """
+    weights = [1] * len(radices)
+    for v in range(len(radices) - 1, 0, -1):
+        weights[v - 1] = weights[v] * radices[v]
+    return weights
+
+
 def _normal_form(rows):
     """Each row times a unit of the fraction field, which keeps the rank:
     the monomial that makes every exponent nonnegative and the lcm of the
-    row's coefficient denominators (1 over Z and Z/2). The entries come
-    back as ints over Z and Q without deck variables, else as exponent ->
-    int dicts with nonnegative exponents (coefficient 1 over Z/2)."""
+    row's coefficient denominators (1 over Z and Z/2).
+
+    Returns the matrix and the packing (weights, radices). The entries are
+    ints over Z and Q without deck variables, else packed-key -> int dicts
+    (coefficient 1 over Z/2): radix 2 * S_v + 1 for variable v, where S_v
+    sums over the rows the row's largest shifted exponent of v. Every
+    Bareiss entry is a minor, of degree at most S_v in v, and a*x - b*y
+    has degree at most 2 * S_v, so every key stays in the box where the
+    packing is injective and ordered lex (see `kronecker_weights`).
+    """
     ring, nvars = rows[0][0].ring, rows[0][0].rank
-    out = []
+    dens = [
+        math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        for row in rows
+    ]
+    if nvars == 0 and ring is not CoefficientRing.MOD2:
+        matrix = [
+            [c.numerator * (den // c.denominator)
+             for c in (e.terms.get((), 0) for e in row)]
+            for row, den in zip(rows, dens)
+        ]
+        return matrix, ((), ())
+    shifts, tops = [], [0] * nvars
     for row in rows:
-        shift = [0] * nvars
-        den = 1
-        for e in row:
-            for exp, c in e.terms.items():
-                shift = list(map(min, shift, exp))
-                den = math.lcm(den, c.denominator)
-        entries = [
+        exps = {exp for e in row for exp in e.terms}
+        if not exps:
+            shifts.append((0,) * nvars)
+            continue
+        columns = list(zip(*exps))
+        low = [min(c) for c in columns]
+        tops = [t + max(c) - m for t, c, m in zip(tops, columns, low)]
+        shifts.append(low)
+    radices = [2 * t + 1 for t in tops]
+    weights = kronecker_weights(radices)
+    matrix = []
+    for row, low, den in zip(rows, shifts, dens):
+        offset = sum(map(mul, low, weights))
+        matrix.append([
             {
-                tuple(map(sub, exp, shift)): c.numerator * (den // c.denominator)
+                sum(map(mul, exp, weights)) - offset:
+                    c.numerator * (den // c.denominator)
                 for exp, c in e.terms.items()
             }
             for e in row
-        ]
-        if nvars == 0 and ring is not CoefficientRing.MOD2:
-            entries = [entry.get((), 0) for entry in entries]
-        out.append(entries)
-    return out
+        ])
+    return matrix, (weights, radices)
 
 
 def _mul_sub(a, x, b, y, mod2):
-    """a*x - b*y of ints, or of exponent -> int dicts summed in one dict
-    and reduced mod 2 when asked."""
+    """a*x - b*y of ints, or of packed-key -> int dicts (a product of two
+    monomials is the sum of their keys), reduced mod 2 when asked."""
     if isinstance(a, int):
         return a * x - b * y
     acc = {}
+    get = acc.get
     for p, q, sign in ((a, x, 1), (b, y, -1)):
         for e1, c1 in p.items():
             c1 *= sign
             for e2, c2 in q.items():
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = acc.get(exp, 0) + c1 * c2
+                key = e1 + e2
+                acc[key] = get(key, 0) + c1 * c2
     if mod2:
-        return {exp: 1 for exp, c in acc.items() if c & 1}
-    return {exp: c for exp, c in acc.items() if c}
+        return {key: 1 for key, c in acc.items() if c & 1}
+    return {key: c for key, c in acc.items() if c}
 
 
-def _exact_div(num, den, mod2):
-    """Exact division of ints, or of exponent -> int dicts with nonnegative
-    exponents over Z (over Z/2 when mod2), dividing coefficients with
-    divmod.
+def _divisor(den, packing):
+    """A Bareiss divisor prepared for `_exact_div`: an int as it is, else
+    (den, leading key, leading coefficient, bounds), where bounds holds
+    (W_v, radix, lo_v, hi_v) for each variable v that needs a check. A key
+    r of the remainder gives the quotient term r - lead only when every
+    digit r_v lies in [lo_v, hi_v]: at least the lead's digit (no borrow,
+    so no negative exponent), and small enough that the term times every
+    monomial of den stays inside the box (no carry, so the keys keep
+    meaning exponents). Every digit of a key in the box passes [0, radix - 1],
+    so a variable with those bounds is left out."""
+    if isinstance(den, int):
+        return den
+    weights, radices = packing
+    lead = max(den)
+    bounds = []
+    for w, r in zip(weights, radices):
+        low = lead // w % r
+        high = r - 1 - max(key // w % r for key in den) + low
+        if low or high < r - 1:
+            bounds.append((w, r, low, high))
+    return den, lead, den[lead], bounds
+
+
+def _exact_div(num, divisor, mod2):
+    """Exact division of ints, or of packed-key -> int dicts with keys in
+    the box of the packing (see `_normal_form`), over Z (over Z/2 when
+    mod2), dividing coefficients with divmod; `divisor` comes from
+    `_divisor`.
 
     Requires den | num (guaranteed at every Bareiss step); raises
-    ArithmeticError otherwise. Each coefficient quotient is then exact,
-    because the lex-leading term of num is that of den times that of the
-    quotient.
+    ArithmeticError otherwise, exactly when division on exponent tuples
+    would. Each coefficient quotient is then exact, because the largest
+    key of num is that of den plus that of the quotient. A quotient term
+    must pass the digit bounds of `_divisor`: the largest key r of the
+    remainder may be >= lead while a digit of r is below the lead's (a
+    borrow, a negative exponent), and a term whose product with den would
+    carry out of a digit is no term of a true quotient, whose degree in
+    each variable is that of num less that of den.
     """
     if isinstance(num, int):
-        quot, rem = divmod(num, den)
+        quot, rem = divmod(num, divisor)
         if rem:
             raise ArithmeticError("inexact division")
         return quot
-    d_exp = max(den)
-    d_coeff = den[d_exp]
+    den, lead, lead_coeff, bounds = divisor
     rem = dict(num)
     quot = {}
     while rem:
-        r_exp = max(rem)
-        q_exp = tuple(map(sub, r_exp, d_exp))
-        if min(q_exp, default=0) < 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = quot[q_exp] = _exact_div(rem[r_exp], d_coeff, mod2)
-        for exp, c in den.items():
-            exp = tuple(map(add, q_exp, exp))
-            r = rem.get(exp, 0) - q * c
+        r_key = max(rem)
+        for w, r, low, high in bounds:
+            if not low <= r_key // w % r <= high:
+                raise ArithmeticError("inexact polynomial division")
+        q_key = r_key - lead
+        q, inexact = divmod(rem[r_key], lead_coeff)
+        if inexact:
+            raise ArithmeticError("inexact division")
+        quot[q_key] = q
+        for key, c in den.items():
+            key += q_key
+            r = rem.get(key, 0) - q * c
             if mod2:
                 r &= 1
             if r:
-                rem[exp] = r
+                rem[key] = r
             else:
-                del rem[exp]
+                del rem[key]
     return quot
 
 
 def _bareiss_rank(rows) -> int:
     """Rank over the fraction field by fraction-free elimination (Bareiss
     1968) on the normal form of a nonempty matrix, where every division
-    is exact: on ints for constants over Z and Q, on exponent -> int
-    dicts over Z or Z/2 otherwise."""
-    M = _normal_form(rows)
+    is exact: on ints for constants over Z and Q, on packed-key -> int
+    dicts over Z or Z/2 otherwise (see `_normal_form`)."""
+    M, packing = _normal_form(rows)
     mod2 = rows[0][0].ring is CoefficientRing.MOD2
-    prev = 1 if isinstance(M[0][0], int) else {(0,) * rows[0][0].rank: 1}
+    prev = 1 if isinstance(M[0][0], int) else {0: 1}
     n, m = len(M), len(M[0])
     rank = 0
     for k in range(min(n, m)):
@@ -513,12 +594,13 @@ def _bareiss_rank(rows) -> int:
                 row[k], row[pj] = row[pj], row[k]
         # column k below the pivot is never read again
         a, tail = M[k][k], M[k][k + 1:]
+        divisor = _divisor(prev, packing)
         for i in range(k + 1, n):
             b = M[i][k]
             # a*x - b*y is zero, and so is its quotient, when x is zero and
             # b or y is: then the entry x is kept as it is
             M[i][k + 1:] = [
-                _exact_div(_mul_sub(a, x, b, y, mod2), prev, mod2)
+                _exact_div(_mul_sub(a, x, b, y, mod2), divisor, mod2)
                 if x or b and y else x
                 for x, y in zip(M[i][k + 1:], tail)
             ]

@@ -19,13 +19,14 @@ the full product windowed afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import IncreaseOrder, InputError
 from .groupring import CoefficientRing, chain_ranks
 from .lattice import (
+    MAX_ORACLE_ORDER,
     CohomologyClass,
     Polytope,
     convex_combination,
@@ -136,9 +137,12 @@ def polytope_betti(X: EquivariantComplex, P: Polytope, B=None, *, seed=0) -> Bet
     intermediate domains (see the validity note on the report).
     """
     T = twisted_complex(X, P, B)
-    ring_desc = {"kind": "polytope", **T.ring_descriptor(),
-                 "validity": RANK_VALIDITY_NOTE}
-    return _rank_report(T.base, ring_desc, seed=seed)
+    return _rank_report(T.base, _polytope_ring(T), seed=seed)
+
+
+def _polytope_ring(T) -> dict:
+    return {"kind": "polytope", **T.ring_descriptor(),
+            "validity": RANK_VALIDITY_NOTE}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,8 @@ def truncated_homology_oracle(
     class after the kernel quotient). The truncation order doubles until
     two consecutive runs return the same boundary ranks and the result is
     internally consistent (nonnegative Betti, Euler identity); failing to
-    stabilize raises IncreaseOrder.
+    stabilize raises IncreaseOrder. A starting order above
+    `lattice.MAX_ORACLE_ORDER` is an InputError.
     """
     a = _as_class(a, X.deck.rank)
     if a.is_zero():
@@ -236,6 +241,10 @@ def truncated_homology_oracle(
     order = int(order)
     if order < 1:
         raise InputError("truncation order must be positive")
+    if order > MAX_ORACLE_ORDER:
+        raise InputError(
+            f"truncation order {order} is above the limit {MAX_ORACLE_ORDER}"
+        )
     q = quotient_map([a])
     if q.rank_out != 1:
         raise InputError("class does not induce a rank-one quotient")
@@ -318,15 +327,13 @@ def main_theorem_check(
     reduced_a, matching_a = morse_reduce(TA.base, seed=seed)
     reduced_b, matching_b = morse_reduce(TB.base, seed=seed + 101)
 
-    def twist_report(reduced, T):
-        desc = {"kind": "polytope", **T.ring_descriptor(),
-                "validity": RANK_VALIDITY_NOTE}
-        return _rank_report(reduced, desc)
-
-    rep_a = twist_report(reduced_a, TA)
-    rep_b = twist_report(reduced_b, TB)
-    rep_full = polytope_betti(X, P, None)
-    rep_restricted = polytope_betti(X, P, B) if B is not None else rep_full
+    rep_a = _rank_report(reduced_a, _polytope_ring(TA))
+    rep_b = _rank_report(reduced_b, _polytope_ring(TB))
+    # polytope_betti(X, P, B) and (X, P, None): the twist TA, ranked once;
+    # the full ring differs from the restricted one only in its descriptor
+    rep_restricted = _rank_report(TA.base, _polytope_ring(TA))
+    everything = replace(TA, finiteness=tuple(range(len(P.vertices))))
+    rep_full = replace(rep_restricted, ring=_polytope_ring(everything))
     nov_a = novikov_betti(X, a)
     nov_b = novikov_betti(X, b)
 

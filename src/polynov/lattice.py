@@ -55,6 +55,13 @@ def format_rational(q: Fraction) -> str:
 # bundled and benchmark complex has rank 5 or less.
 MAX_DECK_RANK = 64
 
+# The largest starting truncation order of the series oracle (`novikov
+# --order`). Its work grows about linearly with the order: the torus takes
+# 0.2 s at this limit and took 2.7 s at order 10^6, and the oracle may
+# double the order seven times. The bundled examples, the acceptance suite
+# and the benchmark start at 16 and run at most 8 orders, up to 2048.
+MAX_ORACLE_ORDER = 1 << 16
+
 
 def check_deck_rank(rank: int) -> int:
     """Return `rank`, or raise InputError when it is above MAX_DECK_RANK."""

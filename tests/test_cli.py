@@ -15,7 +15,7 @@ from polynov import homology
 from polynov.cli import main
 from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import matrix_rank_fraction_field
-from polynov.lattice import quotient_map, zero_class
+from polynov.lattice import MAX_ORACLE_ORDER, quotient_map, zero_class
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +122,21 @@ def test_deck_ranks_above_the_limit_are_input_errors(capsys, tmp_path, args):
     info = json.loads(err)["error"]
     assert info["type"] == "InputError"
     assert "above the limit 64" in info["message"]
+
+
+def test_oracle_orders_above_the_limit_are_input_errors(capsys):
+    # well above every order the corpus, the acceptance suite and the
+    # benchmark use, which start at 16 and double at most 8 times
+    assert MAX_ORACLE_ORDER >= 8 * 16 * 2**8
+    for order in (MAX_ORACLE_ORDER + 1, 10**9):
+        args = ["novikov", "torus", "--class", "1,0", "--order", str(order)]
+        code, out, err = call(capsys, [*args, "--format", "json"])
+        assert (code, out) == (2, "")
+        info = json.loads(err)["error"]
+        assert info == {
+            "type": "InputError",
+            "message": f"truncation order {order} is above the limit {MAX_ORACLE_ORDER}",
+        }
 
 
 def test_missing_input(capsys):

@@ -315,19 +315,19 @@ def test_mod2_contributions_cancel():
         )
 
 
-def random_poly(rng, ring, rank):
+def random_poly(rng, ring, rank, span=1):
     terms = {
-        tuple(rng.randint(-1, 1) for _ in range(rank)): rng.choice((1, -1, 2))
+        tuple(rng.randint(-span, span) for _ in range(rank)): rng.choice((1, -1, 2))
         for _ in range(rng.randint(1, 2))
     }
     return GroupRingElement(ring, rank, terms)
 
 
-def random_square_zero(rng, ring, rank):
+def random_square_zero(rng, ring, rank, span=1):
     """Koszul complex on three random elements (square-zero for any choice),
     then random elementary basis changes in the middle degrees: column b of
     d_k gains g * column a, and row a of d_{k+1} loses g * row b."""
-    fs = [random_poly(rng, ring, rank) for _ in range(3)]
+    fs = [random_poly(rng, ring, rank, span) for _ in range(3)]
     subsets = [list(itertools.combinations(range(3), k)) for k in range(4)]
     zero = GroupRingElement.zero(ring, rank)
     mats = []
@@ -342,7 +342,7 @@ def random_square_zero(rng, ring, rank):
     for _ in range(6):
         k = rng.randint(1, 2)
         a, b = rng.sample(range(3), 2)
-        g = random_poly(rng, ring, rank)
+        g = random_poly(rng, ring, rank, span)
         for row in mats[k - 1]:
             row[b] = row[b] + g * row[a]
         mats[k][a] = [x - g * y for x, y in zip(mats[k][a], mats[k][b])]
@@ -370,6 +370,46 @@ def test_validate_matches_dense_reference_on_random_complexes(ring):
         assert validate_outcome(X) == expected
         violations += expected is not None
     assert violations >= 10
+
+
+@pytest.mark.parametrize("ring", list(CoefficientRing))
+def test_validate_matches_dense_reference_at_deck_ranks_3_and_4(ring):
+    # exponents from -3 to 3, and a bump of two monomials at opposite corners
+    # of the exponent box, so that the packed sums reach both ends of every
+    # digit of the radix box
+    rng = random.Random(2025)
+    violations = 0
+    for _ in range(12):
+        rank = rng.randint(3, 4)
+        names, mats = random_square_zero(rng, ring, rank, span=3)
+        assert EquivariantComplex(ring, rank, names, mats).validate()
+        k = rng.randrange(3)
+        i = rng.randrange(len(mats[k]))
+        j = rng.randrange(len(mats[k][i]))
+        corner = tuple(rng.choice((-3, 3)) for _ in range(rank))
+        opposite = tuple(-e for e in corner)
+        bump = GroupRingElement(ring, rank, {corner: 1, opposite: rng.choice((1, -1))})
+        mats[k][i][j] = mats[k][i][j] + bump
+        X = EquivariantComplex(ring, rank, names, mats, validate=False)
+        expected = dense_violation(X)
+        assert validate_outcome(X) == expected
+        violations += expected is not None
+    assert violations >= 8
+
+
+@pytest.mark.parametrize("ring", [Q, CoefficientRing.MOD2])
+def test_violation_at_opposite_corners_of_the_box(ring):
+    # d1 d2 = t1 - t2^3: spans (1, 3) give radices (2, 4), where t1 and t2^3
+    # are the digits (1, 0) and (0, 3); one radix less would pack both to 3
+    # and let them cancel (over Z/2 as well, where the sum is t1 + t2^3)
+    X = EquivariantComplex(
+        ring, 2, [["v"], ["e"], ["f"]],
+        [[[elem("1", 2, ring)]], [[elem("t1 - t2^3", 2, ring)]]], validate=False,
+    )
+    text = "t1 - t2^3" if ring is Q else "t1 + t2^3"
+    expected = (2, 0, 0, f"boundary square is nonzero from degree 2: entry (0, 0) is {text}")
+    assert dense_violation(X) == expected
+    assert validate_outcome(X) == expected
 
 
 def cubical_torus(n, m, ring):

@@ -24,30 +24,35 @@ Z2 = CoefficientRing.MOD2
 
 
 def sympy_rank(rows):
-    """Independent oracle: rank over the rational function field, by
-    sympy's elimination over QQ(s1, ..., sr) (over QQ for constants), or
-    over GF(2)(s1, ..., sr) for Z/2 entries."""
+    """Independent oracle: rank over the rational function field in
+    s1, ..., sr over QQ (over GF(2) for Z/2 entries), by sympy's
+    fraction-free elimination over the polynomial ring QQ[s1, ..., sr]
+    (GF(2)[s1, ..., sr]; QQ or GF(2) for constants), whose pivots count the
+    rank over its fraction field. Each row is first multiplied by the
+    monomial that makes its exponents nonnegative, a unit of that field."""
     if not rows or not rows[0]:
         return 0
     rank = rows[0][0].rank
     symbols = sympy.symbols(f"s1:{rank + 1}") if rank else ()
     out = []
     for row in rows:
+        low = [min((x[i] for e in row for x in e.terms), default=0) for i in range(rank)]
         srow = []
         for e in row:
             expr = sympy.Integer(0)
             for exp, coeff in e.terms.items():
                 term = sympy.Rational(coeff)
                 for i, p in enumerate(exp):
-                    term *= symbols[i] ** p
+                    term *= symbols[i] ** (p - low[i])
                 expr += term
             srow.append(expr)
         out.append(srow)
     base = sympy.GF(2) if rows[0][0].ring is Z2 else sympy.QQ
-    field = base.frac_field(*symbols) if rank else base
-    M = DomainMatrix.from_list_sympy(len(out), len(out[0]), out).convert_to(field)
-    # fraction-free elimination: over GF(2)(s1, s2) it is many times faster
-    # than rank(), whose divisions each cancel a gcd
+    domain = base[symbols] if rank else base
+    M = DomainMatrix.from_list_sympy(len(out), len(out[0]), out).convert_to(domain)
+    # fraction-free elimination over the polynomial ring: over the rational
+    # function field GF(2)(s1, s2, s3) one 4x5 matrix took minutes, each
+    # division cancelling a gcd
     return len(M.rref_den(method="FF")[2])
 
 
@@ -350,6 +355,185 @@ def test_mod2_fallback_on_single_monomial_entries():
         got = matrix_rank_fraction_field(rows, seed=seed)
         assert got == (rank, True, "fraction-free")
         assert sympy_rank(rows) == rank
+
+
+@pytest.mark.parametrize("ring", [Q, Z, Z2])
+def test_bareiss_at_deck_rank_3_against_sympy(ring, monkeypatch):
+    # exponents from -3 to 3 in three variables and up to 6 rows, so that
+    # the products a*x - b*y reach the degree bound S_v of the minors, half
+    # way up the packing box (radix 2 * S_v + 1)
+    rng = random.Random({Q: 83, Z: 89, Z2: 97}[ring])
+    mul_sub, reached = groupring._mul_sub, []
+
+    def spy(a, x, b, y, mod2):
+        out = mul_sub(a, x, b, y, mod2)
+        weights, radices = packing
+        reached[-1] |= any(
+            key // w % r >= r // 2 for key in out for w, r in zip(weights, radices)
+        )
+        return out
+
+    monkeypatch.setattr(groupring, "_mul_sub", spy)
+
+    def random_entry(nterms):
+        x = random_element(rng, ring, 3, nterms=nterms, span=3)
+        if ring is Q:
+            c = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+            return x * GroupRingElement.monomial(ring, 3, (0, 0, 0), c)
+        return x
+
+    ranks = set()
+    for _ in range(5):
+        n = rng.randint(3, 6)
+        m = rng.randint(n, 6)
+        rows = [[random_entry(2) for _ in range(m)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, 2)):
+            combo = [GroupRingElement.zero(ring, 3)] * m
+            for j in rng.sample([j for j in range(n) if j != i], 2):
+                f = random_entry(1)
+                combo = [c + f * x for c, x in zip(combo, rows[j])]
+            rows[i] = combo
+        _, packing = groupring._normal_form(rows)
+        reached.append(False)
+        rank = _bareiss_rank(rows)
+        assert rank == sympy_rank(rows)
+        ranks.add(rank)
+    assert len(ranks) >= 2
+    assert sum(reached) >= 3
+
+
+def packed(terms, weights):
+    return {sum(e * w for e, w in zip(exp, weights)): c for exp, c in terms.items()}
+
+
+def tuple_exact_div(num, den, mod2):
+    """Reference: exact division on exponent-tuple dicts with nonnegative
+    exponents, raising ArithmeticError on a negative quotient exponent or
+    an inexact coefficient."""
+    d_exp = max(den)
+    rem, quot = dict(num), {}
+    while rem:
+        r_exp = max(rem)
+        q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
+        q, inexact = divmod(rem[r_exp], den[d_exp])
+        if min(q_exp) < 0 or inexact:
+            raise ArithmeticError
+        quot[q_exp] = q
+        for exp, c in den.items():
+            exp = tuple(a + b for a, b in zip(q_exp, exp))
+            r = rem.get(exp, 0) - q * c
+            if mod2:
+                r &= 1
+            if r:
+                rem[exp] = r
+            else:
+                del rem[exp]
+    return quot
+
+
+@pytest.mark.parametrize("ring", [Z, Z2])
+def test_packed_division_raises_on_a_borrow(ring):
+    mod2 = ring is Z2
+    t1, t2, one = (GroupRingElement.from_string(s, ring, 2) for s in ("t1", "t2", "1"))
+    for num, den in ((t1, t2), (t1 + one, t2 + one)):
+        (row,), packing = groupring._normal_form([[num, den]])
+        divisor = groupring._divisor(row[1], packing)
+        # the largest key of num is above the leading key of den, so the
+        # quotient key is >= 0 while its t2 exponent is -1
+        assert max(row[0]) >= divisor[1]
+        with pytest.raises(ArithmeticError):
+            groupring._exact_div(row[0], divisor, mod2)
+
+
+def test_packed_division_raises_on_a_carry():
+    # t1*t2 + t1 = t2 * (t1 + t2^6) + t1 - t2^7 is no multiple of t1 + t2^6,
+    # but with radices (3, 7) t2^7 would pack to the key of t1: without the
+    # carry bound the division would come out exact with quotient t2
+    radices = [3, 7]
+    weights = groupring.kronecker_weights(radices)
+    assert weights == [7, 1]
+    num = packed({(1, 1): 1, (1, 0): 1}, weights)
+    den = packed({(1, 0): 1, (0, 6): 1}, weights)
+    with pytest.raises(ArithmeticError):
+        groupring._exact_div(num, groupring._divisor(den, (weights, radices)), False)
+    with pytest.raises(ArithmeticError):
+        tuple_exact_div({(1, 1): 1, (1, 0): 1}, {(1, 0): 1, (0, 6): 1}, False)
+
+
+@pytest.mark.parametrize("ring", [Z, Z2])
+def test_packed_division_matches_the_exponent_division(ring):
+    # in boxes with little or no room to spare, packed division raises
+    # exactly when division on exponent tuples does, and else gives the
+    # same quotient
+    mod2 = ring is Z2
+    rng = random.Random(101 if mod2 else 103)
+
+    def poly(nvars, nterms):
+        terms = {}
+        for _ in range(nterms):
+            exp = tuple(rng.randint(0, 3) for _ in range(nvars))
+            terms[exp] = 1 if mod2 else rng.choice((1, -1, 2, -3))
+        return terms
+
+    def summed(terms):
+        out = {}
+        for exp, c in terms:
+            out[exp] = out.get(exp, 0) + c
+        return {e: c % 2 if mod2 else c for e, c in out.items() if (c % 2 if mod2 else c)}
+
+    outcomes = {"exact": 0, "raised": 0, "carried": 0}
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        den = poly(nvars, rng.randint(1, 3))
+        quot = poly(nvars, rng.randint(1, 3))
+        kind = rng.choice(("exact", "perturbed", "carried"))
+        if kind == "carried":
+            # the product taken on packed keys in a box too small for it,
+            # so that digits carry; its exponent form is then (mostly) no
+            # multiple of den, though its packed form is
+            radices = [max(e[v] for e in (*den, *quot)) + 1 for v in range(nvars)]
+            radices[0] *= 2  # room for the carries into the top digit
+            weights = groupring.kronecker_weights(radices)
+            num = {
+                tuple(key // w % r for w, r in zip(weights, radices)): c
+                for key, c in summed(
+                    (k1 + k2, c1 * c2)
+                    for k1, c1 in packed(quot, weights).items()
+                    for k2, c2 in packed(den, weights).items()
+                ).items()
+            }
+        else:
+            num = summed(
+                (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                for e1, c1 in quot.items()
+                for e2, c2 in den.items()
+            )
+            if kind == "perturbed":  # hence mostly inexact
+                num = summed([*num.items(), *poly(nvars, rng.randint(1, 2)).items()])
+            radices = [
+                max(e[v] for e in (*num, *den)) + 1 + rng.randint(0, 1)
+                for v in range(nvars)
+            ]
+            weights = groupring.kronecker_weights(radices)
+        if not num:
+            continue
+        divisor = groupring._divisor(packed(den, weights), (weights, radices))
+        try:
+            expected = tuple_exact_div(num, den, mod2)
+        except ArithmeticError:
+            expected = None
+        try:
+            quot = groupring._exact_div(packed(num, weights), divisor, mod2)
+            got = {
+                tuple(key // w % r for w, r in zip(weights, radices)): c
+                for key, c in quot.items()
+            }
+        except ArithmeticError:
+            got = None
+        assert got == expected
+        outcomes["raised" if got is None else "exact"] += 1
+        outcomes["carried"] += kind == "carried" and got is None
+    assert min(outcomes.values()) >= 30
 
 
 def test_rank_mod2_against_minor_oracle():

@@ -463,6 +463,28 @@ def test_main_theorem_with_restriction_and_seeds():
         assert report["reports"]["polytope_restricted"]["ring"]["finiteness"] == [0, 2]
 
 
+def test_main_theorem_twists_once_and_reports_the_polytope_rings(monkeypatch):
+    # the full and restricted reports are those of polytope_betti, though
+    # the check twists X once along the quotient and ranks that twist once
+    calls = []
+    twist = homology.twisted_complex
+    monkeypatch.setattr(
+        homology, "twisted_complex", lambda *args: calls.append(args) or twist(*args)
+    )
+    X = genus2()
+    P = Polytope([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    for B in (Subpolytope(P, (0, 2)), None):
+        calls.clear()
+        report = main_theorem_check(
+            X, P, ["1/4", "1/4", "1/4", "1/4"], ["1", "0", "0", "0"], B=B
+        )
+        assert len(calls) == 1
+        reports = report["reports"]
+        assert reports["polytope_full"] == polytope_betti(X, P).to_json()
+        assert reports["polytope_restricted"] == polytope_betti(X, P, B).to_json()
+        assert report["checks"]["restriction_keeps_betti"]
+
+
 def test_main_theorem_equal_weights_trivial():
     X = klein()
     P = Polytope([(1,)])
