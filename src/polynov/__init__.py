@@ -51,7 +51,6 @@ from .complexes import (
     GroupPresentation,
     fox_boundary,
     ingest,
-    ingest_path,
     scale_check,
 )
 from .twist import (
@@ -117,7 +116,6 @@ __all__ = [
     "format_rational",
     "geom_inverse",
     "ingest",
-    "ingest_path",
     "kernel_lattice",
     "leading_unit_inverse",
     "lift_conjugation_self_test",

@@ -3,9 +3,10 @@
 A complex stores, per degree, the list of base cell names and the boundary
 matrix whose entries live in the deck group ring (rows indexed by cells one
 degree down, columns by cells of the degree). It is stored once, as sparse
-columns with zeros never stored, and every layer reads those; the dense
-`boundaries` view serves only serialization, the rank engine and the
-truncated-series oracle, whose eliminations fill in zeros anyway.
+columns with zeros never stored, and every layer reads those, the rank
+engine included; the dense `boundaries` view serves only serialization
+and the truncated-series oracle, an independent cross-check whose
+row-major pivot order fixes its truncation orders.
 Square-zero is validated exactly on construction.
 
 Two JSON input modes are understood by `ingest`: explicit matrices, and a
@@ -485,15 +486,6 @@ def ingest(document) -> EquivariantComplex:
     if not any(X.cells):
         raise InputError("a complex document needs at least one cell")
     return X
-
-
-def ingest_path(path) -> EquivariantComplex:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return ingest(data)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ documents, for example "3*t1^2*t2^-1 + 1" (terms sorted by descending
 lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
 Matrix rank over the fraction field of the (Laurent) polynomial ring is
-exact elimination when the entries are constants: fraction-free (Bareiss)
-elimination over the integers for Z and Q, bitmask elimination over GF(2)
-for Z/2. Otherwise the matrix is evaluated at a seeded random point (in F_p
-with p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), where its rank is a
-proved lower bound. `chain_ranks` certifies that bound as the exact rank
+taken on sparse rows {column: element} of the nonzero entries, read off a
+complex's stored columns (`chain_ranks`) or off dense rows
+(`matrix_rank_fraction_field`). It is exact elimination on the stored
+entries when they are constants: fraction-free (Bareiss) elimination over
+the integers for Z and Q, bitmask elimination over GF(2) for Z/2.
+Otherwise the stored entries are evaluated at a seeded random point (in
+F_p with p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), where the rank
+is a proved lower bound. `chain_ranks` certifies that bound as the exact rank
 when it is full or when d∘d = 0 pins it against a neighbouring boundary;
 "certified" means proved, whatever the point. Uncertified ranks fall back
 to the same fraction-free elimination, over Z/2 at any size and over Z or
@@ -431,34 +434,35 @@ def kronecker_weights(radices):
     return weights
 
 
-def _normal_form(rows):
-    """Each row times a unit of the fraction field, which keeps the rank:
-    the monomial that makes every exponent nonnegative and the lcm of the
-    row's coefficient denominators (1 over Z and Z/2).
+def _normal_form(rows, ring, nvars):
+    """Each sparse row {column: element} times a unit of the fraction
+    field, which keeps the rank: the monomial that makes every exponent
+    nonnegative and the lcm of the row's coefficient denominators (1 over
+    Z and Z/2).
 
-    Returns the matrix and the packing (weights, radices). The entries are
-    ints over Z and Q without deck variables, else packed-key -> int dicts
-    (coefficient 1 over Z/2): radix 2 * S_v + 1 for variable v, where S_v
-    sums over the rows the row's largest shifted exponent of v. Every
-    Bareiss entry is a minor, of degree at most S_v in v, and a*x - b*y
-    has degree at most 2 * S_v, so every key stays in the box where the
-    packing is injective and ordered lex (see `kronecker_weights`).
+    Returns the rows, with the same stored columns, and the packing
+    (weights, radices), None for ints. The entries are ints over Z and Q
+    without deck variables, else packed-key -> int dicts (coefficient 1
+    over Z/2): radix 2 * S_v + 1 for variable v, where S_v sums over the
+    rows the row's largest shifted exponent of v. Every Bareiss entry is a
+    minor, of degree at most S_v in v, and a*x - b*y has degree at most
+    2 * S_v, so every key stays in the box where the packing is injective
+    and ordered lex (see `kronecker_weights`).
     """
-    ring, nvars = rows[0][0].ring, rows[0][0].rank
     dens = [
-        math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        math.lcm(*(c.denominator for e in row.values() for c in e.terms.values()))
         for row in rows
     ]
     if nvars == 0 and ring is not CoefficientRing.MOD2:
         matrix = [
-            [c.numerator * (den // c.denominator)
-             for c in (e.terms.get((), 0) for e in row)]
+            {j: c.numerator * (den // c.denominator)
+             for j, e in row.items() for c in e.terms.values()}
             for row, den in zip(rows, dens)
         ]
-        return matrix, ((), ())
+        return matrix, None
     shifts, tops = [], [0] * nvars
     for row in rows:
-        exps = {exp for e in row for exp in e.terms}
+        exps = {exp for e in row.values() for exp in e.terms}
         if not exps:
             shifts.append((0,) * nvars)
             continue
@@ -471,14 +475,14 @@ def _normal_form(rows):
     matrix = []
     for row, low, den in zip(rows, shifts, dens):
         offset = sum(map(mul, low, weights))
-        matrix.append([
-            {
+        matrix.append({
+            j: {
                 sum(map(mul, exp, weights)) - offset:
                     c.numerator * (den // c.denominator)
                 for exp, c in e.terms.items()
             }
-            for e in row
-        ])
+            for j, e in row.items()
+        })
     return matrix, (weights, radices)
 
 
@@ -569,54 +573,50 @@ def _exact_div(num, divisor, mod2):
     return quot
 
 
-def _bareiss_rank(rows) -> int:
+def _bareiss_rank(rows, ring, nvars) -> int:
     """Rank over the fraction field by fraction-free elimination (Bareiss
-    1968) on the normal form of a nonempty matrix, where every division
-    is exact: on ints for constants over Z and Q, on packed-key -> int
-    dicts over Z or Z/2 otherwise (see `_normal_form`)."""
-    M, packing = _normal_form(rows)
-    mod2 = rows[0][0].ring is CoefficientRing.MOD2
-    prev = 1 if isinstance(M[0][0], int) else {0: 1}
-    n, m = len(M), len(M[0])
+    1968) on the normal form of sparse rows {column: element}, where every
+    division is exact: on ints for constants over Z and Q, on packed-key ->
+    int dicts over Z or Z/2 otherwise (see `_normal_form`). The pivot is
+    the least column of the next nonzero row: Bareiss on a permuted
+    matrix, so every entry is still a minor. Entry x becomes
+    (a*x - b*y) / prev, b the row's entry in the pivot column and y the
+    pivot row's; it stays zero when x and b or y are, so only stored
+    entries are updated."""
+    M, packing = _normal_form(rows, ring, nvars)
+    mod2 = ring is CoefficientRing.MOD2
+    zero, prev = (0, 1) if packing is None else ({}, {0: 1})
     rank = 0
-    for k in range(min(n, m)):
-        pivot = next(
-            ((i, j) for i in range(k, n) for j in range(k, m) if M[i][j]),
-            None,
-        )
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            M[k], M[pi] = M[pi], M[k]
-        if pj != k:
-            for row in M:
-                row[k], row[pj] = row[pj], row[k]
-        # column k below the pivot is never read again
-        a, tail = M[k][k], M[k][k + 1:]
+    for k, pivot in enumerate(M):
+        if not pivot:
+            continue
+        c = min(pivot)
+        a = pivot.pop(c)
         divisor = _divisor(prev, packing)
-        for i in range(k + 1, n):
-            b = M[i][k]
-            # a*x - b*y is zero, and so is its quotient, when x is zero and
-            # b or y is: then the entry x is kept as it is
-            M[i][k + 1:] = [
-                _exact_div(_mul_sub(a, x, b, y, mod2), divisor, mod2)
-                if x or b and y else x
-                for x, y in zip(M[i][k + 1:], tail)
-            ]
+        for row in M[k + 1:]:
+            b = row.pop(c, zero)
+            for j in (row.keys() | pivot.keys()) if b else list(row):
+                x = _exact_div(
+                    _mul_sub(a, row.get(j, zero), b, pivot.get(j, zero), mod2),
+                    divisor, mod2,
+                )
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
         prev = a
         rank += 1
     return rank
 
 
 def _gf2_rank(rows) -> int:
-    """Rank over GF(2) of a constant 0/1 matrix, one int bitmask per row."""
+    """Rank over GF(2) of constant sparse rows, one int bitmask per row
+    with bit j set for each stored column j."""
     pivots = {}  # leading bit -> reduced row with that leading bit
     for row in rows:
         bits = 0
-        for j, e in enumerate(row):
-            if e.terms:
-                bits |= 1 << j
+        for j in row:
+            bits |= 1 << j
         while bits:
             top = bits.bit_length() - 1
             pivot = pivots.get(top)
@@ -669,14 +669,15 @@ def _point(ring, nvars, seed):
     return [rng.randrange(1, _P) for _ in range(nvars)]
 
 
-def _evaluate_mod_p(rows, point):
-    """The entries at the point, in F_p; None when a coefficient's
-    denominator is divisible by p (the point is then not in the domain)."""
-    monomials = {}
+def _evaluate_mod_p(rows, point, monomials):
+    """The stored entries of sparse rows at the point, as {column: value}
+    rows in F_p without zeros; None when a coefficient's denominator is
+    divisible by p (the point is then not in the domain). `monomials`
+    caches exponent -> value at the point."""
     out = []
     for row in rows:
-        values = []
-        for e in row:
+        values = {}
+        for j, e in row.items():
             acc = 0
             for exp, c in e.terms.items():
                 mono = monomials.get(exp)
@@ -692,20 +693,23 @@ def _evaluate_mod_p(rows, point):
                         return None
                     mono = mono * pow(den, -1, _P) % _P
                 acc += c.numerator * mono
-            values.append(acc % _P)
+            acc %= _P
+            if acc:
+                values[j] = acc
         out.append(values)
     return out
 
 
-def _evaluate_gf(rows, logs):
-    """The entries in GF(2^16) at the point whose coordinates have these
-    discrete logarithms; every coefficient is 1."""
+def _evaluate_gf(rows, logs, monomials):
+    """The stored entries of sparse rows in GF(2^16), as {column: value}
+    rows without zeros, at the point whose coordinates have these discrete
+    logarithms; every coefficient is 1. `monomials` caches exponent ->
+    value at the point."""
     exp_table, _ = _gf_tables()
-    monomials = {}
     out = []
     for row in rows:
-        values = []
-        for e in row:
+        values = {}
+        for j, e in row.items():
             acc = 0
             for exp in e.terms:
                 mono = monomials.get(exp)
@@ -713,62 +717,64 @@ def _evaluate_gf(rows, logs):
                     power = sum(k * l for k, l in zip(exp, logs)) % _GF_ORDER
                     mono = monomials[exp] = exp_table[power]
                 acc ^= mono
-            values.append(acc)
+            if acc:
+                values[j] = acc
         out.append(values)
     return out
 
 
 def _rank_mod_p(M) -> int:
-    pivots = {}  # leading column -> row with 1 there and zeros before it
+    """Rank of {column: value} rows over F_p; eliminates in place."""
+    pivots = {}  # leading column -> row with 1 there and no column before it
     for row in M:
-        col, m = 0, len(row)
-        while True:
-            while col < m and not row[col]:
-                col += 1
-            if col == m:
-                break
+        while row:
+            col = min(row)
             a = row[col]
             pivot = pivots.get(col)
             if pivot is None:
                 inv = pow(a, -1, _P)
-                pivots[col] = [x * inv % _P for x in row]
+                pivots[col] = {j: x * inv % _P for j, x in row.items()}
                 break
-            row = [(x - a * y) % _P for x, y in zip(row, pivot)]
+            for j, y in pivot.items():
+                x = (row.get(j, 0) - a * y) % _P
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
     return len(pivots)
 
 
 def _rank_gf(M) -> int:
+    """Rank of {column: value} rows over GF(2^16); eliminates in place."""
     exp_table, log_table = _gf_tables()
-    pivots = {}  # leading column -> logs of a row with 1 there (-1 for 0)
+    pivots = {}  # leading column -> {column: log} of a row with 1 there
     for row in M:
-        col, m = 0, len(row)
-        while True:
-            while col < m and not row[col]:
-                col += 1
-            if col == m:
-                break
+        while row:
+            col = min(row)
             la = log_table[row[col]]
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = [
-                    (log_table[x] - la) % _GF_ORDER if x else -1 for x in row
-                ]
+                pivots[col] = {
+                    j: (log_table[x] - la) % _GF_ORDER for j, x in row.items()
+                }
                 break
-            row = [
-                x ^ exp_table[la + l] if l >= 0 else x
-                for x, l in zip(row, pivot)
-            ]
+            for j, l in pivot.items():
+                x = row.get(j, 0) ^ exp_table[la + l]
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
     return len(pivots)
 
 
-def _point_rank(rows, ring, point) -> int:
-    """Rank of the matrix at the point: a proved lower bound for the rank
+def _point_rank(rows, ring, point, monomials) -> int:
+    """Rank of sparse rows at the point: a proved lower bound for the rank
     over the fraction field, since evaluation is a ring map and so every
     vanishing minor stays zero. 0 (still a lower bound) when the point is
     outside the domain of a coefficient."""
     if ring is CoefficientRing.MOD2:
-        return _rank_gf(_evaluate_gf(rows, point))
-    values = _evaluate_mod_p(rows, point)
+        return _rank_gf(_evaluate_gf(rows, point, monomials))
+    values = _evaluate_mod_p(rows, point, monomials)
     return 0 if values is None else _rank_mod_p(values)
 
 
@@ -787,79 +793,80 @@ def _shape(rows):
     return n, m, ring, rank
 
 
-def _is_empty(rows) -> bool:
-    return not rows or not rows[0]
-
-
 def matrix_rank_fraction_field(rows, *, seed: int = 0):
-    """Rank of a matrix of group-ring elements over the fraction field.
+    """Rank of a dense matrix of group-ring elements over the fraction field.
 
-    Fraction-free (Bareiss) elimination first multiplies each row by a
-    unit of the fraction field that clears its negative exponents and its
-    coefficient denominators, so it works on integer coefficients. With no
-    deck variables the entries are constants and elimination gives
-    the exact rank at any size (route "constant"): Bareiss on ints over Z
-    and Q, elimination on int-bitmask rows over Z/2. Otherwise the matrix
-    is evaluated at a random point seeded by `seed` (in F_p with
-    p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), and the rank there is
-    a proved lower bound. A lone matrix can only certify it when it is
-    full, min(rows, cols) (route "modular"); `chain_ranks` certifies more
-    from d∘d = 0. Otherwise the rank is Bareiss on polynomials over Z (over
-    Z/2 for Z/2; route "fraction-free"), over Z/2 at any size and over Z or
-    Q up to 64 rows and columns; above that the lower bound is returned
-    with exact=False (route "evaluation").
+    The rows are checked (InputError if ragged or of mixed rings), turned
+    into sparse rows and ranked by the code of `chain_ranks`, as a chain
+    of one: constants exactly at any size (route "constant"); otherwise
+    the rank at the point seeded by `seed`, certified only when it is
+    full (route "modular"), else the fallback ("fraction-free" or the
+    labelled lower bound "evaluation"; see the module docstring).
     """
-    if _is_empty(rows):
+    if not rows or not rows[0]:
         return RankResult(0, True, "empty")
-    n, m, ring, nvars = _shape(rows)
-    if nvars == 0:
-        if ring is CoefficientRing.MOD2:
-            return RankResult(_gf2_rank(rows), True, "constant")
-        return RankResult(_bareiss_rank(rows), True, "constant")
-    bound = _point_rank(rows, ring, _point(ring, nvars, seed))
-    if bound == min(n, m):
-        return RankResult(bound, True, "modular")
-    if ring is not CoefficientRing.MOD2 and max(n, m) > _BAREISS_LIMIT:
-        return RankResult(bound, False, "evaluation")
-    return RankResult(_bareiss_rank(rows), True, "fraction-free")
+    _, m, ring, nvars = _shape(rows)
+    sparse = [{j: e for j, e in enumerate(row) if e.terms} for row in rows]
+    return _ranks([(sparse, m)], ring, nvars, seed)[0]
 
 
-def chain_ranks(boundaries, *, seed: int = 0):
-    """Ranks over the fraction field of the boundaries of one complex.
+def chain_ranks(X, *, seed: int = 0):
+    """Ranks over the fraction field of the boundaries of the complex X.
 
-    `boundaries[i]` is the matrix from degree i + 1 to degree i, and the
-    caller guarantees boundaries[i] * boundaries[i + 1] = 0 (true of every
-    validated complex and of its images under ring maps). Each matrix
-    with deck variables is evaluated at one seeded random point, and its
-    rank there is a proved lower bound lb. It is the exact rank when it is
+    Boundary i, from degree i + 1 to degree i, is read from `X.columns`
+    as sparse rows {column: element}; d∘d = 0 holds for every validated
+    complex and its images under ring maps. Each boundary with deck
+    variables is evaluated once, at one seeded random point, and its rank
+    there is a proved lower bound lb. It is the exact rank when it is
     min(rows, cols), or when the chain bound closes: d∘d = 0 gives
     rank d_i + rank d_{i+1} <= n_i, the cell count between them, so
     lb_i + lb_{i+1} = n_i pins both ranks. These come back exact with
     route "modular"; the randomness can only cost a certificate, never
-    make one wrong. Every other matrix goes to
-    `matrix_rank_fraction_field`, which evaluates it again at the same
-    point (cheap next to the elimination that follows).
+    make one wrong. Every other such boundary takes the fallback of
+    `matrix_rank_fraction_field`, with lb as its labelled lower bound.
     """
-    results = [None] * len(boundaries)
-    bounds = []
-    for i, rows in enumerate(boundaries):
-        if _is_empty(rows) or rows[0][0].rank == 0:  # exact at any size
-            results[i] = matrix_rank_fraction_field(rows)
-            bounds.append(results[i].rank)
-        else:
-            _, _, ring, nvars = _shape(rows)
-            bounds.append(_point_rank(rows, ring, _point(ring, nvars, seed)))
+    bands = []
+    for k, band in enumerate(X.columns):
+        rows = [{} for _ in X.cells[k]]
+        for j, column in enumerate(band):
+            for i, e in column.items():
+                rows[i][j] = e
+        bands.append((rows, len(band)))
+    return _ranks(bands, X.ring, X.deck.rank, seed)
+
+
+def _ranks(bands, ring, nvars, seed):
+    """RankResults of the boundaries (sparse rows, column count) of one
+    chain, consecutive products zero, as `chain_ranks` describes."""
+    mod2 = ring is CoefficientRing.MOD2
+    point, monomials = _point(ring, nvars, seed), {}
+    results, bounds = [], []
+    for rows, m in bands:
+        result = None
+        if not rows or not m:
+            result = RankResult(0, True, "empty")
+        elif nvars == 0:  # exact at any size
+            rank = _gf2_rank(rows) if mod2 else _bareiss_rank(rows, ring, nvars)
+            result = RankResult(rank, True, "constant")
+        results.append(result)
+        bounds.append(
+            result.rank if result else _point_rank(rows, ring, point, monomials)
+        )
     certified = [
-        result is None and bound == min(len(rows), len(rows[0]))
-        for result, bound, rows in zip(results, bounds, boundaries)
+        result is None and bound == min(len(rows), m)
+        for result, bound, (rows, m) in zip(results, bounds, bands)
     ]
-    for i in range(1, len(boundaries)):
-        if bounds[i - 1] + bounds[i] == len(boundaries[i]):
+    for i in range(1, len(bands)):
+        if bounds[i - 1] + bounds[i] == len(bands[i][0]):
             certified[i - 1] = certified[i] = True
-    for i, rows in enumerate(boundaries):
-        if results[i] is None:
-            results[i] = (
-                RankResult(bounds[i], True, "modular") if certified[i]
-                else matrix_rank_fraction_field(rows, seed=seed)
-            )
+    for i, (rows, m) in enumerate(bands):
+        if results[i] is not None:
+            continue
+        if certified[i]:
+            results[i] = RankResult(bounds[i], True, "modular")
+        elif not mod2 and max(len(rows), m) > _BAREISS_LIMIT:
+            results[i] = RankResult(bounds[i], False, "evaluation")
+        else:
+            rank = _bareiss_rank(rows, ring, nvars)
+            results[i] = RankResult(rank, True, "fraction-free")
     return results

@@ -86,7 +86,7 @@ def _as_class(a, rank=None) -> CohomologyClass:
 
 
 def _rank_report(X: EquivariantComplex, ring_desc: dict, *, seed=0) -> BettiReport:
-    results = chain_ranks(X.boundaries, seed=seed)
+    results = chain_ranks(X, seed=seed)
     betti = _betti_from_ranks(X.cell_counts(), [r.rank for r in results])
     chi = euler_characteristic(X)
     method = (

@@ -189,7 +189,7 @@ def lift_conjugation_self_test(T: TwistedComplex, seed: int = 0):
     relifted = EquivariantComplex.from_columns(ring, rank, X.cells, columns)
 
     def boundary_ranks(Y):
-        return tuple(r.rank for r in chain_ranks(Y.boundaries))
+        return tuple(r.rank for r in chain_ranks(Y))
 
     before = boundary_ranks(X)
     after = boundary_ranks(relifted)

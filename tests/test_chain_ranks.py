@@ -16,17 +16,18 @@ from math import comb
 
 import pytest
 
+from polynov import groupring
 from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import (
     CoefficientRing,
     GroupRingElement,
-    _bareiss_rank,
     chain_ranks,
     matrix_rank_fraction_field,
 )
 from polynov.homology import novikov_betti, polytope_betti
 from polynov.lattice import CohomologyClass, Polytope, quotient_map
 from polynov.twist import twisted_complex
+from test_groupring import bareiss
 
 Q = CoefficientRing.RAT
 Z = CoefficientRing.INT
@@ -108,6 +109,10 @@ def hidden_complex(rng, ring, base, n, summands):
                 row[b] = row[b] + g * row[a]
         if d < len(mats):
             mats[d][a] = [x - g * y for x, y in zip(mats[d][a], mats[d][b])]
+    return build(ring, n, counts, mats)
+
+
+def build(ring, n, counts, mats):
     names = [[f"c{d}_{j}" for j in range(c)] for d, c in enumerate(counts)]
     return EquivariantComplex(ring, n, names, mats)
 
@@ -143,14 +148,21 @@ def reference_ranks(Y):
             [[GroupRingElement(Q, e.rank, e.terms) for e in row] for row in m]
             for m in Y.boundaries
         ]
-        return [_bareiss_rank(m) if m and m[0] else 0 for m in promote]
-    return [_bareiss_rank(m) if m and m[0] else 0 for m in Y.boundaries]
+        return [bareiss(m) if m and m[0] else 0 for m in promote]
+    return [bareiss(m) if m and m[0] else 0 for m in Y.boundaries]
 
 
 @pytest.mark.parametrize("ring", [Q, Z, Z2])
-def test_certified_ranks_match_the_construction_and_bareiss(ring):
+def test_certified_ranks_match_the_construction_and_bareiss(ring, monkeypatch):
     rng = random.Random({Q: 3, Z: 5, Z2: 7}[ring])
     routes = set()
+    evaluations = []
+    for name in ("_evaluate_mod_p", "_evaluate_gf"):
+        evaluate = getattr(groupring, name)
+        monkeypatch.setattr(
+            groupring, name,
+            lambda *args, evaluate=evaluate: evaluations.append(1) or evaluate(*args),
+        )
     for trial in range(8):
         base = "koszul" if trial % 2 == 0 else "cubical"
         n = 2 if base == "cubical" else rng.choice((2, 3))
@@ -171,8 +183,15 @@ def test_certified_ranks_match_the_construction_and_bareiss(ring):
             assert report.betti == expect
             assert report.checks["rank_exact"] is True
             assert report.method == "fraction-field exact"
-            results = chain_ranks(Y.boundaries, seed=trial)
+            evaluations.clear()
+            results = chain_ranks(Y, seed=trial)
             assert [r.rank for r in results] == reference_ranks(Y)
+            # one evaluation per boundary with deck variables and cells on
+            # both sides, the fallback reusing its rank at the point
+            assert len(evaluations) == sum(
+                1 for k, band in enumerate(Y.columns)
+                if Y.deck.rank and band and Y.cells[k]
+            )
             routes.update(r.method for r in results)
     assert {"modular", "fraction-free"} <= routes
 
@@ -180,14 +199,20 @@ def test_certified_ranks_match_the_construction_and_bareiss(ring):
 def test_chain_bound_certifies_what_a_lone_matrix_cannot():
     # Koszul T^3 over Q[Z^3]: d2 is 3x3 of rank 2, which alone proves only
     # rank >= 2; with rank d1 = 1 and n_1 = 3 the chain bound pins it
-    _, mats = torus(Q, 3, 1)
+    counts, mats = torus(Q, 3, 1)
     assert matrix_rank_fraction_field(mats[1]) == (2, True, "fraction-free")
-    assert chain_ranks(mats) == [
+    assert chain_ranks(build(Q, 3, counts, mats)) == [
         (1, True, "modular"), (2, True, "modular"), (1, True, "modular"),
     ]
-    # the zero map t -> 1 leaves nothing to certify: elimination decides
-    zero = GroupRingElement.zero(Q, 1)
-    assert chain_ranks([[[zero]]]) == [(0, True, "fraction-free")]
+    # the zero map t -> 1 leaves nothing to certify: elimination decides;
+    # a constant zero map is exact at once, and a degree with no cells
+    # leaves both of its boundaries empty
+    for rank, route in ((1, "fraction-free"), (0, "constant")):
+        zero = GroupRingElement.zero(Q, rank)
+        X = EquivariantComplex(Q, rank, [["v"], ["e", "f"]], [[[zero, zero]]])
+        assert chain_ranks(X) == [(0, True, route)]
+    X = EquivariantComplex(Q, 1, [["v"], [], ["f"]], [[[]], []])
+    assert chain_ranks(X) == [(0, True, "empty"), (0, True, "empty")]
 
 
 def test_integral_rational_complex_builds_no_fraction(monkeypatch):
@@ -208,7 +233,7 @@ def test_integral_rational_complex_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    results = chain_ranks(ingest(document).specialize(q).boundaries)
+    results = chain_ranks(ingest(document).specialize(q))
     monkeypatch.undo()
     assert built == []
     assert all(r.exact for r in results)

@@ -23,7 +23,7 @@ from polynov.complexes import (
     scale_check,
 )
 from polynov.errors import CoverMismatch, InputError, ValidationError
-from polynov.groupring import CoefficientRing, GroupRingElement
+from polynov.groupring import CoefficientRing, GroupRingElement, chain_ranks
 from polynov.homology import ordinary_betti
 from polynov.lattice import MAX_DECK_RANK, CohomologyClass, Polytope, quotient_map
 
@@ -444,14 +444,20 @@ def cubical_torus(n, m, ring):
 
 
 def test_cubical_t3_4_validates_and_locates_a_flipped_sign():
+    trivial = quotient_map([CohomologyClass((0, 0, 0))])
     for ring in (Q, CoefficientRing.MOD2):
         names, mats = cubical_torus(3, 4, ring)
         X = EquivariantComplex(ring, 3, names, mats)
         assert X.cell_counts() == (64, 192, 192, 64)
         assert X.validate()
-    report = ordinary_betti(X)  # over Z/2: constant 0/1 boundaries
-    assert report.betti == (1, 3, 3, 1)
-    assert report.checks["rank_exact"] is True
+        # constant boundaries: sparse Bareiss on ints over Q, bitmasks over
+        # Z/2; the ordinary ranks are (63, 126, 63) by construction
+        assert chain_ranks(X.specialize(trivial)) == [
+            (63, True, "constant"), (126, True, "constant"), (63, True, "constant"),
+        ]
+        report = ordinary_betti(X)
+        assert report.betti == (1, 3, 3, 1)
+        assert report.checks["rank_exact"] is True
     names, mats = cubical_torus(3, 4, Q)
     rng = random.Random(5)
     for k in (0, 1, 2):
@@ -638,14 +644,12 @@ def test_every_layer_keeps_the_sparse_store():
     assert checked >= 8
 
 
-# The dense view serves serialization, the rank engine (whose elimination
-# fills in zeros), and the truncated-series oracle; every other layer reads
-# the stored columns.
+# The dense view serves serialization and the truncated-series oracle, the
+# independent cross-check whose row-major pivot order fixes its orders;
+# every other layer, the rank engine included, reads the stored columns.
 DENSE_CONSUMERS = {
     ("complexes", "to_json"),
-    ("homology", "_rank_report"),
     ("homology", "truncated_homology_oracle"),
-    ("twist", "lift_conjugation_self_test"),
 }
 
 
@@ -679,6 +683,35 @@ def test_only_the_dense_consumers_read_the_dense_view():
         Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
     assert ("complexes", "to_json") in readers  # the scan sees the view
     assert readers - DENSE_CONSUMERS == set()
+
+
+def test_betti_numbers_and_self_tests_never_build_the_dense_view(monkeypatch):
+    from polynov import corpus
+    from polynov.homology import main_theorem_check, novikov_betti, polytope_betti
+    from polynov.twist import lift_conjugation_self_test, twisted_complex
+
+    complexes = [corpus.load(name) for name in corpus.names()]
+    complexes.append(EquivariantComplex(Q, 3, *cubical_torus(3, 2, Q)))
+
+    def refuse(self):
+        raise AssertionError("the dense boundary view was built")
+
+    monkeypatch.setattr(EquivariantComplex, "boundaries", property(refuse))
+    checked = 0
+    for X in complexes:
+        assert ordinary_betti(X).checks["rank_exact"] is True
+        rank = X.deck.rank
+        if rank == 0:
+            continue
+        a = CohomologyClass(tuple(range(1, rank + 1)))
+        novikov_betti(X, a)
+        P = Polytope([a, CohomologyClass((1,) + (0,) * (rank - 1))])
+        polytope_betti(X, P)
+        weights = ["1"] + ["0"] * (len(P.vertices) - 1)
+        assert main_theorem_check(X, P, weights, weights)["ok"]
+        assert lift_conjugation_self_test(twisted_complex(X, P))["ok"]
+        checked += 1
+    assert checked >= 5
 
 
 # -- specialization and ray invariance ---------------------------------------

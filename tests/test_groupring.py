@@ -23,6 +23,15 @@ Z = CoefficientRing.INT
 Z2 = CoefficientRing.MOD2
 
 
+def sparse(rows):
+    """Dense rows as the {column: element} rows the rank engine takes."""
+    return [{j: e for j, e in enumerate(row) if e.terms} for row in rows]
+
+
+def bareiss(rows):
+    return _bareiss_rank(sparse(rows), rows[0][0].ring, rows[0][0].rank)
+
+
 def sympy_rank(rows):
     """Independent oracle: rank over the rational function field in
     s1, ..., sr over QQ (over GF(2) for Z/2 entries), by sympy's
@@ -264,6 +273,25 @@ def test_rank_random_against_sympy_oracle():
         got = matrix_rank_fraction_field(rows)
         assert got.rank == sympy_rank(rows)
         assert got.exact
+    # all-zero matrices with and without deck variables; zero rows and
+    # columns inside a nonzero matrix; Z coefficients
+    def matrix(texts, ring=Q, rank=2):
+        return [[GroupRingElement.from_string(e, ring, rank) for e in row] for row in texts]
+
+    for rows, expected in (
+        (matrix([["0", "0", "0"], ["0", "0", "0"]]), (0, True, "fraction-free")),
+        (matrix([["0", "0"]] * 3, rank=0), (0, True, "constant")),
+        (matrix([["t1 - 1", "0", "t2"], ["0", "0", "0"], ["t1^2 - t1", "0", "t1*t2"]]),
+         (1, True, "fraction-free")),
+        (matrix([["0", "0", "0"], ["t1", "0", "1 - t2"], ["0", "0", "0"],
+                 ["0", "0", "3"]]), (2, True, "fraction-free")),
+        (matrix([["2*t1 - 3", "t2", "0"], ["4*t1 - 6", "2*t2", "0"]], Z),
+         (1, True, "fraction-free")),
+        (matrix([["2", "0", "-3"], ["0", "0", "0"], ["4", "0", "-6"]], Z, 0),
+         (1, True, "constant")),
+    ):
+        assert matrix_rank_fraction_field(rows) == expected
+        assert sympy_rank(rows) == expected[0]
 
 
 @pytest.mark.parametrize(
@@ -393,9 +421,9 @@ def test_bareiss_at_deck_rank_3_against_sympy(ring, monkeypatch):
                 f = random_entry(1)
                 combo = [c + f * x for c, x in zip(combo, rows[j])]
             rows[i] = combo
-        _, packing = groupring._normal_form(rows)
+        _, packing = groupring._normal_form(sparse(rows), ring, 3)
         reached.append(False)
-        rank = _bareiss_rank(rows)
+        rank = bareiss(rows)
         assert rank == sympy_rank(rows)
         ranks.add(rank)
     assert len(ranks) >= 2
@@ -436,7 +464,7 @@ def test_packed_division_raises_on_a_borrow(ring):
     mod2 = ring is Z2
     t1, t2, one = (GroupRingElement.from_string(s, ring, 2) for s in ("t1", "t2", "1"))
     for num, den in ((t1, t2), (t1 + one, t2 + one)):
-        (row,), packing = groupring._normal_form([[num, den]])
+        (row,), packing = groupring._normal_form([{0: num, 1: den}], ring, 2)
         divisor = groupring._divisor(row[1], packing)
         # the largest key of num is above the leading key of den, so the
         # quotient key is >= 0 while its t2 exponent is -1
@@ -602,7 +630,7 @@ def test_mod2_constant_rank_matches_bareiss():
             a, b = rng.sample(range(n - 1), 2)
             rows[-1] = [x + y for x, y in zip(rows[a], rows[b])]
         got = matrix_rank_fraction_field(rows)
-        assert got == (_bareiss_rank(rows), True, "constant")
+        assert got == (bareiss(rows), True, "constant")
 
 
 def test_evaluation_route_is_a_labelled_lower_bound():
@@ -620,14 +648,18 @@ def test_evaluation_route_is_a_labelled_lower_bound():
                 unit * GroupRingElement.from_string("t1 - 1", ring, 2),
                 unit * GroupRingElement.from_string("t2 - 1", ring, 2),
             ])
+        # the same matrix as the one boundary of a complex, in a chain
+        names = [[f"v{i}" for i in range(65)], ["a", "b"]]
+        X = EquivariantComplex(ring, 2, names, [rows])
         for seed in range(5):
             assert matrix_rank_fraction_field(rows, seed=seed) == (1, False, "evaluation")
+            assert groupring.chain_ranks(X, seed=seed) == [(1, False, "evaluation")]
 
 
 def point_rank(rows, seed):
     ring = rows[0][0].ring
     point = groupring._point(ring, rows[0][0].rank, seed)
-    return groupring._point_rank(rows, ring, point)
+    return groupring._point_rank(sparse(rows), ring, point, {})
 
 
 def as_rational(rows):
@@ -649,7 +681,7 @@ def test_point_rank_agrees_with_bareiss():
             [random_element(rng, ring, rank, nterms=2, span=1) for _ in range(m)]
             for _ in range(n)
         ]
-        exact = _bareiss_rank(as_rational(rows) if ring is Z else rows)
+        exact = bareiss(as_rational(rows) if ring is Z else rows)
         for seed in range(3):
             bound = point_rank(rows, seed)
             assert bound <= exact
@@ -699,7 +731,7 @@ def test_fractional_coefficients_evaluate_through_inverses():
         ]
         c = GroupRingElement.monomial(Q, 2, (0, 0), Fraction(2, 3))
         rows.append([x + y * c for x, y in zip(*rows)])
-        assert point_rank(rows, 0) == _bareiss_rank(rows)
+        assert point_rank(rows, 0) == bareiss(rows)
 
 
 def test_denominator_divisible_by_p_takes_the_fallback():
@@ -714,7 +746,8 @@ def test_denominator_divisible_by_p_takes_the_fallback():
     t = GroupRingElement.from_string("t", Q, 1)
     d1 = [[entry, -entry]]
     d2 = [[t], [t]]
-    assert [r.method for r in groupring.chain_ranks([d1, d2])] == [
+    X = EquivariantComplex(Q, 1, [["v"], ["a", "b"], ["f"]], [d1, d2])
+    assert [r.method for r in groupring.chain_ranks(X)] == [
         "fraction-free", "modular",
     ]
 
@@ -730,7 +763,7 @@ def test_rank_deficient_lone_matrix_is_never_certified(ring):
         rows = [r1, r2, [a + u * b for a, b in zip(r1, r2)]]
         got = matrix_rank_fraction_field(rows, seed=seed)
         assert got.method == "fraction-free"
-        assert got.rank == _bareiss_rank(as_rational(rows) if ring is Z else rows)
+        assert got.rank == bareiss(as_rational(rows) if ring is Z else rows)
 
 
 def test_specialize_maps_stored_entries_only(monkeypatch):
