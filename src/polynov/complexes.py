@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 from .errors import CoverMismatch, InputError, ValidationError
@@ -38,22 +39,15 @@ class EquivariantComplex:
 
     columns[k][j] is {row: element} for the nonzero entries of column j
     of the boundary from degree k + 1 to degree k, rows ascending.
+    `_pushed` holds the last (map, complex) pair that `pushed` built.
     """
 
-    __slots__ = ("ring", "deck", "cells", "columns")
+    __slots__ = ("ring", "deck", "cells", "columns", "_pushed")
 
     def __init__(self, ring, rank, cells, boundaries, validate=True):
         deck = DeckGroup(int(rank))
-        cells = tuple(tuple(str(n) for n in degree) for degree in cells)
-        for degree, names in enumerate(cells):
-            if len(set(names)) != len(names):
-                raise InputError(f"duplicate cell names in degree {degree}")
         boundaries = [[list(row) for row in matrix] for matrix in boundaries]
-        if len(boundaries) != len(cells) - 1:
-            raise InputError(
-                f"{len(cells)} degrees need {len(cells) - 1} "
-                f"boundary matrices, got {len(boundaries)}"
-            )
+        cells = _cell_names(cells, len(boundaries))
         columns = []
         for k, matrix in enumerate(boundaries):
             if len(matrix) != len(cells[k]):
@@ -78,6 +72,7 @@ class EquivariantComplex:
             columns.append(tuple(band))
         self.ring, self.deck, self.cells = ring, deck, cells
         self.columns = tuple(columns)
+        self._pushed = None
         if validate:
             self.validate()
 
@@ -90,6 +85,7 @@ class EquivariantComplex:
             tuple({i: e for i, e in column.items() if e.terms} for column in band)
             for band in columns
         )
+        X._pushed = None
         if validate:
             X.validate()
         return X
@@ -200,6 +196,9 @@ class EquivariantComplex:
     def specialize(self, lattice_map: LatticeMap) -> "EquivariantComplex":
         """Push all boundary entries forward along a deck-lattice quotient.
 
+        Within the call each distinct stored element (by identity: `ingest`
+        shares one element between equal entry strings) is pushed once,
+        and each distinct exponent goes through `lattice_map.apply` once.
         The quotient induces a ring map, and a ring map keeps d∘d = 0, so
         the image of this (validated) complex is not checked again.
         """
@@ -208,13 +207,33 @@ class EquivariantComplex:
                 f"map expects rank {lattice_map.rank_in}, complex has "
                 f"deck rank {self.deck.rank}"
             )
+        images = {}  # exponent -> image
+        done = {}  # id(element) -> pushed element; self keeps them alive
+
+        def push(e):
+            image = done.get(id(e))
+            if image is None:
+                image = done[id(e)] = e.specialize(lattice_map, images)
+            return image
+
         columns = [
-            [{i: e.specialize(lattice_map) for i, e in c.items()} for c in band]
+            [{i: push(e) for i, e in c.items()} for c in band]
             for band in self.columns
         ]
         return EquivariantComplex.from_columns(
             self.ring, lattice_map.rank_out, self.cells, columns, validate=False
         )
+
+    def pushed(self, lattice_map: LatticeMap) -> "EquivariantComplex":
+        """`specialize`, kept for the last map it was called with.
+
+        The Novikov rank and the truncated oracle of one `novikov` job push
+        along the same quotient; they share the pushed complex (and no
+        rank code). Only the last pair is held, and it dies with self.
+        """
+        if self._pushed is None or self._pushed[0] != lattice_map:
+            self._pushed = (lattice_map, self.specialize(lattice_map))
+        return self._pushed[1]
 
     # -- serialization --------------------------------------------------
 
@@ -419,6 +438,21 @@ def fox_boundary(
 # ingest
 
 
+def _cell_names(cells, nmatrices) -> tuple:
+    """Cell names as string tuples, distinct per degree, for a complex with
+    `nmatrices` boundary matrices."""
+    cells = tuple(tuple(str(n) for n in degree) for degree in cells)
+    for degree, names in enumerate(cells):
+        if len(set(names)) != len(names):
+            raise InputError(f"duplicate cell names in degree {degree}")
+    if nmatrices != len(cells) - 1:
+        raise InputError(
+            f"{len(cells)} degrees need {len(cells) - 1} "
+            f"boundary matrices, got {nmatrices}"
+        )
+    return cells
+
+
 def _integer(value, what) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
@@ -432,6 +466,12 @@ def _is_table(value) -> bool:
 def ingest(document) -> EquivariantComplex:
     """Build a complex from a parsed JSON document (either input mode).
 
+    Matrix mode works in proportion to the distinct entries: each distinct
+    entry string is parsed once, in first-occurrence order, and equal
+    strings share one (immutable) element; the columns are built straight
+    from the rows, skipping "0". Errors come in a fixed order: document
+    structure, non-string entries, the first unparsable string in
+    row-major order, cell names, matrix count, then row count and length.
     A deck rank (`rank`, or the row count of `deck_map`) above
     `lattice.MAX_DECK_RANK` is an InputError."""
     if isinstance(document, (str, bytes)):
@@ -474,15 +514,35 @@ def ingest(document) -> EquivariantComplex:
         raise InputError("cells must be a list of name lists, boundaries a list")
     if not all(_is_table(m) for m in raw):
         raise InputError("each boundary must be a list of rows")
-    if not all(isinstance(e, str) for m in raw for row in m for e in row):
+    try:
+        texts = dict.fromkeys(chain.from_iterable(row for m in raw for row in m))
+    except TypeError:  # an unhashable entry
+        texts = None
+    if texts is None or not all(isinstance(e, str) for e in texts):
         raise InputError("boundary entries must be strings")
-    zero = GroupRingElement.zero(ring, rank)
+    texts.pop("0", None)
     parse = GroupRingElement.from_string
-    boundaries = [
-        [[zero if e == "0" else parse(e, ring, rank) for e in row] for row in m]
-        for m in raw
-    ]
-    X = EquivariantComplex(ring, rank, cells, boundaries)
+    elements = {text: parse(text, ring, rank) for text in texts}
+    cells = _cell_names(cells, len(raw))
+    columns = []
+    for k, matrix in enumerate(raw):
+        if len(matrix) != len(cells[k]):
+            raise InputError(
+                f"boundary into degree {k}: {len(matrix)} rows for "
+                f"{len(cells[k])} cells"
+            )
+        band = [{} for _ in cells[k + 1]]
+        for i, row in enumerate(matrix):
+            if len(row) != len(band):
+                raise InputError(
+                    f"boundary from degree {k + 1}: row of length "
+                    f"{len(row)} for {len(band)} cells"
+                )
+            for column, text in zip(band, row):
+                if text != "0":
+                    column[i] = elements[text]
+        columns.append(band)
+    X = EquivariantComplex.from_columns(ring, rank, cells, columns)
     if not any(X.cells):
         raise InputError("a complex document needs at least one cell")
     return X

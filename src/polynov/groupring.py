@@ -125,13 +125,20 @@ class CoefficientRing(enum.Enum):
 
 
 _TERM_FACTOR = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
+# a sign starts a new term unless it follows '^', a sign, '*' or '/'
+_SIGN_SPLIT = re.compile(r"(?<=[^^+\-*/])(?=[+-])")
+_DECIMAL_EXPONENT = re.compile(r"[eE](\d[\d_]*)$")
+MAX_DECIMAL_EXPONENT = 4300  # Python's default limit on the digits of an int
 
 
 class GroupRingElement:
     """An element of R[Z^rank] with R one of the coefficient rings.
 
-    Instances are immutable by convention; all arithmetic returns fresh
-    elements and zero coefficients are never stored.
+    Instances are immutable, and the code relies on it: `ingest` hands one
+    element to every entry with the same text and `specialize` on a
+    complex pushes each distinct element once, so no code may change
+    `terms` after construction. All arithmetic returns fresh elements and
+    zero coefficients are never stored.
     """
 
     __slots__ = ("ring", "rank", "terms")
@@ -273,18 +280,24 @@ class GroupRingElement:
 
     # -- specialization -----------------------------------------------
 
-    def specialize(self, lattice_map: LatticeMap) -> "GroupRingElement":
+    def specialize(self, lattice_map: LatticeMap, images=None) -> "GroupRingElement":
         """Push forward along a lattice quotient; colliding monomials are
-        combined additively (and may cancel)."""
+        combined additively (and may cancel). `images` is an exponent ->
+        image dict that a caller may share between elements pushed along
+        the same map, so that each distinct exponent is mapped once."""
         if lattice_map.rank_in != self.rank:
             raise InputError(
                 f"map expects rank {lattice_map.rank_in}, element has {self.rank}"
             )
+        if images is None:
+            images = {}
         out = GroupRingElement.zero(self.ring, lattice_map.rank_out)
         ring = self.ring
         acc = {}
         for exp, coeff in self.terms.items():
-            image = lattice_map.apply(exp)
+            image = images.get(exp)
+            if image is None:
+                image = images[exp] = lattice_map.apply(exp)
             if image in acc:
                 s = ring.add(acc[image], coeff)
                 if s == 0:
@@ -339,58 +352,29 @@ class GroupRingElement:
 
     @classmethod
     def from_string(cls, text: str, ring: CoefficientRing, rank: int):
-        """Parse the canonical text form (and reasonable variants)."""
+        """Parse the canonical text form (and reasonable variants).
+
+        Each distinct factor is parsed once per call (`_factor`)."""
         s = text.replace(" ", "")
         if s in ("", "0"):
             return cls.zero(ring, rank)
-        # split into signed terms; a sign splits unless it follows '^'
-        chunks = []
-        start = 0
-        for i in range(1, len(s)):
-            if s[i] in "+-" and s[i - 1] not in "^+-*/":
-                chunks.append(s[start:i])
-                start = i
-        chunks.append(s[start:])
+        factors = {}
         acc = {}
-        for chunk in chunks:
-            sign = 1
-            while chunk and chunk[0] in "+-":
-                if chunk[0] == "-":
-                    sign = -sign
-                chunk = chunk[1:]
-            if not chunk:
+        for chunk in _SIGN_SPLIT.split(s):
+            body = chunk.lstrip("+-")
+            if not body:
                 raise InputError(f"dangling sign in {text!r}")
             exp = [0] * rank
-            coeff = sign
-            for factor in chunk.split("*"):
-                if not factor:
-                    raise InputError(f"empty factor in {text!r}")
-                m = _TERM_FACTOR.match(factor)
-                if m:
-                    idx_text, pow_text = m.groups()
-                    if idx_text:
-                        idx = int(idx_text)
-                    elif rank == 1:
-                        idx = 1
-                    else:
-                        raise InputError(
-                            f"bare variable 't' needs rank 1, got rank {rank}"
-                        )
-                    if not 1 <= idx <= rank:
-                        raise InputError(
-                            f"variable t{idx} out of range for rank {rank}"
-                        )
-                    exp[idx - 1] += int(pow_text) if pow_text else 1
+            coeff = -1 if chunk.count("-", 0, len(chunk) - len(body)) % 2 else 1
+            for factor in body.split("*"):
+                parsed = factors.get(factor)
+                if parsed is None:
+                    parsed = factors[factor] = _factor(factor, text, rank)
+                index, value = parsed
+                if index is None:
+                    coeff *= value
                 else:
-                    try:
-                        if factor.isdigit():
-                            coeff *= int(factor)
-                        else:
-                            coeff *= Fraction(factor)
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise InputError(
-                            f"bad factor {factor!r} in {text!r}"
-                        ) from exc
+                    exp[index] += value
             c = ring.coerce(coeff)
             exp = tuple(exp)
             if exp in acc:
@@ -403,6 +387,35 @@ class GroupRingElement:
         out = cls.zero(ring, rank)
         out.terms = acc
         return out
+
+
+def _factor(factor, text, rank):
+    """One factor of a term of `text`: (i, n) for t_{i+1}^n, (None, value)
+    for a coefficient. A decimal exponent above MAX_DECIMAL_EXPONENT is a
+    bad factor, as an int of more digits than Python's default limit is."""
+    if not factor:
+        raise InputError(f"empty factor in {text!r}")
+    m = _TERM_FACTOR.match(factor)
+    if m:
+        idx_text, pow_text = m.groups()
+        if idx_text:
+            idx = int(idx_text)
+        elif rank == 1:
+            idx = 1
+        else:
+            raise InputError(f"bare variable 't' needs rank 1, got rank {rank}")
+        if not 1 <= idx <= rank:
+            raise InputError(f"variable t{idx} out of range for rank {rank}")
+        return idx - 1, int(pow_text) if pow_text else 1
+    try:
+        if factor.isdigit():
+            return None, int(factor)
+        m = _DECIMAL_EXPONENT.search(factor)
+        if m and int(m[1]) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(factor)
+        return None, Fraction(factor)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad factor {factor!r} in {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,14 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
     indices = _restriction_indices(P, B)
     q = quotient_map(P.vertices)
     ring = X.ring
+    images = {}  # exponent -> image, each distinct exponent mapped once
 
     def move(e: GroupRingElement) -> GroupRingElement:
         terms = {}
         for exp, coeff in e.sorted_terms():
-            image = q.apply(exp)
+            image = images.get(exp)
+            if image is None:
+                image = images[exp] = q.apply(exp)
             s = ring.add(terms.get(image, 0), coeff)
             if s == 0:
                 del terms[image]

@@ -7,15 +7,17 @@ pin down process-level behavior (exit codes, stderr, byte determinism).
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from polynov import homology
+from polynov import cli, homology
 from polynov.cli import main
 from polynov.complexes import EquivariantComplex, ingest
-from polynov.groupring import matrix_rank_fraction_field
+from polynov.groupring import CoefficientRing, GroupRingElement, matrix_rank_fraction_field
 from polynov.lattice import MAX_ORACLE_ORDER, quotient_map, zero_class
+from test_complexes import cubical_torus
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -278,6 +280,74 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
         code, _, _ = call(capsys, [*args, "--format", "json"])
         assert code == 0
         assert len(calls) == expected
+
+
+def test_one_pushed_complex_per_novikov_job(capsys, monkeypatch):
+    # the Novikov rank and the truncated oracle share one pushforward
+    calls = []
+    original = EquivariantComplex.specialize
+
+    def counting(self, lattice_map):
+        calls.append(lattice_map)
+        return original(self, lattice_map)
+
+    monkeypatch.setattr(EquivariantComplex, "specialize", counting)
+    for args in (
+        ["novikov", "torus", "--class", "1,2"],
+        ["novikov", str(GOLDEN / "koszul3-Z.json"), "--class=1,2,3"],
+        ["novikov", str(GOLDEN / "koszul3-Z2.json"), "--class=-1,-1,-1"],
+    ):
+        calls.clear()
+        code, out, _ = call(capsys, [*args, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["oracle"] is not None
+        assert len(calls) == 1
+
+
+def test_equal_entry_strings_share_one_element_safely(capsys, monkeypatch, tmp_path):
+    # ingest hands one element to every equal entry string; no command may
+    # change a stored element
+    names, mats = cubical_torus(2, 3, CoefficientRing.RAT)
+    document = EquivariantComplex(CoefficientRing.RAT, 2, names, mats).to_json()
+    X = ingest(document)
+    stored = [e for band in X.columns for column in band for e in column.values()]
+    assert len({id(e) for e in stored}) < len(stored)
+    path = tmp_path / "cubical.json"
+    path.write_text(json.dumps(document))
+    monkeypatch.setattr(cli, "ingest", lambda doc: X)
+    for args in (
+        ["betti"],
+        ["novikov", "--class", "1,2"],
+        ["polytope", "--vertices", "1,0;0,1", "--restrict", "0"],
+        ["main-check", "--vertices", "1,0;0,1;1,1",
+         "--a", "1/2,1/4,1/4", "--b", "0,1/3,2/3", "--seed", "3"],
+        ["morse", "--seed", "1"],
+    ):
+        code, _, err = call(capsys, [args[0], str(path), *args[1:], "--format", "json"])
+        assert (code, err) == (0, "")
+    for k, matrix in enumerate(document["boundaries"]):
+        for i, row in enumerate(matrix):
+            for j, text in enumerate(row):
+                fresh = GroupRingElement.from_string(text, X.ring, 2)
+                assert X.columns[k][j].get(i, fresh) == fresh
+                assert (i in X.columns[k][j]) == (text != "0")
+    assert X.to_json() == document
+
+
+def test_huge_decimal_exponent_is_an_input_error(capsys, tmp_path):
+    # Fraction would expand 1e10000000 into 10**10000000, which takes seconds
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {**TORUS, "boundaries": [[["t1^2*1e10000000", "t2 - 1"]], TORUS["boundaries"][1]]}
+    ))
+    start = time.perf_counter()
+    code, out, err = call(capsys, ["validate", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "InputError",
+        "message": "bad factor '1e10000000' in 't1^2*1e10000000'",
+    }
 
 
 @pytest.mark.parametrize(

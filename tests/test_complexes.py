@@ -608,11 +608,47 @@ def test_ingest_stores_only_the_nonzero_entries(monkeypatch):
 
     monkeypatch.setattr(GroupRingElement, "from_string", spy)
     X = ingest(document)
-    assert sorted(parsed) == sorted(nonzero)  # no element per "0" string
+    # one parse per distinct string, in first-occurrence order; none for "0"
+    assert parsed == list(dict.fromkeys(nonzero))
     stored = [e for band in X.columns for column in band for e in column.values()]
     assert len(stored) == 288
+    # equal strings share one element
+    assert len({id(e) for e in stored}) == len(parsed)
     assert X.to_json() == document
     assert_sparse_store(X)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # a non-string entry beats a shape error
+        ({"boundaries": [[["t1 - 1", 7]]]}, "boundary entries must be strings"),
+        ({"boundaries": [[["t1 - 1", ["t2"]]], [["1 - t2"]]]},
+         "boundary entries must be strings"),
+        # of two bad strings, the first in row-major order is reported,
+        # wherever its repeats or the other string's repeats fall
+        ({"boundaries": [[["t1 - 1", "t9"]], [["t1 +"], ["t9"]]]},
+         "variable t9 out of range for rank 2"),
+        ({"boundaries": [[["t1 +", "t9"]], [["t9"], ["t1 +"]]]},
+         "dangling sign in 't1 +'"),
+        # a parse error beats duplicate cell names and a wrong matrix count
+        ({"cells": [["v"], ["e", "e"]], "boundaries": [[["1/0", "t2 - 1"]], []]},
+         "bad factor '1/0' in '1/0'"),
+        # then names, matrix count, row count and row length, in that order
+        ({"cells": [["v"], ["e", "e"]], "boundaries": [[["t1 - 1"]], []]},
+         "duplicate cell names in degree 1"),
+        ({"cells": [["v"], ["e1", "e2"]], "boundaries": [[["t1 - 1"], []], []]},
+         "2 degrees need 1 boundary matrices, got 2"),
+        ({"boundaries": [[["t1 - 1", "t2 - 1"], ["0"]], [["1 - t2"]]]},
+         "boundary into degree 0: 2 rows for 1 cells"),
+        ({"boundaries": [[["t1 - 1"]], [["1 - t2"]]]},
+         "boundary from degree 1: row of length 1 for 2 cells"),
+    ],
+)
+def test_ingest_error_precedence(changes, message):
+    with pytest.raises(InputError) as info:
+        ingest({**torus_doc(), **changes})
+    assert str(info.value) == message
 
 
 def test_every_layer_keeps_the_sparse_store():

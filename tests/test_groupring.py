@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from polynov.groupring import (
     _bareiss_rank,
     matrix_rank_fraction_field,
 )
-from polynov.lattice import CohomologyClass, quotient_map
+from polynov.lattice import CohomologyClass, LatticeMap, quotient_map
 
 Q = CoefficientRing.RAT
 Z = CoefficientRing.INT
@@ -160,6 +161,103 @@ def test_string_forms():
         with pytest.raises(InputError) as info:
             GroupRingElement.from_string(text, ring, rank)
         assert str(info.value) == message
+
+
+def character_loop_parse(text, ring, rank):
+    """The parser as it was before the sign split became one regex and
+    factors were parsed once per call: a loop over characters splits at a
+    sign unless it follows '^', a sign, '*' or '/', and every factor is
+    matched on its own. Returns the term dict."""
+    factor_re = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
+    s = text.replace(" ", "")
+    if s in ("", "0"):
+        return {}
+    chunks = []
+    start = 0
+    for i in range(1, len(s)):
+        if s[i] in "+-" and s[i - 1] not in "^+-*/":
+            chunks.append(s[start:i])
+            start = i
+    chunks.append(s[start:])
+    acc = {}
+    for chunk in chunks:
+        sign = 1
+        while chunk and chunk[0] in "+-":
+            if chunk[0] == "-":
+                sign = -sign
+            chunk = chunk[1:]
+        if not chunk:
+            raise InputError(f"dangling sign in {text!r}")
+        exp = [0] * rank
+        coeff = sign
+        for factor in chunk.split("*"):
+            if not factor:
+                raise InputError(f"empty factor in {text!r}")
+            m = factor_re.match(factor)
+            if m:
+                idx_text, pow_text = m.groups()
+                if idx_text:
+                    idx = int(idx_text)
+                elif rank == 1:
+                    idx = 1
+                else:
+                    raise InputError(
+                        f"bare variable 't' needs rank 1, got rank {rank}"
+                    )
+                if not 1 <= idx <= rank:
+                    raise InputError(f"variable t{idx} out of range for rank {rank}")
+                exp[idx - 1] += int(pow_text) if pow_text else 1
+            else:
+                try:
+                    coeff *= int(factor) if factor.isdigit() else Fraction(factor)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise InputError(f"bad factor {factor!r} in {text!r}") from exc
+        c = ring.coerce(coeff)
+        exp = tuple(exp)
+        if exp in acc:
+            c = ring.add(acc[exp], c)
+            if not c:
+                del acc[exp]
+                continue
+        if c:
+            acc[exp] = c
+    return acc
+
+
+def outcome(parse, text, ring, rank):
+    try:
+        return parse(text, ring, rank)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_parser_matches_the_character_loop_splitter():
+    # sign runs after '^', '+', '-', '*' and '/', empty factors, dangling
+    # signs, repeated factors; "1e3*" keeps a decimal exponent short
+    tokens = [
+        "t", "t1", "t2", "^", "^-", "-", "+", "+-", "--", "*", "/", "2/3*t1",
+        "1", "2", "0", " ", "1.5", "1e3*", "t1^2", "*t2^-1", " - t1",
+        " + 3*t2", "-1", " + t2^-1", "*t1", "*2",
+    ]
+    rng = random.Random(12)
+    errors = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
+        ring = rng.choice((Q, Z, Z2))
+        rank = rng.choice((1, 2, 2))
+        new = outcome(
+            lambda *a: GroupRingElement.from_string(*a).terms, text, ring, rank
+        )
+        assert new == outcome(character_loop_parse, text, ring, rank), text
+        errors += isinstance(new, str)
+    assert 300 < errors < 2700  # both outcomes are exercised
+
+
+def test_huge_decimal_exponents_are_bad_factors():
+    assert GroupRingElement.from_string("1e4300", Q, 1).terms == {(0,): 10**4300}
+    for text in ("t1^2*1e10000000", "1e4301", "2.5E99999999999", "1e" + "9" * 5000):
+        with pytest.raises(InputError, match="bad factor"):
+            GroupRingElement.from_string(text, Q, 2)
 
 
 def test_round_trip_random():
@@ -767,24 +865,35 @@ def test_rank_deficient_lone_matrix_is_never_certified(ring):
 
 
 def test_specialize_maps_stored_entries_only(monkeypatch):
-    calls = []
-    original = GroupRingElement.specialize
+    pushes, applied = [], []
+    push, apply = GroupRingElement.specialize, LatticeMap.apply
 
-    def spy(self, lattice_map):
-        calls.append(self)
-        return original(self, lattice_map)
+    def push_spy(self, lattice_map, images=None):
+        pushes.append(self)
+        return push(self, lattice_map, images)
 
-    monkeypatch.setattr(GroupRingElement, "specialize", spy)
+    def apply_spy(self, exponent):
+        applied.append(exponent)
+        return apply(self, exponent)
+
+    monkeypatch.setattr(GroupRingElement, "specialize", push_spy)
+    monkeypatch.setattr(LatticeMap, "apply", apply_spy)
     q = quotient_map([CohomologyClass((1, 1))])
     t = GroupRingElement.from_string("t1 - t2 + 1", Q, 2)
     cancels = GroupRingElement.from_string("t1 - t2", Q, 2)
     zero = GroupRingElement.zero(Q, 2)
-    X = EquivariantComplex(Q, 2, [["v", "w"], ["e", "f"]], [[[t, zero], [cancels, zero]]])
+    X = EquivariantComplex(
+        Q, 2, [["v", "w"], ["e", "f", "g"]], [[[t, zero, t], [cancels, zero, zero]]]
+    )
     Y = X.specialize(q)
-    assert len(calls) == 2  # one per stored entry, none per zero
+    # one push per distinct stored element (t is stored twice), none per zero
+    assert pushes == [t, cancels]
+    # one image per distinct exponent: t1, t2 and 1
+    assert sorted(applied) == [(0, 0), (0, 1), (1, 0)]
     # t1 - t2 vanishes on the quotient and is not stored
-    assert Y.columns == (({0: GroupRingElement.one(Q, 1)}, {}),)
-    assert Y.to_json()["boundaries"] == [[["1", "0"], ["0", "0"]]]
+    one = GroupRingElement.one(Q, 1)
+    assert Y.columns == (({0: one}, {}, {0: one}),)
+    assert Y.to_json()["boundaries"] == [[["1", "0", "1"], ["0", "0", "0"]]]
 
 
 def test_unit_monomials():
