@@ -39,7 +39,7 @@ class EquivariantComplex:
 
     columns[k][j] is {row: element} for the nonzero entries of column j
     of the boundary from degree k + 1 to degree k, rows ascending.
-    `_pushed` holds the last (map, complex) pair that `pushed` built.
+    `_pushed` holds the last (map, complex) pair that `specialize` built.
     """
 
     __slots__ = ("ring", "deck", "cells", "columns", "_pushed")
@@ -47,31 +47,19 @@ class EquivariantComplex:
     def __init__(self, ring, rank, cells, boundaries, validate=True):
         deck = DeckGroup(int(rank))
         boundaries = [[list(row) for row in matrix] for matrix in boundaries]
-        cells = _cell_names(cells, len(boundaries))
-        columns = []
-        for k, matrix in enumerate(boundaries):
-            if len(matrix) != len(cells[k]):
-                raise InputError(
-                    f"boundary into degree {k}: {len(matrix)} rows for "
-                    f"{len(cells[k])} cells"
-                )
-            band = [{} for _ in cells[k + 1]]
-            for i, row in enumerate(matrix):
-                if len(row) != len(band):
-                    raise InputError(
-                        f"boundary from degree {k + 1}: row of length "
-                        f"{len(row)} for {len(band)} cells"
-                    )
-                for column, e in zip(band, row):
-                    if not isinstance(e, GroupRingElement):
-                        raise InputError("boundary entries must be ring elements")
-                    if e.ring is not ring or e.rank != deck.rank:
-                        raise InputError("boundary entry in the wrong ring")
-                    if e.terms:
-                        column[i] = e
-            columns.append(tuple(band))
+
+        def fill(band, i, row):
+            for column, e in zip(band, row):
+                if not isinstance(e, GroupRingElement):
+                    raise InputError("boundary entries must be ring elements")
+                if e.ring is not ring or e.rank != deck.rank:
+                    raise InputError("boundary entry in the wrong ring")
+                if e.terms:
+                    column[i] = e
+
+        cells, columns = _columns(cells, boundaries, fill)
         self.ring, self.deck, self.cells = ring, deck, cells
-        self.columns = tuple(columns)
+        self.columns = columns
         self._pushed = None
         if validate:
             self.validate()
@@ -201,12 +189,21 @@ class EquivariantComplex:
         and each distinct exponent goes through `lattice_map.apply` once.
         The quotient induces a ring map, and a ring map keeps d∘d = 0, so
         the image of this (validated) complex is not checked again.
+
+        The result for the last map is kept on self and returned again for
+        an equal map: the Novikov rank and the truncated oracle of one
+        `novikov` job push along the same quotient, and share the pushed
+        complex (and no rank code). Complexes and their elements are never
+        changed after construction, so a caller that asks twice gets what a
+        second pushforward would build.
         """
         if lattice_map.rank_in != self.deck.rank:
             raise InputError(
                 f"map expects rank {lattice_map.rank_in}, complex has "
                 f"deck rank {self.deck.rank}"
             )
+        if self._pushed is not None and self._pushed[0] == lattice_map:
+            return self._pushed[1]
         images = {}  # exponent -> image
         done = {}  # id(element) -> pushed element; self keeps them alive
 
@@ -220,20 +217,11 @@ class EquivariantComplex:
             [{i: push(e) for i, e in c.items()} for c in band]
             for band in self.columns
         ]
-        return EquivariantComplex.from_columns(
+        Y = EquivariantComplex.from_columns(
             self.ring, lattice_map.rank_out, self.cells, columns, validate=False
         )
-
-    def pushed(self, lattice_map: LatticeMap) -> "EquivariantComplex":
-        """`specialize`, kept for the last map it was called with.
-
-        The Novikov rank and the truncated oracle of one `novikov` job push
-        along the same quotient; they share the pushed complex (and no
-        rank code). Only the last pair is held, and it dies with self.
-        """
-        if self._pushed is None or self._pushed[0] != lattice_map:
-            self._pushed = (lattice_map, self.specialize(lattice_map))
-        return self._pushed[1]
+        self._pushed = (lattice_map, Y)
+        return Y
 
     # -- serialization --------------------------------------------------
 
@@ -438,19 +426,40 @@ def fox_boundary(
 # ingest
 
 
-def _cell_names(cells, nmatrices) -> tuple:
-    """Cell names as string tuples, distinct per degree, for a complex with
-    `nmatrices` boundary matrices."""
+def _columns(cells, matrices, fill):
+    """Cell names (string tuples) and the column store of `matrices`.
+
+    Checks, in this order: distinct names per degree, the matrix count,
+    then per matrix its row count and per row its length. `fill(band, i,
+    row)` stores the entries of row i, of checked length, in the column
+    dicts of band (one call per row, so no call per entry).
+    """
     cells = tuple(tuple(str(n) for n in degree) for degree in cells)
     for degree, names in enumerate(cells):
         if len(set(names)) != len(names):
             raise InputError(f"duplicate cell names in degree {degree}")
-    if nmatrices != len(cells) - 1:
+    if len(matrices) != len(cells) - 1:
         raise InputError(
             f"{len(cells)} degrees need {len(cells) - 1} "
-            f"boundary matrices, got {nmatrices}"
+            f"boundary matrices, got {len(matrices)}"
         )
-    return cells
+    columns = []
+    for k, matrix in enumerate(matrices):
+        if len(matrix) != len(cells[k]):
+            raise InputError(
+                f"boundary into degree {k}: {len(matrix)} rows for "
+                f"{len(cells[k])} cells"
+            )
+        band = [{} for _ in cells[k + 1]]
+        for i, row in enumerate(matrix):
+            if len(row) != len(band):
+                raise InputError(
+                    f"boundary from degree {k + 1}: row of length "
+                    f"{len(row)} for {len(band)} cells"
+                )
+            fill(band, i, row)
+        columns.append(tuple(band))
+    return cells, tuple(columns)
 
 
 def _integer(value, what) -> int:
@@ -523,25 +532,13 @@ def ingest(document) -> EquivariantComplex:
     texts.pop("0", None)
     parse = GroupRingElement.from_string
     elements = {text: parse(text, ring, rank) for text in texts}
-    cells = _cell_names(cells, len(raw))
-    columns = []
-    for k, matrix in enumerate(raw):
-        if len(matrix) != len(cells[k]):
-            raise InputError(
-                f"boundary into degree {k}: {len(matrix)} rows for "
-                f"{len(cells[k])} cells"
-            )
-        band = [{} for _ in cells[k + 1]]
-        for i, row in enumerate(matrix):
-            if len(row) != len(band):
-                raise InputError(
-                    f"boundary from degree {k + 1}: row of length "
-                    f"{len(row)} for {len(band)} cells"
-                )
-            for column, text in zip(band, row):
-                if text != "0":
-                    column[i] = elements[text]
-        columns.append(band)
+
+    def fill(band, i, row):
+        for column, text in zip(band, row):
+            if text != "0":
+                column[i] = elements[text]
+
+    cells, columns = _columns(cells, raw, fill)
     X = EquivariantComplex.from_columns(ring, rank, cells, columns)
     if not any(X.cells):
         raise InputError("a complex document needs at least one cell")

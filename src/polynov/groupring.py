@@ -354,11 +354,11 @@ class GroupRingElement:
     def from_string(cls, text: str, ring: CoefficientRing, rank: int):
         """Parse the canonical text form (and reasonable variants).
 
-        Each distinct factor is parsed once per call (`_factor`)."""
+        A decimal exponent above MAX_DECIMAL_EXPONENT is a bad factor, as
+        an int of more digits than Python's default limit is."""
         s = text.replace(" ", "")
         if s in ("", "0"):
             return cls.zero(ring, rank)
-        factors = {}
         acc = {}
         for chunk in _SIGN_SPLIT.split(s):
             body = chunk.lstrip("+-")
@@ -367,14 +367,37 @@ class GroupRingElement:
             exp = [0] * rank
             coeff = -1 if chunk.count("-", 0, len(chunk) - len(body)) % 2 else 1
             for factor in body.split("*"):
-                parsed = factors.get(factor)
-                if parsed is None:
-                    parsed = factors[factor] = _factor(factor, text, rank)
-                index, value = parsed
-                if index is None:
-                    coeff *= value
+                if not factor:
+                    raise InputError(f"empty factor in {text!r}")
+                m = _TERM_FACTOR.match(factor)
+                if m:
+                    idx_text, pow_text = m.groups()
+                    if idx_text:
+                        idx = int(idx_text)
+                    elif rank == 1:
+                        idx = 1
+                    else:
+                        raise InputError(
+                            f"bare variable 't' needs rank 1, got rank {rank}"
+                        )
+                    if not 1 <= idx <= rank:
+                        raise InputError(
+                            f"variable t{idx} out of range for rank {rank}"
+                        )
+                    exp[idx - 1] += int(pow_text) if pow_text else 1
                 else:
-                    exp[index] += value
+                    try:
+                        if factor.isdigit():
+                            coeff *= int(factor)
+                        else:
+                            big = _DECIMAL_EXPONENT.search(factor)
+                            if big and int(big[1]) > MAX_DECIMAL_EXPONENT:
+                                raise ValueError(factor)
+                            coeff *= Fraction(factor)
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise InputError(
+                            f"bad factor {factor!r} in {text!r}"
+                        ) from exc
             c = ring.coerce(coeff)
             exp = tuple(exp)
             if exp in acc:
@@ -387,35 +410,6 @@ class GroupRingElement:
         out = cls.zero(ring, rank)
         out.terms = acc
         return out
-
-
-def _factor(factor, text, rank):
-    """One factor of a term of `text`: (i, n) for t_{i+1}^n, (None, value)
-    for a coefficient. A decimal exponent above MAX_DECIMAL_EXPONENT is a
-    bad factor, as an int of more digits than Python's default limit is."""
-    if not factor:
-        raise InputError(f"empty factor in {text!r}")
-    m = _TERM_FACTOR.match(factor)
-    if m:
-        idx_text, pow_text = m.groups()
-        if idx_text:
-            idx = int(idx_text)
-        elif rank == 1:
-            idx = 1
-        else:
-            raise InputError(f"bare variable 't' needs rank 1, got rank {rank}")
-        if not 1 <= idx <= rank:
-            raise InputError(f"variable t{idx} out of range for rank {rank}")
-        return idx - 1, int(pow_text) if pow_text else 1
-    try:
-        if factor.isdigit():
-            return None, int(factor)
-        m = _DECIMAL_EXPONENT.search(factor)
-        if m and int(m[1]) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(factor)
-        return None, Fraction(factor)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad factor {factor!r} in {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def novikov_betti(X: EquivariantComplex, a) -> BettiReport:
         "deck_rank": X.deck.rank,
         "class": a.ray_normalized().to_json(),
     }
-    return _rank_report(X.pushed(q), ring_desc)
+    return _rank_report(X.specialize(q), ring_desc)
 
 
 def ordinary_betti(X: EquivariantComplex) -> BettiReport:
@@ -248,7 +248,7 @@ def truncated_homology_oracle(
     q = quotient_map([a])
     if q.rank_out != 1:
         raise InputError("class does not induce a rank-one quotient")
-    Y = X.pushed(q)
+    Y = X.specialize(q)
     induced = q.induced_class(a)
     region = Polytope([induced])
     counts = Y.cell_counts()

@@ -283,25 +283,27 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
 
 
 def test_one_pushed_complex_per_novikov_job(capsys, monkeypatch):
-    # the Novikov rank and the truncated oracle share one pushforward
-    calls = []
-    original = EquivariantComplex.specialize
+    # the Novikov rank and the truncated oracle share one pushforward, so
+    # no element is pushed twice in a job
+    pushes = []  # the elements themselves, so no id is reused
+    original = GroupRingElement.specialize
 
-    def counting(self, lattice_map):
-        calls.append(lattice_map)
-        return original(self, lattice_map)
+    def counting(self, lattice_map, images=None):
+        pushes.append(self)
+        return original(self, lattice_map, images)
 
-    monkeypatch.setattr(EquivariantComplex, "specialize", counting)
+    monkeypatch.setattr(GroupRingElement, "specialize", counting)
     for args in (
         ["novikov", "torus", "--class", "1,2"],
         ["novikov", str(GOLDEN / "koszul3-Z.json"), "--class=1,2,3"],
         ["novikov", str(GOLDEN / "koszul3-Z2.json"), "--class=-1,-1,-1"],
     ):
-        calls.clear()
+        pushes.clear()
         code, out, _ = call(capsys, [*args, "--format", "json"])
         assert code == 0
         assert json.loads(out)["oracle"] is not None
-        assert len(calls) == 1
+        assert pushes
+        assert len({id(e) for e in pushes}) == len(pushes)
 
 
 def test_equal_entry_strings_share_one_element_safely(capsys, monkeypatch, tmp_path):

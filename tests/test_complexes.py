@@ -753,6 +753,17 @@ def test_betti_numbers_and_self_tests_never_build_the_dense_view(monkeypatch):
 # -- specialization and ray invariance ---------------------------------------
 
 
+def test_specialize_keeps_its_last_result():
+    # an equal map returns the kept complex; another map replaces it
+    X = ingest(torus_doc())
+    diagonal = X.specialize(quotient_map([CohomologyClass((1, 1))]))
+    assert X.specialize(quotient_map([CohomologyClass((2, 2))])) is diagonal
+    first = X.specialize(quotient_map([CohomologyClass((1, 0))]))
+    assert first is not diagonal
+    again = X.specialize(quotient_map([CohomologyClass((1, 1))]))
+    assert again is not diagonal and again == diagonal
+
+
 def test_specialize_torus_to_diagonal():
     X = ingest(torus_doc())
     q = quotient_map([CohomologyClass((1, 1))])
