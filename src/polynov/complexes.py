@@ -22,7 +22,12 @@ from itertools import chain
 from operator import mul
 
 from .errors import CoverMismatch, InputError, ValidationError
-from .groupring import CoefficientRing, GroupRingElement, kronecker_weights
+from .groupring import (
+    MAX_DECIMAL_EXPONENT,
+    CoefficientRing,
+    GroupRingElement,
+    kronecker_weights,
+)
 from .lattice import (
     DeckGroup,
     LatticeMap,
@@ -170,9 +175,14 @@ class EquivariantComplex:
                 for l, b in upper[j].items():
                     if i in lower[l]:
                         entry = entry + lower[l][i] * b
+                text = (
+                    entry.to_string() if entry.printable() else
+                    f"a polynomial with a coefficient of more than "
+                    f"{MAX_DECIMAL_EXPONENT} digits"
+                )
                 raise ValidationError(
                     f"boundary square is nonzero from degree {k + 2}: "
-                    f"entry ({i}, {j}) is {entry.to_string()}",
+                    f"entry ({i}, {j}) is {text}",
                     degree=k + 2,
                     row=i,
                     col=j,

@@ -15,25 +15,31 @@ Matrix rank over the fraction field of the (Laurent) polynomial ring is
 taken on sparse rows {column: element} of the nonzero entries, read off a
 complex's stored columns (`chain_ranks`) or off dense rows
 (`matrix_rank_fraction_field`). It is exact elimination on the stored
-entries when they are constants: fraction-free (Bareiss) elimination over
-the integers for Z and Q, bitmask elimination over GF(2) for Z/2.
-Otherwise the stored entries are evaluated at a seeded random point (in
-F_p with p = 2^61 - 1 over Z and Q, in GF(2^16) over Z/2), where the rank
-is a proved lower bound. `chain_ranks` certifies that bound as the exact rank
-when it is full or when d∘d = 0 pins it against a neighbouring boundary;
-"certified" means proved, whatever the point. Uncertified ranks fall back
-to the same fraction-free elimination, over Z/2 at any size and over Z or
-Q up to 64 rows and columns; above that the lower bound is reported as
-such (route "evaluation", exact=False). Before elimination each row is
-multiplied by a unit of the fraction field that clears its negative
-exponents and its denominators, which keeps the rank. The polynomials are
-then plain packed-key -> int dicts with coefficients in Z (mod 2 over
-Z/2): each exponent vector is one int key of a mixed-radix Kronecker map
-(`kronecker_weights`), radix 2 * S_v + 1 for variable v, S_v the sum over
-the rows of the row's largest exponent of v. Every Bareiss entry is a
-minor, of degree at most S_v in v, and a*x - b*y has degree at most
-2 * S_v, so every key stays in the box where the map is injective and its
-int order is the lex order of the exponents.
+entries when they are constants: the exact rank below for Z and Q,
+bitmask elimination over GF(2) for Z/2. Otherwise the stored entries are
+evaluated at a seeded random point (in F_p with p = 2^61 - 1 over Z and
+Q, in GF(2^16) over Z/2), where the rank is a proved lower bound.
+`chain_ranks` certifies that bound as the exact rank when it is full or
+when d∘d = 0 pins it against a neighbouring boundary; "certified" means
+proved, whatever the point. Uncertified ranks fall back to the exact
+rank, over Z/2 at any size and over Z or Q up to 64 rows and columns;
+above that the lower bound is reported as such (route "evaluation",
+exact=False).
+
+The exact rank (`_exact_rank`) has two phases. `_unit_eliminate` pivots
+on unit entries (+-t^e; t^e over Z/2), clearing each pivot's column in
+the rows that store it; these row operations are invertible over R[Z^n],
+so the rank is the pivot count plus the rank of the rows left.
+Fraction-free (Bareiss) elimination (`_bareiss_rank`) ranks those. Before
+it each row is multiplied by a unit of the fraction field that clears its
+negative exponents and its denominators, which keeps the rank. The
+polynomials are then plain packed-key -> int dicts with coefficients in Z
+(mod 2 over Z/2): each exponent vector is one int key of a mixed-radix
+Kronecker map (`kronecker_weights`), radix 2 * S_v + 1 for variable v,
+S_v the sum over the rows of the row's largest exponent of v. Every
+Bareiss entry is a minor, of degree at most S_v in v, and a*x - b*y has
+degree at most 2 * S_v, so every key stays in the box where the map is
+injective and its int order is the lex order of the exponents.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import InputError
@@ -129,6 +135,18 @@ _TERM_FACTOR = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
 _SIGN_SPLIT = re.compile(r"(?<=[^^+\-*/])(?=[+-])")
 _DECIMAL_EXPONENT = re.compile(r"[eE](\d[\d_]*)$")
 MAX_DECIMAL_EXPONENT = 4300  # Python's default limit on the digits of an int
+_BIG = 10**MAX_DECIMAL_EXPONENT  # the largest size of a parsed coefficient
+
+
+def _size(c):
+    """max(|numerator|, denominator) of the coefficient c."""
+    return max(abs(c.numerator), c.denominator)
+
+
+def _long_coefficient(text):
+    return InputError(
+        f"a coefficient of {text!r} is above 10^{MAX_DECIMAL_EXPONENT}"
+    )
 
 
 class GroupRingElement:
@@ -347,6 +365,11 @@ class GroupRingElement:
 
     __str__ = to_string
 
+    def printable(self) -> bool:
+        """Whether `to_string` can print every coefficient: str() of an int
+        of more than MAX_DECIMAL_EXPONENT digits (from 10^4300 on) raises."""
+        return all(_size(c) < _BIG for c in self.terms.values())
+
     def __repr__(self):
         return f"<{self.ring.value}[Z^{self.rank}] {self.to_string()}>"
 
@@ -355,7 +378,9 @@ class GroupRingElement:
         """Parse the canonical text form (and reasonable variants).
 
         A decimal exponent above MAX_DECIMAL_EXPONENT is a bad factor, as
-        an int of more digits than Python's default limit is."""
+        an int of more digits than Python's default limit is, and so is a
+        coefficient above 10^MAX_DECIMAL_EXPONENT built from smaller
+        factors or terms."""
         s = text.replace(" ", "")
         if s in ("", "0"):
             return cls.zero(ring, rank)
@@ -398,10 +423,14 @@ class GroupRingElement:
                         raise InputError(
                             f"bad factor {factor!r} in {text!r}"
                         ) from exc
+                    if _size(coeff) > _BIG:
+                        raise _long_coefficient(text)
             c = ring.coerce(coeff)
             exp = tuple(exp)
             if exp in acc:
                 c = ring.add(acc[exp], c)
+                if _size(c) > _BIG:
+                    raise _long_coefficient(text)
                 if not c:
                     del acc[exp]
                     continue
@@ -582,9 +611,10 @@ def _exact_div(num, divisor, mod2):
 
 def _bareiss_rank(rows, ring, nvars) -> int:
     """Rank over the fraction field by fraction-free elimination (Bareiss
-    1968) on the normal form of sparse rows {column: element}, where every
-    division is exact: on ints for constants over Z and Q, on packed-key ->
-    int dicts over Z or Z/2 otherwise (see `_normal_form`). The pivot is
+    1968) alone, the phase of `_exact_rank` after the unit pivots, on the
+    normal form of sparse rows {column: element}, where every division is
+    exact: on ints for constants over Z and Q, on packed-key -> int dicts
+    over Z or Z/2 otherwise (see `_normal_form`). The pivot is
     the least column of the next nonzero row: Bareiss on a permuted
     matrix, so every entry is still a minor. Entry x becomes
     (a*x - b*y) / prev, b the row's entry in the pivot column and y the
@@ -614,6 +644,113 @@ def _bareiss_rank(rows, ring, nvars) -> int:
         prev = a
         rank += 1
     return rank
+
+
+def _unit_eliminate(rows, ring, nvars):
+    """Sparse elimination on unit pivots, ahead of Bareiss.
+
+    While a stored entry a of the sparse rows {column: element} is a unit
+    of R[Z^n] (`GroupRingElement.unit_monomial`: one monomial with
+    coefficient +-1, or 1 over Z/2), x <- x - b * a^-1 * y updates only the
+    rows that store an entry b in a's column, and a's row is dropped. The
+    rank over the fraction field is the pivot count plus the rank of the
+    rows left, since these row operations are invertible over R[Z^n] and
+    leave a's column zero outside a's row. Rows are visited in index order;
+    a row takes the unit entry whose column stores the fewest entries.
+    Passes repeat over the rows that an elimination changed after the
+    pass visited them, in index order, as they may have gained a unit. Over Q a constant other than +-1 is no pivot, so no new
+    fractions arise; fractions already present are carried exactly.
+
+    Entries are numbers when nvars == 0, else exponent-tuple -> coefficient
+    dicts (shared with the input elements until an update replaces them).
+    Returns (pivot count, rows left as {column: element}, empty rows
+    dropped); those keep Laurent exponents, which `_normal_form` shifts.
+    """
+    mod2 = ring is CoefficientRing.MOD2
+    if nvars:
+        M = [{j: e.terms for j, e in row.items()} for row in rows]
+
+        def is_unit(x):
+            return len(x) == 1 and (mod2 or next(iter(x.values())) in (1, -1))
+    else:
+        M = [{j: c for j, e in row.items() for c in e.terms.values()}
+             for row in rows]
+        is_unit = (1, -1).__contains__
+    where = {}  # column -> indices of the rows that store it
+    for i, row in enumerate(M):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    pivots = 0
+    visit = range(len(M))
+    while visit:
+        touched = set()  # rows an elimination changed after this pass saw them
+        for i in visit:
+            touched.discard(i)
+            pivot = M[i]
+            units = [j for j, x in pivot.items() if is_unit(x)]
+            if not units:
+                continue
+            col = min(units, key=lambda j: len(where[j]))
+            a = pivot.pop(col)
+            if nvars:  # a = s * t^exp, a^-1 = s * t^-exp
+                ((exp, s),) = a.items()
+            for j in pivot:
+                where[j].discard(i)
+            others = where.pop(col)
+            others.discard(i)
+            for r in others:
+                row = M[r]
+                b = row.pop(col)
+                if nvars:  # f = -b * a^-1
+                    f = [(tuple(map(sub, e, exp)), -s * cb) for e, cb in b.items()]
+                else:
+                    f = -a * b
+                for j, y in pivot.items():
+                    x = row.get(j)
+                    if nvars:
+                        x = dict(x) if x else {}
+                        for ef, cf in f:
+                            for ey, cy in y.items():
+                                e = tuple(map(add, ef, ey))
+                                z = x.get(e, 0) + cf * cy
+                                if mod2:
+                                    z &= 1
+                                if z:
+                                    x[e] = z
+                                else:
+                                    del x[e]
+                    else:
+                        x = (x or 0) + f * y
+                        if mod2:
+                            x &= 1
+                    if x:
+                        if j not in row:
+                            where.setdefault(j, set()).add(r)
+                        row[j] = x
+                    elif j in row:
+                        del row[j]
+                        where[j].discard(r)
+            touched |= others
+            M[i] = None
+            pivots += 1
+        visit = sorted(touched)
+    left = []
+    for row in M:
+        if row:
+            elements = {}
+            for j, x in row.items():
+                e = elements[j] = GroupRingElement.zero(ring, nvars)
+                e.terms = x if nvars else {(): x}
+            left.append(elements)
+    return pivots, left
+
+
+def _exact_rank(rows, ring, nvars) -> int:
+    """Rank over the fraction field of sparse rows {column: element}: the
+    unit pivots of `_unit_eliminate`, then `_bareiss_rank` on the rows
+    left."""
+    pivots, left = _unit_eliminate(rows, ring, nvars)
+    return pivots + _bareiss_rank(left, ring, nvars)
 
 
 def _gf2_rank(rows) -> int:
@@ -807,8 +944,9 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0):
     into sparse rows and ranked by the code of `chain_ranks`, as a chain
     of one: constants exactly at any size (route "constant"); otherwise
     the rank at the point seeded by `seed`, certified only when it is
-    full (route "modular"), else the fallback ("fraction-free" or the
-    labelled lower bound "evaluation"; see the module docstring).
+    full (route "modular"), else the fallback ("fraction-free", unit
+    pivots then Bareiss, or the labelled lower bound "evaluation"; see
+    the module docstring).
     """
     if not rows or not rows[0]:
         return RankResult(0, True, "empty")
@@ -831,6 +969,8 @@ def chain_ranks(X, *, seed: int = 0):
     route "modular"; the randomness can only cost a certificate, never
     make one wrong. Every other such boundary takes the fallback of
     `matrix_rank_fraction_field`, with lb as its labelled lower bound.
+    Constant boundaries are exact at any size (route "constant"): bitmask
+    elimination over Z/2, the unit pivots and then Bareiss over Z and Q.
     """
     bands = []
     for k, band in enumerate(X.columns):
@@ -844,7 +984,10 @@ def chain_ranks(X, *, seed: int = 0):
 
 def _ranks(bands, ring, nvars, seed):
     """RankResults of the boundaries (sparse rows, column count) of one
-    chain, consecutive products zero, as `chain_ranks` describes."""
+    chain, consecutive products zero, as `chain_ranks` describes. Both
+    exact routes over Z and Q ("constant", and "fraction-free" at most
+    _BAREISS_LIMIT rows and columns, a limit on the matrix as given) and
+    "fraction-free" over Z/2 take `_exact_rank`."""
     mod2 = ring is CoefficientRing.MOD2
     point, monomials = _point(ring, nvars, seed), {}
     results, bounds = [], []
@@ -853,7 +996,7 @@ def _ranks(bands, ring, nvars, seed):
         if not rows or not m:
             result = RankResult(0, True, "empty")
         elif nvars == 0:  # exact at any size
-            rank = _gf2_rank(rows) if mod2 else _bareiss_rank(rows, ring, nvars)
+            rank = _gf2_rank(rows) if mod2 else _exact_rank(rows, ring, nvars)
             result = RankResult(rank, True, "constant")
         results.append(result)
         bounds.append(
@@ -874,6 +1017,6 @@ def _ranks(bands, ring, nvars, seed):
         elif not mod2 and max(len(rows), m) > _BAREISS_LIMIT:
             results[i] = RankResult(bounds[i], False, "evaluation")
         else:
-            rank = _bareiss_rank(rows, ring, nvars)
+            rank = _exact_rank(rows, ring, nvars)
             results[i] = RankResult(rank, True, "fraction-free")
     return results

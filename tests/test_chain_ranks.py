@@ -238,3 +238,29 @@ def test_integral_rational_complex_builds_no_fraction(monkeypatch):
     assert built == []
     assert all(r.exact for r in results)
     assert "fraction-free" in {r.method for r in results}
+
+
+@pytest.mark.parametrize("ring", [Q, Z])
+def test_unit_pivots_leave_nothing_to_bareiss_on_cubical_t36(ring, monkeypatch):
+    # ordinary homology of the 3-torus cut into 6^3 cubes (216/648/648/216
+    # cells): every boundary is constant with entries +-1, and the unit
+    # phase pivots on all of its rank, so Bareiss gets no rows
+    counts, mats = torus(ring, 3, 6)
+    X = build(ring, 3, counts, mats)
+    bareiss_rows = []
+    bareiss_rank = groupring._bareiss_rank
+
+    def spy(rows, *args):
+        bareiss_rows.append(len(rows))
+        return bareiss_rank(rows, *args)
+
+    monkeypatch.setattr(groupring, "_bareiss_rank", spy)
+    zero = CohomologyClass((0, 0, 0))
+    report = novikov_betti(X, zero)
+    assert report.betti == (1, 3, 3, 1)
+    assert report.checks["rank_exact"] is True
+    assert report.method == "fraction-field exact"
+    assert bareiss_rows == [0, 0, 0]
+    # the report's ranks, of the complex that novikov_betti kept on X
+    results = chain_ranks(X.specialize(quotient_map([zero])))
+    assert results == [(215, True, "constant"), (430, True, "constant"), (215, True, "constant")]

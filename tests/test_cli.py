@@ -352,6 +352,39 @@ def test_huge_decimal_exponent_is_an_input_error(capsys, tmp_path):
     }
 
 
+LINE = {"coefficients": "Q", "rank": 1, "cells": [["v"], ["e"], ["f"]]}
+
+
+@pytest.mark.parametrize(
+    "entry", ["1e4300*1e4300*t + 1", "*".join(["9" * 3000] * 2 + ["t"])],
+    ids=["decimal-exponents", "long-integers"],
+)
+def test_coefficient_above_10_to_the_4300_is_an_input_error(capsys, tmp_path, entry):
+    # a product of in-range factors with more digits than str() prints
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**LINE, "boundaries": [[["t - 1"]], [[entry]]]}))
+    code, out, err = call(capsys, ["validate", str(path), "--format", "json"])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"] == f"a coefficient of {entry!r} is above 10^4300"
+
+
+def test_unprintable_square_entry_is_a_located_validation_error(capsys, tmp_path):
+    # each factor has 4001 digits and parses; their product, the d∘d
+    # entry, has 8001 and cannot be printed in the message
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({**LINE, "boundaries": [[["1e4000*t"]], [["1e4000"]]]}))
+    code, out, err = call(capsys, ["validate", str(path), "--format", "json"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValidationError",
+        "message": "boundary square is nonzero from degree 2: entry (0, 0) is "
+        "a polynomial with a coefficient of more than 4300 digits",
+        "location": {"degree": 2, "row": 0, "col": 0},
+    }
+
+
 @pytest.mark.parametrize(
     "name, args, route",
     [

@@ -260,6 +260,26 @@ def test_huge_decimal_exponents_are_bad_factors():
             GroupRingElement.from_string(text, Q, 2)
 
 
+@pytest.mark.parametrize("ring", [Q, Z, Z2])
+def test_coefficients_above_10_to_the_4300_are_input_errors(ring):
+    # 10^4300 is the largest coefficient, whether one factor, a product of
+    # factors or a sum of terms makes it; str() prints one digit fewer
+    for text in ("1e4300*t", "1e2150*1e2150*t", "5e4299 + 5e4299"):
+        e = GroupRingElement.from_string(text, ring, 1)
+        assert e.printable() is (ring is Z2)
+    small = GroupRingElement.from_string("9" * 4300 + "*t", ring, 1)
+    assert small.printable() and small.to_string() == (
+        "t" if ring is Z2 else "9" * 4300 + "*t"
+    )
+    nines = "9" * 3000
+    texts = ["1e4300*10*t", "1e4000*1e4000 + 1", f"{nines}*{nines}", f"1/{nines}*1/{nines}"]
+    if ring is not Z2:  # two terms mod 2 add up to 0 or 1
+        texts.append("1e4300 - t + 1e4300")
+    for text in texts:
+        with pytest.raises(InputError, match=r"is above 10\^4300"):
+            GroupRingElement.from_string(text, ring, 1)
+
+
 def test_round_trip_random():
     rng = random.Random(5)
     for ring in (Q, Z, Z2):
@@ -526,6 +546,99 @@ def test_bareiss_at_deck_rank_3_against_sympy(ring, monkeypatch):
         ranks.add(rank)
     assert len(ranks) >= 2
     assert sum(reached) >= 3
+
+
+def random_unit(rng, ring, rank):
+    exp = tuple(rng.randint(-2, 2) for _ in range(rank))
+    return GroupRingElement.monomial(ring, rank, exp, rng.choice((1, -1)))
+
+
+def random_non_unit(rng, ring, rank):
+    """A nonzero entry that is no pivot of the unit phase: two or more
+    terms, or a coefficient other than +-1 (a true fraction now and then
+    over Q). None when there is none: every nonzero constant mod 2 is 1."""
+    if ring is Z2 and rank == 0:
+        return None
+    while True:
+        x = random_element(rng, ring, rank, nterms=3, span=1)
+        if ring is Q and rng.random() < 0.4:
+            c = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+            x = x * GroupRingElement.monomial(ring, rank, (0,) * rank, c)
+        if x.terms and x.unit_monomial() is None:
+            return x
+
+
+def unit_phase_matrix(rng, ring, rank, kind):
+    """A seeded n x m matrix of one kind: "mixed" (zeros, units and
+    non-units), "dense" (every entry a unit, so eliminations fill in) or
+    "none" (no unit entry). A dependent row (a combination of two others
+    with unit factors), a zero row and a zero column come in at random."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    zero = GroupRingElement.zero(ring, rank)
+
+    def entry():
+        if kind == "dense":
+            return random_unit(rng, ring, rank)
+        roll = rng.random()
+        if roll < 0.35:
+            return zero
+        if kind == "mixed" and roll < 0.7:
+            return random_unit(rng, ring, rank)
+        return random_non_unit(rng, ring, rank) or zero
+
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    if n >= 3 and kind != "none" and rng.random() < 0.6:
+        a, b, c = rng.sample(range(n), 3)
+        f, g = random_unit(rng, ring, rank), random_unit(rng, ring, rank)
+        rows[c] = [f * x + g * y for x, y in zip(rows[a], rows[b])]
+    if rng.random() < 0.3:
+        rows[rng.randrange(n)] = [zero] * m
+    if rng.random() < 0.3:
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = zero
+    return rows
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+@pytest.mark.parametrize("ring", [Q, Z, Z2])
+def test_unit_phase_then_bareiss_against_sympy(ring, rank):
+    rng = random.Random(f"unit-phase {ring.value} {rank}")
+    ranks, both = set(), 0
+    kinds = ["mixed", "dense"] + ([] if ring is Z2 and rank == 0 else ["none"])
+    for trial in range(24 if rank < 3 else 12):
+        kind = kinds[trial % len(kinds)]
+        rows = unit_phase_matrix(rng, ring, rank, kind)
+        terms = [[dict(e.terms) for e in row] for row in rows]
+        pivots, left = groupring._unit_eliminate(sparse(rows), ring, rank)
+        got = groupring._exact_rank(sparse(rows), ring, rank)
+        assert got == pivots + _bareiss_rank(left, ring, rank)
+        assert got == bareiss(rows) == sympy_rank(rows), (kind, rows)
+        assert [[e.terms for e in row] for row in rows] == terms  # unchanged
+        assert all(left) and len(left) <= len(rows) - pivots
+        if kind == "none":
+            assert pivots == 0 and len(left) == sum(1 for row in sparse(rows) if row)
+        if kind == "dense":
+            assert pivots >= 1 or not any(sparse(rows))
+        if ring is Z2 and rank == 0:  # every nonzero entry is a unit
+            assert left == []
+        both += bool(pivots and left)
+        ranks.add(got)
+    assert len(ranks) >= 3
+    assert both >= 2 or (ring is Z2 and rank == 0)  # both phases ran
+
+
+@pytest.mark.parametrize("ring, rank, texts", [
+    (Q, 0, [["2", "3"], ["1", "1"]]),
+    (Z, 0, [["2", "3"], ["1", "1"]]),
+    (Z, 2, [["2*t1", "3*t1"], ["t2", "t2"]]),
+    (Z2, 2, [["t1 + 1", "t1 + t2 + 1"], ["1", "1"]]),
+])
+def test_unit_phase_revisits_a_row_that_gains_a_unit(ring, rank, texts):
+    # row 0 has no unit entry until the pivot of row 1 leaves a unit
+    # monomial in its second column
+    rows = [[GroupRingElement.from_string(t, ring, rank) for t in row] for row in texts]
+    assert groupring._unit_eliminate(sparse(rows), ring, rank) == (2, [])
 
 
 def packed(terms, weights):
