@@ -658,8 +658,9 @@ def _unit_eliminate(rows, ring, nvars):
     leave a's column zero outside a's row. Rows are visited in index order;
     a row takes the unit entry whose column stores the fewest entries.
     Passes repeat over the rows that an elimination changed after the
-    pass visited them, in index order, as they may have gained a unit. Over Q a constant other than +-1 is no pivot, so no new
-    fractions arise; fractions already present are carried exactly.
+    pass visited them, in index order, as they may have gained a unit.
+    Over Q a constant other than +-1 is no pivot, so no new fractions
+    arise; fractions already present are carried exactly.
 
     Entries are numbers when nvars == 0, else exponent-tuple -> coefficient
     dicts (shared with the input elements until an update replaces them).
