@@ -488,7 +488,9 @@ def ingest(document) -> EquivariantComplex:
     Matrix mode works in proportion to the distinct entries: each distinct
     entry string is parsed once, in first-occurrence order, and equal
     strings share one (immutable) element; the columns are built straight
-    from the rows, skipping "0". Errors come in a fixed order: document
+    from the rows, skipping "0". The parses share one memo, so each
+    distinct term and factor of the document is parsed once; it is freed
+    when ingest returns. Errors come in a fixed order: document
     structure, non-string entries, the first unparsable string in
     row-major order, cell names, matrix count, then row count and length.
     A deck rank (`rank`, or the row count of `deck_map`) above
@@ -541,7 +543,8 @@ def ingest(document) -> EquivariantComplex:
         raise InputError("boundary entries must be strings")
     texts.pop("0", None)
     parse = GroupRingElement.from_string
-    elements = {text: parse(text, ring, rank) for text in texts}
+    memo = ({}, {})  # this document's parsed terms and factors
+    elements = {text: parse(text, ring, rank, memo) for text in texts}
 
     def fill(band, i, row):
         for column, text in zip(band, row):

@@ -97,6 +97,8 @@ class CoefficientRing(enum.Enum):
             return value.numerator if value.denominator == 1 else value
         if isinstance(value, Fraction):
             if value.denominator != 1:
+                if _size(value) >= _BIG:  # str() would pass the digit limit
+                    value = f"a fraction of more than {MAX_DECIMAL_EXPONENT} digits"
                 raise InputError(f"{value} is not an integer coefficient")
             return int(value)
         return int(value)
@@ -132,7 +134,7 @@ class CoefficientRing(enum.Enum):
 
 _TERM_FACTOR = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
 # a sign starts a new term unless it follows '^', a sign, '*' or '/'
-_SIGN_SPLIT = re.compile(r"(?<=[^^+\-*/])(?=[+-])")
+_TERM = re.compile(r".[^+-]*(?:(?<=[\^+\-*/])[+-][^+-]*)*", re.S)
 _DECIMAL_EXPONENT = re.compile(r"[eE](\d[\d_]*)$")
 MAX_DECIMAL_EXPONENT = 4300  # Python's default limit on the digits of an int
 _BIG = 10**MAX_DECIMAL_EXPONENT  # the largest size of a parsed coefficient
@@ -374,59 +376,31 @@ class GroupRingElement:
         return f"<{self.ring.value}[Z^{self.rank}] {self.to_string()}>"
 
     @classmethod
-    def from_string(cls, text: str, ring: CoefficientRing, rank: int):
+    def from_string(cls, text: str, ring: CoefficientRing, rank: int, memo=None):
         """Parse the canonical text form (and reasonable variants).
 
         A decimal exponent above MAX_DECIMAL_EXPONENT is a bad factor, as
         an int of more digits than Python's default limit is, and so is a
         coefficient above 10^MAX_DECIMAL_EXPONENT built from smaller
-        factors or terms."""
+        factors or terms.
+
+        `memo`, a pair of dicts that the caller hands to every parse at
+        this ring and rank (`ingest` keeps one per document), keeps each
+        parsed term, sign included, as (exponent, coerced coefficient) and
+        each parsed factor, so a term or factor that repeats is parsed
+        once. Only parses that succeed are kept, so an error always names
+        the text it comes from; like terms are summed, checked against
+        the bound and dropped at zero per text, as without the memo."""
         s = text.replace(" ", "")
         if s in ("", "0"):
             return cls.zero(ring, rank)
+        terms, factors = ({}, {}) if memo is None else memo
         acc = {}
-        for chunk in _SIGN_SPLIT.split(s):
-            body = chunk.lstrip("+-")
-            if not body:
-                raise InputError(f"dangling sign in {text!r}")
-            exp = [0] * rank
-            coeff = -1 if chunk.count("-", 0, len(chunk) - len(body)) % 2 else 1
-            for factor in body.split("*"):
-                if not factor:
-                    raise InputError(f"empty factor in {text!r}")
-                m = _TERM_FACTOR.match(factor)
-                if m:
-                    idx_text, pow_text = m.groups()
-                    if idx_text:
-                        idx = int(idx_text)
-                    elif rank == 1:
-                        idx = 1
-                    else:
-                        raise InputError(
-                            f"bare variable 't' needs rank 1, got rank {rank}"
-                        )
-                    if not 1 <= idx <= rank:
-                        raise InputError(
-                            f"variable t{idx} out of range for rank {rank}"
-                        )
-                    exp[idx - 1] += int(pow_text) if pow_text else 1
-                else:
-                    try:
-                        if factor.isdigit():
-                            coeff *= int(factor)
-                        else:
-                            big = _DECIMAL_EXPONENT.search(factor)
-                            if big and int(big[1]) > MAX_DECIMAL_EXPONENT:
-                                raise ValueError(factor)
-                            coeff *= Fraction(factor)
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise InputError(
-                            f"bad factor {factor!r} in {text!r}"
-                        ) from exc
-                    if _size(coeff) > _BIG:
-                        raise _long_coefficient(text)
-            c = ring.coerce(coeff)
-            exp = tuple(exp)
+        for chunk in _TERM.findall(s):
+            term = terms.get(chunk)
+            if term is None:
+                term = terms[chunk] = _parse_term(chunk, text, ring, rank, factors)
+            exp, c = term
             if exp in acc:
                 c = ring.add(acc[exp], c)
                 if _size(c) > _BIG:
@@ -439,6 +413,64 @@ class GroupRingElement:
         out = cls.zero(ring, rank)
         out.terms = acc
         return out
+
+
+def _parse_term(chunk, text, ring, rank, factors):
+    """(exponent tuple, coefficient coerced into ring) of one signed term
+    of text; `factors` keeps each parsed factor as an (index, power) pair
+    of a variable or the value of a number."""
+    body = chunk.lstrip("+-")
+    if not body:
+        raise InputError(f"dangling sign in {text!r}")
+    exp = [0] * rank
+    coeff = -1 if chunk.count("-", 0, len(chunk) - len(body)) % 2 else 1
+    for factor in body.split("*"):
+        value = factors.get(factor)
+        if value is None:
+            value = factors[factor] = _parse_factor(factor, text, rank)
+        if type(value) is tuple:
+            exp[value[0]] += value[1]
+        else:
+            coeff *= value
+            if _size(coeff) > _BIG:
+                raise _long_coefficient(text)
+    return tuple(exp), ring.coerce(coeff)
+
+
+def _parse_factor(factor, text, rank):
+    """(index, power) of a variable factor of text, or a number's value."""
+    if not factor:
+        raise InputError(f"empty factor in {text!r}")
+    m = _TERM_FACTOR.match(factor)
+    if m:
+        idx_text, pow_text = m.groups()
+        if idx_text:
+            idx = _int(idx_text, factor, text)
+        elif rank == 1:
+            idx = 1
+        else:
+            raise InputError(f"bare variable 't' needs rank 1, got rank {rank}")
+        if not 1 <= idx <= rank:
+            raise InputError(f"variable t{idx} out of range for rank {rank}")
+        return idx - 1, _int(pow_text, factor, text) if pow_text else 1
+    try:
+        if factor.isdigit():
+            return int(factor)
+        big = _DECIMAL_EXPONENT.search(factor)
+        if big and int(big[1]) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(factor)
+        return Fraction(factor)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad factor {factor!r} in {text!r}") from exc
+
+
+def _int(digits, factor, text):
+    """int(digits) of an index or a power; more digits than int() reads
+    (MAX_DECIMAL_EXPONENT) make a bad factor."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise InputError(f"bad factor {factor!r} in {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

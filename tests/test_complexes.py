@@ -12,6 +12,7 @@ sum_g (t^q(g) - 1) * d(w)/dg == t^q(ab w) - 1 on random open words.
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -599,23 +600,28 @@ def test_ingest_stores_only_the_nonzero_entries(monkeypatch):
     entries = [e for m in document["boundaries"] for row in m for e in row]
     nonzero = [e for e in entries if e != "0"]
     assert (len(entries), len(nonzero)) == (5184, 288)
-    parsed = []
+    parsed, memos = [], []
     parse = GroupRingElement.from_string
 
-    def spy(text, ring, rank):
+    def spy(text, ring, rank, memo=None):
         parsed.append(text)
-        return parse(text, ring, rank)
+        memos.append(memo)
+        return parse(text, ring, rank, memo)
 
     monkeypatch.setattr(GroupRingElement, "from_string", spy)
     X = ingest(document)
     # one parse per distinct string, in first-occurrence order; none for "0"
     assert parsed == list(dict.fromkeys(nonzero))
+    # every parse of one document shares one memo, and the next gets its own
+    assert memos[0] is not None and all(m is memos[0] for m in memos)
     stored = [e for band in X.columns for column in band for e in column.values()]
     assert len(stored) == 288
     # equal strings share one element
     assert len({id(e) for e in stored}) == len(parsed)
     assert X.to_json() == document
     assert_sparse_store(X)
+    ingest(document)
+    assert memos[-1] is not memos[0]
 
 
 @pytest.mark.parametrize(
@@ -649,6 +655,67 @@ def test_ingest_error_precedence(changes, message):
     with pytest.raises(InputError) as info:
         ingest({**torus_doc(), **changes})
     assert str(info.value) == message
+
+
+def one_row_doc(entries, ring="Q", rank=2):
+    """A one-boundary document whose only row holds ``entries``."""
+    return {
+        "coefficients": ring,
+        "rank": rank,
+        "cells": [["v"], [f"e{j}" for j in range(len(entries))]],
+        "boundaries": [[list(entries)]],
+    }
+
+
+def test_a_bad_term_in_two_entries_is_named_by_the_first():
+    # the document's parse memo keeps only terms that parse, so the error
+    # names the first entry in row-major order that holds the bad term
+    for first, second in (("t2 + t1*x", "1 + t1*x"), ("1 + t1*x", "t2 + t1*x")):
+        document = {
+            **torus_doc(),
+            "boundaries": [[[first, "t2 - 1"]], [[second], ["t1 - 1"]]],
+        }
+        with pytest.raises(InputError) as info:
+            ingest(document)
+        assert str(info.value) == f"bad factor 'x' in {first!r}"
+
+
+def test_the_parse_memo_does_not_outlive_its_document():
+    assert ingest(one_row_doc(["t3 - 1"], rank=3)).deck.rank == 3
+    with pytest.raises(InputError, match="variable t3 out of range for rank 2"):
+        ingest(one_row_doc(["t3 - 1"], rank=2))
+    assert ingest(one_row_doc(["1/2*t1"])).columns[0][0][0].terms == {
+        (1, 0): Fraction(1, 2)
+    }
+    with pytest.raises(InputError, match="1/2 is not an integer coefficient"):
+        ingest(one_row_doc(["1/2*t1"], ring="Z"))
+
+
+def test_like_terms_from_the_memo_still_meet_the_coefficient_bound():
+    # "+1e4300*t1" is parsed in the first entry; in the second its two
+    # repeats come from the memo and sum to more than 10^4300
+    big = "1e4300"
+    first, second = f"1 + {big}*t1", f"-1 + {big}*t1 + {big}*t1"
+    for ring in ("Q", "Z"):
+        assert ingest(one_row_doc([first], ring)).columns[0][0][0].terms == {
+            (0, 0): 1, (1, 0): 10**4300
+        }
+        with pytest.raises(InputError) as info:
+            ingest(one_row_doc([first, second], ring))
+        assert str(info.value) == f"a coefficient of {second!r} is above 10^4300"
+
+
+def test_a_term_that_is_zero_mod_2_is_dropped_at_every_repeat():
+    entries = ["2*t1 + t2", "t2 + 2*t1 + 1", "2*t1 + 2*t1 + t1", "2*t1", "t2 + 2*t1"]
+    X = ingest(one_row_doc(entries, ring="Z2"))
+    assert X.to_json()["boundaries"] == [[["t2", "t2 + 1", "t1", "0", "t2"]]]
+    assert [{i: e.terms for i, e in column.items()} for column in X.columns[0]] == [
+        {0: {(0, 1): 1}},
+        {0: {(0, 1): 1, (0, 0): 1}},
+        {0: {(1, 0): 1}},
+        {},
+        {0: {(0, 1): 1}},
+    ]
 
 
 def test_every_layer_keeps_the_sparse_store():

@@ -253,11 +253,53 @@ def test_parser_matches_the_character_loop_splitter():
     assert 300 < errors < 2700  # both outcomes are exercised
 
 
+def test_a_shared_memo_parses_as_fresh_parses_do():
+    # texts built from few tokens repeat their terms and factors, so most
+    # parses of a run hit the memo its earlier parses filled; each outcome,
+    # error text included, is that of a parse with no memo
+    tokens = [
+        "t1", "t2^-1", "2*t1", "-t1", " + t1", " - 1", "1/3*t2", "*t1", "*x",
+        " + 2/4", "1e4300*t2", " + 1e4300*t2", "*0", "+", "**t1", " - 2*t1^2",
+    ]
+    rng = random.Random(13)
+    hits = 0
+    for ring in (Q, Z, Z2):
+        for rank in (1, 2):
+            memo = ({}, {})
+            for _ in range(400):
+                text = "".join(rng.choice(tokens) for _ in range(rng.randint(1, 5)))
+                known = len(memo[0]) + len(memo[1])
+                shared = outcome(
+                    lambda *a: GroupRingElement.from_string(*a, memo).terms,
+                    text, ring, rank,
+                )
+                hits += len(memo[0]) + len(memo[1]) == known
+                assert shared == outcome(
+                    lambda *a: GroupRingElement.from_string(*a).terms,
+                    text, ring, rank,
+                ), text
+    assert hits > 1000
+
+
 def test_huge_decimal_exponents_are_bad_factors():
     assert GroupRingElement.from_string("1e4300", Q, 1).terms == {(0,): 10**4300}
     for text in ("t1^2*1e10000000", "1e4301", "2.5E99999999999", "1e" + "9" * 5000):
         with pytest.raises(InputError, match="bad factor"):
             GroupRingElement.from_string(text, Q, 2)
+
+
+def test_indices_and_powers_of_more_than_4300_digits_are_bad_factors():
+    # int() reads at most 4300 digits; the range check still comes first
+    nines = "9" * 4300
+    assert GroupRingElement.from_string(f"t1^-{nines}", Q, 2).terms == {
+        (-int(nines), 0): 1
+    }
+    for factor in (f"t1^{nines}9", f"t1^-{nines}9", f"t0{nines}"):
+        with pytest.raises(InputError) as info:
+            GroupRingElement.from_string(f"1 + 2*{factor}", Q, 2)
+        assert str(info.value) == f"bad factor {factor!r} in {'1 + 2*' + factor!r}"
+    with pytest.raises(InputError, match="variable t9 out of range for rank 2"):
+        GroupRingElement.from_string(f"t9^{nines}9", Q, 2)
 
 
 @pytest.mark.parametrize("ring", [Q, Z, Z2])
