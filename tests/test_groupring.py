@@ -254,9 +254,10 @@ def test_parser_matches_the_character_loop_splitter():
 
 
 def test_a_shared_memo_parses_as_fresh_parses_do():
-    # texts built from few tokens repeat their terms and factors, so most
-    # parses of a run hit the memo its earlier parses filled; each outcome,
-    # error text included, is that of a parse with no memo
+    # texts built from few tokens repeat their terms and factors, so many
+    # parses of a run are served whole by the memo its earlier parses
+    # filled; each outcome, error text included, is that of a parse with
+    # no memo
     tokens = [
         "t1", "t2^-1", "2*t1", "-t1", " + t1", " - 1", "1/3*t2", "*t1", "*x",
         " + 2/4", "1e4300*t2", " + 1e4300*t2", "*0", "+", "**t1", " - 2*t1^2",
@@ -273,12 +274,12 @@ def test_a_shared_memo_parses_as_fresh_parses_do():
                     lambda *a: GroupRingElement.from_string(*a, memo).terms,
                     text, ring, rank,
                 )
-                hits += len(memo[0]) + len(memo[1]) == known
+                hits += type(shared) is dict and len(memo[0]) + len(memo[1]) == known
                 assert shared == outcome(
                     lambda *a: GroupRingElement.from_string(*a).terms,
                     text, ring, rank,
                 ), text
-    assert hits > 1000
+    assert hits > 300
 
 
 def test_huge_decimal_exponents_are_bad_factors():
