@@ -72,15 +72,22 @@ class EquivariantComplex:
     @classmethod
     def from_columns(cls, ring, rank, cells, columns, validate=True):
         """Build from stored cells (name tuples) and columns; drops zeros."""
-        X = cls.__new__(cls)
-        X.ring, X.deck, X.cells = ring, DeckGroup(rank), cells
-        X.columns = tuple(
+        X = cls._stored(ring, rank, cells, tuple(
             tuple({i: e for i, e in column.items() if e.terms} for column in band)
             for band in columns
-        )
-        X._pushed = None
+        ))
         if validate:
             X.validate()
+        return X
+
+    @classmethod
+    def _stored(cls, ring, rank, cells, columns):
+        """The complex with exactly these cells and columns (tuples of
+        tuples of {row: nonzero element} dicts), neither checked nor
+        validated."""
+        X = cls.__new__(cls)
+        X.ring, X.deck, X.cells, X.columns = ring, DeckGroup(rank), cells, columns
+        X._pushed = None
         return X
 
     @property
@@ -194,11 +201,16 @@ class EquivariantComplex:
     def specialize(self, lattice_map: LatticeMap) -> "EquivariantComplex":
         """Push all boundary entries forward along a deck-lattice quotient.
 
-        Within the call each distinct stored element (by identity: `ingest`
-        shares one element between equal entry strings) is pushed once,
-        and each distinct exponent goes through `lattice_map.apply` once.
-        The quotient induces a ring map, and a ring map keeps d∘d = 0, so
-        the image of this (validated) complex is not checked again.
+        The work is in bulk: the distinct exponents of the stored entries
+        go through `lattice_map.apply_all` together, and each distinct
+        stored element (by identity: `ingest` shares one element between
+        equal entry strings) is pushed once, by
+        `GroupRingElement.pushed_terms`. On a quotient of rank 0 (ordinary
+        homology) no exponent is mapped: an entry's image is the sum of
+        its coefficients. The columns of the result are built in the same
+        pass, without the entries whose image is zero. The quotient
+        induces a ring map, and a ring map keeps d∘d = 0, so the image of
+        this (validated) complex is not checked again.
 
         The result for the last map is kept on self and returned again for
         an equal map: the Novikov rank and the truncated oracle of one
@@ -214,22 +226,27 @@ class EquivariantComplex:
             )
         if self._pushed is not None and self._pushed[0] == lattice_map:
             return self._pushed[1]
-        images = {}  # exponent -> image
-        done = {}  # id(element) -> pushed element; self keeps them alive
-
-        def push(e):
-            image = done.get(id(e))
-            if image is None:
-                image = done[id(e)] = e.specialize(lattice_map, images)
-            return image
-
-        columns = [
-            [{i: push(e) for i, e in c.items()} for c in band]
+        stored = {
+            id(e): e for band in self.columns for c in band for e in c.values()
+        }
+        images = None
+        if lattice_map.rank_out:
+            exponents = set().union(*(e.terms for e in stored.values()))
+            images = dict(zip(exponents, lattice_map.apply_all(exponents)))
+        ring, rank = self.ring, lattice_map.rank_out
+        push, element = GroupRingElement.pushed_terms, GroupRingElement.of_terms
+        pushed = {}  # id(element) -> its image, None when that is zero
+        for key, e in stored.items():
+            terms = push(e, images)
+            pushed[key] = element(ring, rank, terms) if terms else None
+        columns = tuple(
+            tuple(
+                {i: p for i, e in c.items() if (p := pushed[id(e)]) is not None}
+                for c in band
+            )
             for band in self.columns
-        ]
-        Y = EquivariantComplex.from_columns(
-            self.ring, lattice_map.rank_out, self.cells, columns, validate=False
         )
+        Y = EquivariantComplex._stored(ring, rank, self.cells, columns)
         self._pushed = (lattice_map, Y)
         return Y
 

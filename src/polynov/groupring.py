@@ -55,7 +55,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import InputError
-from .lattice import LatticeMap
+from .lattice import _BIG, MAX_DECIMAL_EXPONENT, LatticeMap, _read_decimal, _size
 
 
 class CoefficientRing(enum.Enum):
@@ -135,14 +135,6 @@ class CoefficientRing(enum.Enum):
 _TERM_FACTOR = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
 # a sign starts a new term unless it follows '^', a sign, '*' or '/'
 _TERM = re.compile(r".[^+-]*(?:(?<=[\^+\-*/])[+-][^+-]*)*", re.S)
-_DECIMAL_EXPONENT = re.compile(r"[eE](\d[\d_]*)$")
-MAX_DECIMAL_EXPONENT = 4300  # Python's default limit on the digits of an int
-_BIG = 10**MAX_DECIMAL_EXPONENT  # the largest size of a parsed coefficient
-
-
-def _size(c):
-    """max(|numerator|, denominator) of the coefficient c."""
-    return max(abs(c.numerator), c.denominator)
 
 
 def _long_coefficient(text):
@@ -189,6 +181,15 @@ class GroupRingElement:
     @classmethod
     def zero(cls, ring, rank):
         return cls(ring, rank, {})
+
+    @classmethod
+    def of_terms(cls, ring, rank, terms):
+        """The element with these terms, which must already be clean:
+        exponent tuples of length rank to nonzero coefficients of ring.
+        Nothing is checked or copied."""
+        e = object.__new__(cls)
+        e.ring, e.rank, e.terms = ring, rank, terms
+        return e
 
     @classmethod
     def one(cls, ring, rank):
@@ -254,15 +255,13 @@ class GroupRingElement:
                     out[exp] = s
             else:
                 out[exp] = coeff
-        result = GroupRingElement.zero(self.ring, self.rank)
-        result.terms = out
-        return result
+        return GroupRingElement.of_terms(self.ring, self.rank, out)
 
     def __neg__(self):
         ring = self.ring
-        result = GroupRingElement.zero(self.ring, self.rank)
-        result.terms = {exp: ring.neg(c) for exp, c in self.terms.items()}
-        return result
+        return GroupRingElement.of_terms(
+            ring, self.rank, {exp: ring.neg(c) for exp, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -283,9 +282,7 @@ class GroupRingElement:
                     out[exp] = c
                 else:
                     out[exp] = c
-        result = GroupRingElement.zero(self.ring, self.rank)
-        result.terms = out
-        return result
+        return GroupRingElement.of_terms(self.ring, self.rank, out)
 
     def __eq__(self, other):
         return (
@@ -300,34 +297,50 @@ class GroupRingElement:
 
     # -- specialization -----------------------------------------------
 
-    def specialize(self, lattice_map: LatticeMap, images=None) -> "GroupRingElement":
+    def specialize(self, lattice_map: LatticeMap) -> "GroupRingElement":
         """Push forward along a lattice quotient; colliding monomials are
-        combined additively (and may cancel). `images` is an exponent ->
-        image dict that a caller may share between elements pushed along
-        the same map, so that each distinct exponent is mapped once."""
+        combined additively (and may cancel). The exponents are mapped
+        together (`LatticeMap.apply_all`) and the terms pushed by
+        `pushed_terms`, as `EquivariantComplex.specialize` does."""
         if lattice_map.rank_in != self.rank:
             raise InputError(
                 f"map expects rank {lattice_map.rank_in}, element has {self.rank}"
             )
+        images = None
+        if lattice_map.rank_out:
+            images = dict(zip(self.terms, lattice_map.apply_all(self.terms)))
+        return GroupRingElement.of_terms(
+            self.ring, lattice_map.rank_out, self.pushed_terms(images)
+        )
+
+    def pushed_terms(self, images) -> dict:
+        """The terms of the image of self under a lattice quotient, where
+        `images` maps each exponent of self to its image, or is None for
+        a quotient of rank 0. Images that collide are summed in term
+        order, and sums that cancel are dropped; on rank 0 the one image
+        () carries the sum of the coefficients (mod 2 over Z/2)."""
+        mod2 = self.ring is CoefficientRing.MOD2
+        terms = self.terms
         if images is None:
-            images = {}
-        out = GroupRingElement.zero(self.ring, lattice_map.rank_out)
-        ring = self.ring
+            c = sum(terms.values())
+            if mod2:
+                c &= 1
+            return {(): c} if c else {}
+        acc = {images[exp]: c for exp, c in terms.items()}
+        if len(acc) == len(terms):  # no two images collide
+            return acc
         acc = {}
-        for exp, coeff in self.terms.items():
-            image = images.get(exp)
-            if image is None:
-                image = images[exp] = lattice_map.apply(exp)
+        for exp, c in terms.items():
+            image = images[exp]
             if image in acc:
-                s = ring.add(acc[image], coeff)
-                if s == 0:
+                c = acc[image] + c
+                if mod2:
+                    c &= 1
+                if not c:
                     del acc[image]
-                else:
-                    acc[image] = s
-            else:
-                acc[image] = coeff
-        out.terms = acc
-        return out
+                    continue
+            acc[image] = c
+        return acc
 
     # -- text form ----------------------------------------------------
 
@@ -410,9 +423,7 @@ class GroupRingElement:
                     continue
             if c:
                 acc[exp] = c
-        out = cls.zero(ring, rank)
-        out.terms = acc
-        return out
+        return cls.of_terms(ring, rank, acc)
 
 
 def _parse_term(chunk, text, ring, rank, factors):
@@ -456,10 +467,7 @@ def _parse_factor(factor, text, rank):
     try:
         if factor.isdigit():
             return int(factor)
-        big = _DECIMAL_EXPONENT.search(factor)
-        if big and int(big[1]) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(factor)
-        return Fraction(factor)
+        return _read_decimal(factor)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad factor {factor!r} in {text!r}") from exc
 
@@ -770,11 +778,10 @@ def _unit_eliminate(rows, ring, nvars):
     left = []
     for row in M:
         if row:
-            elements = {}
-            for j, x in row.items():
-                e = elements[j] = GroupRingElement.zero(ring, nvars)
-                e.terms = x if nvars else {(): x}
-            left.append(elements)
+            left.append({
+                j: GroupRingElement.of_terms(ring, nvars, x if nvars else {(): x})
+                for j, x in row.items()
+            })
     return pivots, left
 
 
@@ -838,19 +845,23 @@ def _gf_tables():
 
 
 def _point(ring, nvars, seed):
-    """A seeded random point with nonzero coordinates: residues mod p over
-    Z and Q, discrete logarithms (powers of x) over Z/2."""
+    """A seeded random point with nonzero coordinates: over Z and Q,
+    (residue, inverse) pairs mod p, so each coordinate is inverted once;
+    over Z/2, discrete logarithms (powers of x)."""
     rng = random.Random(seed)
     if ring is CoefficientRing.MOD2:
         return [rng.randrange(_GF_ORDER) for _ in range(nvars)]
-    return [rng.randrange(1, _P) for _ in range(nvars)]
+    residues = [rng.randrange(1, _P) for _ in range(nvars)]
+    return [(x, pow(x, -1, _P)) for x in residues]
 
 
 def _evaluate_mod_p(rows, point, monomials):
     """The stored entries of sparse rows at the point, as {column: value}
     rows in F_p without zeros; None when a coefficient's denominator is
-    divisible by p (the point is then not in the domain). `monomials`
-    caches exponent -> value at the point."""
+    divisible by p (the point is then not in the domain). The point is a
+    list of (x, x^-1) pairs (`_point`): t^k is x^k for k > 0 and
+    (x^-1)^-k for k < 0, so no monomial takes a modular inverse.
+    `monomials` caches exponent -> value at the point."""
     out = []
     for row in rows:
         values = {}
@@ -860,9 +871,11 @@ def _evaluate_mod_p(rows, point, monomials):
                 mono = monomials.get(exp)
                 if mono is None:
                     mono = 1
-                    for x, k in zip(point, exp):
-                        if k:
+                    for (x, x_inv), k in zip(point, exp):
+                        if k > 0:
                             mono = mono * pow(x, k, _P) % _P
+                        elif k:
+                            mono = mono * pow(x_inv, -k, _P) % _P
                     monomials[exp] = mono
                 den = c.denominator
                 if den != 1:

@@ -233,7 +233,11 @@ def truncated_homology_oracle(
     two consecutive runs return the same boundary ranks and the result is
     internally consistent (nonnegative Betti, Euler identity); failing to
     stabilize raises IncreaseOrder. A starting order above
-    `lattice.MAX_ORACLE_ORDER` is an InputError.
+    `lattice.MAX_ORACLE_ORDER` is an InputError, and so is a starting
+    window whose integer cutoff is above it: the window of order N along
+    the induced period b = m / D (m, D coprime) holds the heights up to
+    N * D / |m|, so it grows with the denominator D. For an integral class
+    whose induced period is +-1 the cutoff is the order itself.
     """
     a = _as_class(a, X.deck.rank)
     if a.is_zero():
@@ -248,9 +252,15 @@ def truncated_homology_oracle(
     q = quotient_map([a])
     if q.rank_out != 1:
         raise InputError("class does not induce a rank-one quotient")
-    Y = X.specialize(q)
     induced = q.induced_class(a)
     region = Polytope([induced])
+    cutoff = Truncation.interior(region, order)._cutoff
+    if cutoff > MAX_ORACLE_ORDER:
+        raise InputError(
+            f"the oracle window at order {order} holds heights up to "
+            f"{cutoff}, above the limit {MAX_ORACLE_ORDER}"
+        )
+    Y = X.specialize(q)
     counts = Y.cell_counts()
     chi = euler_characteristic(Y)
 

@@ -13,16 +13,42 @@ free lattice of the complementary rank.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import InputError
 
+MAX_DECIMAL_EXPONENT = 4300  # Python's default limit on the digits of an int
+_BIG = 10**MAX_DECIMAL_EXPONENT  # the largest size of a parsed number
+_DECIMAL_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)$")
+
+
+def _size(c):
+    """max(|numerator|, denominator) of the rational c."""
+    return max(abs(c.numerator), c.denominator)
+
+
+def _read_decimal(text) -> Fraction:
+    """Fraction(text); ValueError when its decimal exponent is above
+    MAX_DECIMAL_EXPONENT in absolute value, as building 10^exponent would
+    take long for a large one."""
+    big = _DECIMAL_EXPONENT.search(text)
+    if big and abs(int(big[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(text)
+    return Fraction(text)
+
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, 'p/q' or 'p' strings, and [num, den] pairs."""
+    """Accept ints, 'p/q' or 'p' strings, and [num, den] pairs.
+
+    A string with a decimal exponent above MAX_DECIMAL_EXPONENT, or whose
+    numerator or denominator is above 10^MAX_DECIMAL_EXPONENT, is an
+    InputError, as it is for a coefficient (`GroupRingElement.from_string`).
+    """
     if isinstance(value, bool):
         raise InputError("booleans are not rationals")
     if isinstance(value, int):
@@ -31,9 +57,14 @@ def parse_rational(value) -> Fraction:
         return value
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            q = _read_decimal(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational string {value!r}") from exc
+        if _size(q) > _BIG:
+            raise InputError(
+                f"rational {value!r} is above 10^{MAX_DECIMAL_EXPONENT}"
+            )
+        return q
     if isinstance(value, (list, tuple)) and len(value) == 2:
         num, den = value
         if not (isinstance(num, int) and isinstance(den, int)):
@@ -45,7 +76,21 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    """str(q); InputError when str() cannot print it (an int of more than
+    MAX_DECIMAL_EXPONENT digits, from 10^4300 on)."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise InputError(
+            f"a rational of more than {MAX_DECIMAL_EXPONENT} digits"
+        ) from exc
+
+
+def _integer_form(periods):
+    """(numerators, D): the periods are numerators[i] / D, D the lcm of
+    their denominators (1 for no periods)."""
+    den = lcm(*(p.denominator for p in periods)) if periods else 1
+    return [p.numerator * (den // p.denominator) for p in periods], den
 
 
 # The largest deck rank accepted from outside: a document's rank or
@@ -113,12 +158,13 @@ class CohomologyClass:
         """
         if self.is_zero():
             return self
-        den = lcm(*(p.denominator for p in self.periods))
-        ints = [int(p * den) for p in self.periods]
-        g = gcd(*(abs(n) for n in ints))
-        return CohomologyClass(tuple(Fraction(n, g) for n in ints))
+        ints, _ = _integer_form(self.periods)
+        g = gcd(*ints)
+        return CohomologyClass(tuple(Fraction(n // g) for n in ints))
 
     def to_json(self):
+        """The periods as strings; InputError for a period that str()
+        cannot print (see `format_rational`)."""
         return [format_rational(p) for p in self.periods]
 
 
@@ -352,11 +398,7 @@ def _diagonalize(rows):
 
 
 def _clear_denominators(classes):
-    rows = []
-    for a in classes:
-        den = lcm(*(p.denominator for p in a.periods)) if a.periods else 1
-        rows.append([int(p * den) for p in a.periods])
-    return rows
+    return [_integer_form(a.periods)[0] for a in classes]
 
 
 def _class_ranks(classes, rank):
@@ -419,33 +461,58 @@ class LatticeMap:
         return len(self.matrix)
 
     def apply(self, exponent) -> tuple:
+        """The image of one lattice vector; `apply_all` maps many."""
         if len(exponent) != self.rank_in:
             raise InputError(
                 f"vector of length {len(exponent)} against rank {self.rank_in}"
             )
         return tuple(sum(map(mul, row, exponent)) for row in self.matrix)
 
+    def apply_all(self, exponents) -> list:
+        """[apply(x) for x in exponents], computed on coordinate columns.
+
+        Output coordinate i is the sum over the nonzero entries a of row i
+        of a times the input column of a: one `map` pass over all the
+        vectors per nonzero entry, and no Python call per vector.
+        """
+        exponents = list(exponents)
+        if set(map(len, exponents)) - {self.rank_in}:
+            bad = next(x for x in exponents if len(x) != self.rank_in)
+            raise InputError(
+                f"vector of length {len(bad)} against rank {self.rank_in}"
+            )
+        if not self.matrix:
+            return [()] * len(exponents)
+        columns = list(zip(*exponents))
+        out = []
+        for row in self.matrix:
+            acc = repeat(0, len(exponents))
+            for a, column in zip(row, columns):
+                if a == 1:
+                    acc = map(add, acc, column)
+                elif a:
+                    acc = map(add, acc, map(mul, repeat(a), column))
+            out.append(list(acc))
+        return list(zip(*out))
+
     def induced_class(self, a: CohomologyClass) -> CohomologyClass:
         """The unique class b on the quotient with b(apply(x)) == a(x).
 
         Exists iff a vanishes on the kernel; raises InputError otherwise.
+        The periods are summed as integer numerators over their common
+        denominator, which is divided out of the results only.
         """
         if a.rank != self.rank_in:
             raise InputError("class rank disagrees with the map")
-        r = self.rank_in
-        image = [
-            sum(a.periods[i] * self._tinv[i][j] for i in range(r))
-            for j in range(r)
-        ]
-        keep = []
-        for j, value in enumerate(image):
-            if j < self.rank_out:
-                keep.append(value)
-            elif value != 0:
-                raise InputError(
-                    "class does not vanish on the kernel of the quotient map"
-                )
-        return CohomologyClass(tuple(keep))
+        nums, den = _integer_form(a.periods)
+        image = [sum(map(mul, nums, column)) for column in zip(*self._tinv)]
+        if any(image[self.rank_out:]):
+            raise InputError(
+                "class does not vanish on the kernel of the quotient map"
+            )
+        return CohomologyClass(
+            tuple(Fraction(n, den) for n in image[: self.rank_out])
+        )
 
 
 def quotient_map(classes, rank=None) -> LatticeMap:

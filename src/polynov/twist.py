@@ -102,9 +102,11 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
 
     Each boundary entry is expanded into monomials, every monomial is
     mapped through the quotient on its own, and the images are re-summed
-    in the target ring. This exercises a different code path from
-    `twisted_complex` (which pushes whole elements forward); the two must
-    agree entry by entry.
+    in the target ring one monomial at a time. This exercises a different
+    code path from `twisted_complex` (which pushes each distinct element
+    once, through `GroupRingElement.pushed_terms`); the two must agree
+    entry by entry. Only the exponent images are shared: they come from
+    one `LatticeMap.apply_all` call over the distinct exponents.
     """
     if P.rank != X.deck.rank:
         raise InputError(
@@ -113,22 +115,21 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
     indices = _restriction_indices(P, B)
     q = quotient_map(P.vertices)
     ring = X.ring
-    images = {}  # exponent -> image, each distinct exponent mapped once
+    exponents = set().union(
+        *(e.terms for band in X.columns for column in band for e in column.values())
+    )
+    images = dict(zip(exponents, q.apply_all(exponents)))
 
     def move(e: GroupRingElement) -> GroupRingElement:
         terms = {}
         for exp, coeff in e.sorted_terms():
-            image = images.get(exp)
-            if image is None:
-                image = images[exp] = q.apply(exp)
+            image = images[exp]
             s = ring.add(terms.get(image, 0), coeff)
             if s == 0:
                 del terms[image]
             else:
                 terms[image] = s
-        out = GroupRingElement.zero(ring, q.rank_out)
-        out.terms = terms
-        return out
+        return GroupRingElement.of_terms(ring, q.rank_out, terms)
 
     columns = [
         [{i: move(e) for i, e in column.items()} for column in band]

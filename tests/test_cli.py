@@ -141,6 +141,64 @@ def test_oracle_orders_above_the_limit_are_input_errors(capsys):
         }
 
 
+KOSZUL3 = str(GOLDEN / "koszul3-Q.json")
+
+
+@pytest.mark.parametrize(
+    "klass, order, denominator",
+    [("1/7,1/11,1/13", 4, 7 * 11 * 13), ("1/7,1/11,1/13", 66, 7 * 11 * 13),
+     ("1/101,1/103,1/107", 16, 101 * 103 * 107),
+     ("1/1009,1/1013,1/1019", 16, 1009 * 1013 * 1019)],
+)
+def test_oracle_window_cutoff_limit(capsys, klass, order, denominator):
+    # the induced period is 1/D, so the window of order N holds N * D
+    # heights; above the limit the oracle ran for minutes or ran out of
+    # memory, and it now stops before any elimination. Order 66 is below
+    # the order limit, but its window is not.
+    cutoff = order * denominator
+    start = time.perf_counter()
+    args = ["novikov", KOSZUL3, "--class", klass, "--order", str(order)]
+    code, out, err = call(capsys, [*args, "--format", "json"])
+    if cutoff <= MAX_ORACLE_ORDER:
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["agree"] and payload["oracle"]["checks"]["orders"] == [order, 2 * order]
+        return
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "InputError",
+        "message": f"the oracle window at order {order} holds heights up to {cutoff}, "
+                   f"above the limit {MAX_ORACLE_ORDER}",
+    }
+
+
+BIG = 10**2200
+RANK3_BIG_DENOMINATORS = f"1/{BIG + 1},1/{BIG + 3},1/{BIG + 7}"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["novikov", "torus", "--class=1e4300,1"], "a rational of more than 4300 digits"),
+        (["polytope", KOSZUL3, "--vertices=1e4300,1,1"], "a rational of more than 4300 digits"),
+        (["approx", "--class=1,1", "--eps=1e-5000"], "bad rational string '1e-5000'"),
+        (["novikov", "torus", "--class=1e10000000,1"], "bad rational string '1e10000000'"),
+        (["approx", "--class=1,1", "--eps=1e-100000000"], "bad rational string '1e-100000000'"),
+        # each period prints, but the ray normalization has three times the digits
+        (["novikov", KOSZUL3, "--class", RANK3_BIG_DENOMINATORS],
+         "a rational of more than 4300 digits"),
+    ],
+    ids=["class", "vertices", "eps", "class-exponent", "eps-exponent", "ray"],
+)
+def test_rationals_of_more_than_4300_digits_are_input_errors(capsys, args, message):
+    start = time.perf_counter()
+    code, out, err = call(capsys, [*args, "--format", "json"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "InputError", "message": message}
+
+
 def test_missing_input(capsys):
     code, _, err = call(capsys, ["betti", "no_such_thing"])
     assert code == 2
@@ -286,13 +344,13 @@ def test_one_pushed_complex_per_novikov_job(capsys, monkeypatch):
     # the Novikov rank and the truncated oracle share one pushforward, so
     # no element is pushed twice in a job
     pushes = []  # the elements themselves, so no id is reused
-    original = GroupRingElement.specialize
+    original = GroupRingElement.pushed_terms
 
-    def counting(self, lattice_map, images=None):
+    def counting(self, images):
         pushes.append(self)
-        return original(self, lattice_map, images)
+        return original(self, images)
 
-    monkeypatch.setattr(GroupRingElement, "specialize", counting)
+    monkeypatch.setattr(GroupRingElement, "pushed_terms", counting)
     for args in (
         ["novikov", "torus", "--class", "1,2"],
         ["novikov", str(GOLDEN / "koszul3-Z.json"), "--class=1,2,3"],

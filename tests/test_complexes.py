@@ -831,6 +831,101 @@ def test_specialize_keeps_its_last_result():
     assert again is not diagonal and again == diagonal
 
 
+def pushed_reference(e, q):
+    """The image of e, monomial by monomial through LatticeMap.apply and
+    GroupRingElement addition."""
+    out = GroupRingElement.zero(e.ring, q.rank_out)
+    for exp, c in e.terms.items():
+        out = out + GroupRingElement.monomial(e.ring, q.rank_out, q.apply(exp), c)
+    return out
+
+
+def random_pushable(rng, ring, rank, q):
+    """A complex (not validated) over Z^rank with entries from a shared
+    pool: random Laurent polynomials, true fractions over Q, and
+    differences t^x - t^(x + v) with v in the kernel of q, whose image is
+    zero."""
+
+    def coefficient():
+        if ring is CoefficientRing.MOD2:
+            return 1
+        if ring is Q and rng.random() < 0.5:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(2, 6))
+        return rng.choice((-3, -1, 1, 2))
+
+    def exponent():
+        return tuple(rng.randint(-3, 3) for _ in range(rank))
+
+    pool = []
+    for _ in range(8):
+        terms = {exponent(): coefficient() for _ in range(rng.randint(1, 5))}
+        pool.append(GroupRingElement(ring, rank, terms))
+    for v in q.kernel[:2]:
+        x, c = exponent(), coefficient()
+        pool.append(GroupRingElement(
+            ring, rank, {x: c, tuple(a + b for a, b in zip(x, v)): -c}
+        ))
+    cells = [tuple(f"c{k}_{j}" for j in range(rng.randint(1, 4))) for k in range(3)]
+    columns = [
+        [
+            {i: rng.choice(pool) for i in range(len(cells[k])) if rng.random() < 0.6}
+            for _ in cells[k + 1]
+        ]
+        for k in range(2)
+    ]
+    return EquivariantComplex.from_columns(ring, rank, cells, columns, validate=False)
+
+
+@pytest.mark.parametrize("ring", list(CoefficientRing))
+def test_bulk_specialize_matches_the_entry_by_entry_push(ring):
+    # quotients of rank 0 to 3 from Z^3 and Z^4; shared elements, negative
+    # exponents and images that cancel
+    rng = random.Random({Q: 11, CoefficientRing.INT: 13, CoefficientRing.MOD2: 17}[ring])
+    seen, dropped = set(), 0
+    for trial in range(40):
+        rank = 3 + trial % 2
+        k = trial % 4
+        classes = [
+            CohomologyClass(tuple(rng.randint(-3, 3) for _ in range(rank)))
+            for _ in range(k)
+        ] or [CohomologyClass((0,) * rank)]
+        q = quotient_map(classes)
+        seen.add(q.rank_out)
+        X = random_pushable(rng, ring, rank, q)
+        Y = X.specialize(q)
+        assert Y.deck.rank == q.rank_out and Y.cells == X.cells and Y.ring is ring
+        expected = tuple(
+            tuple(
+                {i: e.specialize(q) for i, e in column.items() if e.specialize(q).terms}
+                for column in band
+            )
+            for band in X.columns
+        )
+        assert Y.columns == expected
+        dropped += sum(
+            len(a) - len(b)
+            for x, y in zip(X.columns, Y.columns) for a, b in zip(x, y)
+        )
+        for band, reference in zip(Y.columns, X.columns):
+            for column, original in zip(band, reference):
+                for i, e in original.items():
+                    image = pushed_reference(e, q)
+                    assert column.get(i, GroupRingElement.zero(ring, q.rank_out)) == image
+                for e in column.values():
+                    assert e.terms and e.rank == q.rank_out and e.ring is ring
+        # equal elements push to equal images, one object per distinct element
+        images = {id(e): Y.columns[k][j][i]
+                  for k, band in enumerate(X.columns)
+                  for j, column in enumerate(band)
+                  for i, e in column.items() if i in Y.columns[k][j]}
+        for k, band in enumerate(X.columns):
+            for j, column in enumerate(band):
+                for i, e in column.items():
+                    if i in Y.columns[k][j]:
+                        assert Y.columns[k][j][i] is images[id(e)]
+    assert seen == {0, 1, 2, 3} and dropped
+
+
 def test_specialize_torus_to_diagonal():
     X = ingest(torus_doc())
     q = quotient_map([CohomologyClass((1, 1))])

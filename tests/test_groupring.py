@@ -988,6 +988,49 @@ def test_fractional_coefficients_evaluate_through_inverses():
         assert point_rank(rows, 0) == bareiss(rows)
 
 
+def test_evaluate_mod_p_matches_the_pow_formula():
+    # each coordinate is inverted once; every monomial, negative exponents
+    # included, takes the value sum(c * prod(pow(x, k, p))) at the residues
+    p = groupring._P
+    rng = random.Random(67)
+    for trial in range(30):
+        ring = (Q, Z)[trial % 2]
+        nvars = rng.randint(1, 4)
+        point = groupring._point(ring, nvars, trial)
+        assert all(x * x_inv % p == 1 for x, x_inv in point)
+        rows = [
+            {
+                j: random_element(rng, ring, nvars, nterms=4, span=5)
+                for j in range(rng.randint(0, 4))
+            }
+            for _ in range(rng.randint(1, 4))
+        ]
+        if ring is Q:
+            for row in rows:
+                for j, e in row.items():
+                    row[j] = e * GroupRingElement.monomial(
+                        Q, nvars, (0,) * nvars, Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    )
+        expected = []
+        for row in rows:
+            values = {}
+            for j, e in row.items():
+                acc = 0
+                for exp, c in e.terms.items():
+                    mono = 1
+                    for (x, _), k in zip(point, exp):
+                        mono = mono * pow(x, k, p) % p
+                    c = Fraction(c)
+                    acc += c.numerator * pow(c.denominator, -1, p) * mono
+                if acc % p:
+                    values[j] = acc % p
+            expected.append(values)
+        monomials = {}
+        assert groupring._evaluate_mod_p(rows, point, monomials) == expected
+        # a second call reads the same values from the cache
+        assert groupring._evaluate_mod_p(rows, point, monomials) == expected
+
+
 def test_denominator_divisible_by_p_takes_the_fallback():
     p = groupring._P
     entry = GroupRingElement(Q, 1, {(1,): Fraction(1, p), (0,): 1})
@@ -1022,18 +1065,19 @@ def test_rank_deficient_lone_matrix_is_never_certified(ring):
 
 def test_specialize_maps_stored_entries_only(monkeypatch):
     pushes, applied = [], []
-    push, apply = GroupRingElement.specialize, LatticeMap.apply
+    push, apply_all = GroupRingElement.pushed_terms, LatticeMap.apply_all
 
-    def push_spy(self, lattice_map, images=None):
+    def push_spy(self, images):
         pushes.append(self)
-        return push(self, lattice_map, images)
+        return push(self, images)
 
-    def apply_spy(self, exponent):
-        applied.append(exponent)
-        return apply(self, exponent)
+    def apply_spy(self, exponents):
+        exponents = list(exponents)
+        applied.extend(exponents)
+        return apply_all(self, exponents)
 
-    monkeypatch.setattr(GroupRingElement, "specialize", push_spy)
-    monkeypatch.setattr(LatticeMap, "apply", apply_spy)
+    monkeypatch.setattr(GroupRingElement, "pushed_terms", push_spy)
+    monkeypatch.setattr(LatticeMap, "apply_all", apply_spy)
     q = quotient_map([CohomologyClass((1, 1))])
     t = GroupRingElement.from_string("t1 - t2 + 1", Q, 2)
     cancels = GroupRingElement.from_string("t1 - t2", Q, 2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -9,10 +10,13 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from polynov.errors import InputError
 from polynov.lattice import (
+    MAX_DECIMAL_EXPONENT,
     CohomologyClass,
     Polytope,
     Subpolytope,
+    _clear_denominators,
     convex_combination,
+    format_rational,
     kernel_lattice,
     parse_rational,
     period_eval,
@@ -268,3 +272,87 @@ def test_ray_normalization():
     # scaling never changes the normalized form
     assert a.scale(7).ray_normalized() == a.ray_normalized()
     assert a.scale(Fraction(1, 5)).ray_normalized() == a.ray_normalized()
+
+
+def random_classes(rng, r, k):
+    """k classes of rank r with fractional periods (denominators up to 12)."""
+    return [
+        CohomologyClass(tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(r)
+        ))
+        for _ in range(k)
+    ]
+
+
+def test_apply_all_matches_apply():
+    rng = random.Random(17)
+    for _ in range(40):
+        r = rng.randint(1, 4)
+        classes = random_classes(rng, r, rng.randint(1, 3))
+        if rng.random() < 0.2:
+            classes = [zero_class(r)]  # a quotient of rank 0
+        q = quotient_map(classes)
+        xs = [
+            tuple(rng.randint(-6, 6) for _ in range(r))
+            for _ in range(rng.randint(0, 12))
+        ]
+        assert q.apply_all(xs) == [q.apply(x) for x in xs]
+        assert q.apply_all(iter(xs)) == [q.apply(x) for x in xs]
+        assert q.apply_all([]) == []
+        with pytest.raises(InputError):
+            q.apply_all(xs + [(0,) * (r + 1)])
+    assert quotient_map([zero_class(3)]).apply_all([(5, -2, 7), (0, 0, 0)]) == [(), ()]
+
+
+def test_integer_lattice_paths_match_the_fraction_formulas():
+    rng = random.Random(29)
+    for _ in range(60):
+        r = rng.randint(1, 4)
+        classes = random_classes(rng, r, rng.randint(1, 3))
+        # _clear_denominators: each class times the lcm of its denominators
+        for a, row in zip(classes, _clear_denominators(classes)):
+            den = 1
+            for p in a.periods:
+                den = den * p.denominator // gcd(den, p.denominator)
+            assert row == [int(p * den) for p in a.periods]
+        # ray_normalized: the primitive integer vector on the class's ray
+        for a in classes:
+            b = a.ray_normalized()
+            if a.is_zero():
+                assert b == a
+                continue
+            assert all(p.denominator == 1 for p in b.periods)
+            assert gcd(*(p.numerator for p in b.periods)) == 1
+            ratios = {bp / ap for ap, bp in zip(a.periods, b.periods) if ap}
+            assert len(ratios) == 1 and ratios.pop() > 0
+        # induced_class: the Fraction sum through the inverse basis change
+        q = quotient_map(classes)
+        tinv = q._tinv
+        for a in classes + [classes[0].scale(Fraction(3, 7))]:
+            image = [
+                sum((a.periods[i] * tinv[i][j] for i in range(r)), Fraction(0))
+                for j in range(r)
+            ]
+            assert all(v == 0 for v in image[q.rank_out:])
+            induced = q.induced_class(a)
+            assert induced.periods == tuple(image[: q.rank_out])
+            assert all(type(p) is Fraction for p in induced.periods)
+
+
+def test_rationals_of_more_than_4300_digits_are_input_errors():
+    huge = 10**MAX_DECIMAL_EXPONENT
+    assert parse_rational("1e4300") == huge
+    assert parse_rational(f"1/{huge - 1}") == Fraction(1, huge - 1)
+    for text in (
+        "1e4301", "1e-4301", "1E+4301", "1e10000000", "1e-100000000",
+        "9.9e4300", "1" + "0" * 4300, "1/1" + "0" * 4300,
+    ):
+        with pytest.raises(InputError):
+            parse_rational(text)
+    # what parses may still be too long to print: 10^4300 has 4301 digits
+    assert format_rational(Fraction(huge - 1, 3)) == str(Fraction(huge - 1, 3))
+    for q in (Fraction(huge), Fraction(1, huge), Fraction(huge, 3) + 1):
+        with pytest.raises(InputError):
+            format_rational(q)
+    with pytest.raises(InputError):
+        CohomologyClass((huge, 1)).to_json()
