@@ -202,7 +202,7 @@ class EquivariantComplex:
         """Push all boundary entries forward along a deck-lattice quotient.
 
         The work is in bulk: the distinct exponents of the stored entries
-        go through `lattice_map.apply_all` together, and each distinct
+        go through `lattice_map.images` together, and each distinct
         stored element (by identity: `ingest` shares one element between
         equal entry strings) is pushed once, by
         `GroupRingElement.pushed_terms`. On a quotient of rank 0 (ordinary
@@ -229,10 +229,9 @@ class EquivariantComplex:
         stored = {
             id(e): e for band in self.columns for c in band for e in c.values()
         }
-        images = None
-        if lattice_map.rank_out:
-            exponents = set().union(*(e.terms for e in stored.values()))
-            images = dict(zip(exponents, lattice_map.apply_all(exponents)))
+        images = lattice_map.images(
+            set().union(*(e.terms for e in stored.values()))
+        )
         ring, rank = self.ring, lattice_map.rank_out
         push, element = GroupRingElement.pushed_terms, GroupRingElement.of_terms
         pushed = {}  # id(element) -> its image, None when that is zero

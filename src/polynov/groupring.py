@@ -300,15 +300,13 @@ class GroupRingElement:
     def specialize(self, lattice_map: LatticeMap) -> "GroupRingElement":
         """Push forward along a lattice quotient; colliding monomials are
         combined additively (and may cancel). The exponents are mapped
-        together (`LatticeMap.apply_all`) and the terms pushed by
+        together (`LatticeMap.images`) and the terms pushed by
         `pushed_terms`, as `EquivariantComplex.specialize` does."""
         if lattice_map.rank_in != self.rank:
             raise InputError(
                 f"map expects rank {lattice_map.rank_in}, element has {self.rank}"
             )
-        images = None
-        if lattice_map.rank_out:
-            images = dict(zip(self.terms, lattice_map.apply_all(self.terms)))
+        images = lattice_map.images(self.terms)
         return GroupRingElement.of_terms(
             self.ring, lattice_map.rank_out, self.pushed_terms(images)
         )
@@ -316,9 +314,10 @@ class GroupRingElement:
     def pushed_terms(self, images) -> dict:
         """The terms of the image of self under a lattice quotient, where
         `images` maps each exponent of self to its image, or is None for
-        a quotient of rank 0. Images that collide are summed in term
-        order, and sums that cancel are dropped; on rank 0 the one image
-        () carries the sum of the coefficients (mod 2 over Z/2)."""
+        a quotient of rank 0, as `LatticeMap.images` gives them. Images
+        that collide are summed in term order, and sums that cancel are
+        dropped; on rank 0 the one image () carries the sum of the
+        coefficients (mod 2 over Z/2)."""
         mod2 = self.ring is CoefficientRing.MOD2
         terms = self.terms
         if images is None:
@@ -326,9 +325,6 @@ class GroupRingElement:
             if mod2:
                 c &= 1
             return {(): c} if c else {}
-        acc = {images[exp]: c for exp, c in terms.items()}
-        if len(acc) == len(terms):  # no two images collide
-            return acc
         acc = {}
         for exp, c in terms.items():
             image = images[exp]

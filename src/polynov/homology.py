@@ -257,8 +257,8 @@ def truncated_homology_oracle(
     cutoff = Truncation.interior(region, order)._cutoff
     if cutoff > MAX_ORACLE_ORDER:
         raise InputError(
-            f"the oracle window at order {order} holds heights up to "
-            f"{cutoff}, above the limit {MAX_ORACLE_ORDER}"
+            f"the oracle window at order {order} reaches heights above "
+            f"the limit {MAX_ORACLE_ORDER}"
         )
     Y = X.specialize(q)
     counts = Y.cell_counts()

@@ -93,6 +93,15 @@ def _integer_form(periods):
     return [p.numerator * (den // p.denominator) for p in periods], den
 
 
+def _primitive_form(periods):
+    """(weights, s): weights is the primitive integer vector on the ray of
+    the periods, and s the positive rational with periods == weights / s
+    (zero weights and s == 1 for the zero vector)."""
+    ints, den = _integer_form(periods)
+    g = gcd(*ints) or 1
+    return [n // g for n in ints], Fraction(den, g)
+
+
 # The largest deck rank accepted from outside: a document's rank or
 # deck_map, a --class or a --vertices class. Quotient and approximation
 # work grows like the cube of the rank or faster; at rank 64 a command
@@ -158,9 +167,8 @@ class CohomologyClass:
         """
         if self.is_zero():
             return self
-        ints, _ = _integer_form(self.periods)
-        g = gcd(*ints)
-        return CohomologyClass(tuple(Fraction(n // g) for n in ints))
+        weights, _ = _primitive_form(self.periods)
+        return CohomologyClass(tuple(map(Fraction, weights)))
 
     def to_json(self):
         """The periods as strings; InputError for a period that str()
@@ -494,6 +502,14 @@ class LatticeMap:
                     acc = map(add, acc, map(mul, repeat(a), column))
             out.append(list(acc))
         return list(zip(*out))
+
+    def images(self, exponents):
+        """{x: apply(x) for x in exponents}, from one `apply_all` call; None
+        when rank_out is 0, where every image is ()."""
+        if not self.matrix:
+            return None
+        exponents = list(exponents)
+        return dict(zip(exponents, self.apply_all(exponents)))
 
     def induced_class(self, a: CohomologyClass) -> CohomologyClass:
         """The unique class b on the quotient with b(apply(x)) == a(x).

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor
 from operator import mul
 
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
 from .groupring import GroupRingElement
 from .lattice import (
     CohomologyClass,
+    _primitive_form,
     active_vertices,
     parse_rational,
     period_eval,
@@ -53,14 +54,12 @@ class Truncation:
         order = parse_rational(order)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "order", order)
-        # direction = weights / D with `weights` a primitive integer vector,
+        # direction = weights / s with `weights` a primitive integer vector,
         # so the window test is an integer comparison: weights . A is an
-        # integer, and it is <= order * D iff it is <= floor(order * D)
-        den = lcm(*(p.denominator for p in direction.periods))
-        ints = [int(p * den) for p in direction.periods]
-        g = gcd(*ints) or 1
-        object.__setattr__(self, "_weights", tuple(n // g for n in ints))
-        object.__setattr__(self, "_cutoff", floor(order * den / g))
+        # integer, and it is <= order * s iff it is <= floor(order * s)
+        weights, s = _primitive_form(direction.periods)
+        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_cutoff", floor(order * s))
 
     @classmethod
     def interior(cls, region, order) -> "Truncation":

@@ -106,7 +106,7 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
     code path from `twisted_complex` (which pushes each distinct element
     once, through `GroupRingElement.pushed_terms`); the two must agree
     entry by entry. Only the exponent images are shared: they come from
-    one `LatticeMap.apply_all` call over the distinct exponents.
+    one `LatticeMap.images` call over the distinct exponents.
     """
     if P.rank != X.deck.rank:
         raise InputError(
@@ -118,12 +118,12 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
     exponents = set().union(
         *(e.terms for band in X.columns for column in band for e in column.values())
     )
-    images = dict(zip(exponents, q.apply_all(exponents)))
+    images = q.images(exponents)  # None on a quotient of rank 0
 
     def move(e: GroupRingElement) -> GroupRingElement:
         terms = {}
         for exp, coeff in e.sorted_terms():
-            image = images[exp]
+            image = () if images is None else images[exp]
             s = ring.add(terms.get(image, 0), coeff)
             if s == 0:
                 del terms[image]

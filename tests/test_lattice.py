@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 import sympy
@@ -24,6 +24,7 @@ from polynov.lattice import (
     quotient_map,
     zero_class,
 )
+from polynov.novseries import Truncation
 
 
 def sympy_kernel(rows):
@@ -301,6 +302,11 @@ def test_apply_all_matches_apply():
         assert q.apply_all([]) == []
         with pytest.raises(InputError):
             q.apply_all(xs + [(0,) * (r + 1)])
+        # images: the same map as a dict, None on a quotient of rank 0
+        if q.rank_out:
+            assert q.images(iter(xs)) == {x: q.apply(x) for x in xs}
+        else:
+            assert q.images(xs) is None
     assert quotient_map([zero_class(3)]).apply_all([(5, -2, 7), (0, 0, 0)]) == [(), ()]
 
 
@@ -324,7 +330,14 @@ def test_integer_lattice_paths_match_the_fraction_formulas():
             assert all(p.denominator == 1 for p in b.periods)
             assert gcd(*(p.numerator for p in b.periods)) == 1
             ratios = {bp / ap for ap, bp in zip(a.periods, b.periods) if ap}
-            assert len(ratios) == 1 and ratios.pop() > 0
+            (scale,) = ratios
+            assert scale > 0
+            # Truncation: the same primitive weights, and the cutoff of the
+            # window of order N is floor(N * scale) for b == scale * a
+            order = Fraction(rng.randint(1, 40), rng.randint(1, 5))
+            window = Truncation(a, order)
+            assert window._weights == tuple(int(p) for p in b.periods)
+            assert window._cutoff == floor(order * scale)
         # induced_class: the Fraction sum through the inverse basis change
         q = quotient_map(classes)
         tinv = q._tinv
