@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import acceptance, corpus
-from .complexes import ingest
+from .complexes import ingest, parse_document
 from .errors import PolynovError, InputError, ValidationError
 from .homology import (
     main_theorem_check,
@@ -73,13 +73,7 @@ def _load_document(source: str) -> dict:
                 data = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {source}: {exc}") from exc
-        try:
-            document = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{source} is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise InputError("complex document must be a JSON object")
-        return document
+        return parse_document(data, source)
     if source in corpus.names():
         return corpus.document(source)
     raise InputError(

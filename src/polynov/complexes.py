@@ -498,6 +498,24 @@ def _is_table(value) -> bool:
     return isinstance(value, list) and all(isinstance(row, list) for row in value)
 
 
+def parse_document(data, source=None):
+    """The JSON object in a document's text or bytes. InputError, naming
+    the source if given, for text that is not JSON, bytes that are not
+    UTF-8, an integer literal of more than MAX_DECIMAL_EXPONENT digits and
+    a value that is no object."""
+    where = "" if source is None else f"{source} is "
+    try:
+        document = json.loads(data)
+    except ValueError as exc:  # a plain ValueError: the long literal
+        reason = exc if type(exc) is not ValueError else (
+            f"an integer literal has more than {MAX_DECIMAL_EXPONENT} digits"
+        )
+        raise InputError(f"{where}not valid JSON: {reason}") from exc
+    if not isinstance(document, dict):
+        raise InputError("complex document must be a JSON object")
+    return document
+
+
 def ingest(document) -> EquivariantComplex:
     """Build a complex from a parsed JSON document (either input mode).
 
@@ -512,10 +530,7 @@ def ingest(document) -> EquivariantComplex:
     A deck rank (`rank`, or the row count of `deck_map`) above
     `lattice.MAX_DECK_RANK` is an InputError."""
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {exc}") from exc
+        document = parse_document(document)
     if not isinstance(document, dict):
         raise InputError("complex document must be a JSON object")
 

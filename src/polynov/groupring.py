@@ -12,34 +12,38 @@ documents, for example "3*t1^2*t2^-1 + 1" (terms sorted by descending
 lexicographic exponent). Rank-1 elements may use the bare variable "t".
 
 Matrix rank over the fraction field of the (Laurent) polynomial ring is
-taken on sparse rows {column: element} of the nonzero entries, read off a
-complex's stored columns (`chain_ranks`) or off dense rows
-(`matrix_rank_fraction_field`). It is exact elimination on the stored
-entries when they are constants: the exact rank below for Z and Q,
-bitmask elimination over GF(2) for Z/2. Otherwise the stored entries are
-evaluated at a seeded random point (in F_p with p = 2^61 - 1 over Z and
-Q, in GF(2^16) over Z/2), where the rank is a proved lower bound.
-`chain_ranks` certifies that bound as the exact rank when it is full or
-when d∘d = 0 pins it against a neighbouring boundary; "certified" means
-proved, whatever the point. Uncertified ranks fall back to the exact
-rank, over Z/2 at any size and over Z or Q up to 64 rows and columns;
-above that the lower bound is reported as such (route "evaluation",
-exact=False).
+taken on sparse rows {column: element} of the nonzero entries
+(`chain_ranks`, `matrix_rank_fraction_field`): exactly when they are
+constants, else at a seeded random point (in F_p with p = 2^61 - 1 over Z
+and Q, in GF(2^16) over Z/2), where the rank is a proved lower bound.
+`chain_ranks` certifies it as the exact rank or falls back to the exact
+rank, or, over Z or Q above 64 rows or columns, reports it as a labelled
+lower bound (route "evaluation", exact=False).
 
-The exact rank (`_exact_rank`) has two phases. `_unit_eliminate` pivots
-on unit entries (+-t^e; t^e over Z/2), clearing each pivot's column in
-the rows that store it; these row operations are invertible over R[Z^n],
-so the rank is the pivot count plus the rank of the rows left.
+One sparse elimination loop, `_eliminate`, serves the rank at the point
+and the first phase of the exact rank. A row pivots on its admissible
+entry whose column stores the fewest entries (a column -> rows index is
+kept), and only the rows that store an entry in that column are updated.
+Four arithmetics plug into it: F_p and GF(2^16), where every stored entry
+pivots, and the units of R[Z^n] as constants +-1 or as monomials +-t^e
+(t^e over Z/2). Three kernels stay apart: `_gf2_rank`, whose int bitmask
+rows rank constant Z/2 boundaries at a tenth of the loop's cost;
+`_bareiss_rank`, whose fraction-free update runs over every row below the
+pivot; and the truncated-series rank of the oracle
+(`homology._series_rank`), kept independent on purpose.
+
+The exact rank (`_exact_rank`) has two phases. `_unit_eliminate` runs
+the loop on the unit arithmetics; its row operations are invertible over
+R[Z^n], so the rank is the pivot count plus the rank of the rows left.
 Fraction-free (Bareiss) elimination (`_bareiss_rank`) ranks those. Before
 it each row is multiplied by a unit of the fraction field that clears its
 negative exponents and its denominators, which keeps the rank. The
-polynomials are then plain packed-key -> int dicts with coefficients in Z
-(mod 2 over Z/2): each exponent vector is one int key of a mixed-radix
-Kronecker map (`kronecker_weights`), radix 2 * S_v + 1 for variable v,
-S_v the sum over the rows of the row's largest exponent of v. Every
-Bareiss entry is a minor, of degree at most S_v in v, and a*x - b*y has
-degree at most 2 * S_v, so every key stays in the box where the map is
-injective and its int order is the lex order of the exponents.
+polynomials are then packed-key -> int dicts with coefficients in Z (mod
+2 over Z/2), each exponent vector one int key of a mixed-radix Kronecker
+map sized so that every Bareiss entry stays where the map is injective
+and ordered (`_normal_form`). The exact route over Z and Q is capped at
+64 rows and columns because Bareiss on a large remainder without units
+can take minutes.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import random
 import re
 from array import array
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import InputError
@@ -682,37 +686,21 @@ def _bareiss_rank(rows, ring, nvars) -> int:
     return rank
 
 
-def _unit_eliminate(rows, ring, nvars):
-    """Sparse elimination on unit pivots, ahead of Bareiss.
-
-    While a stored entry a of the sparse rows {column: element} is a unit
-    of R[Z^n] (`GroupRingElement.unit_monomial`: one monomial with
-    coefficient +-1, or 1 over Z/2), x <- x - b * a^-1 * y updates only the
-    rows that store an entry b in a's column, and a's row is dropped. The
-    rank over the fraction field is the pivot count plus the rank of the
-    rows left, since these row operations are invertible over R[Z^n] and
-    leave a's column zero outside a's row. Rows are visited in index order;
-    a row takes the unit entry whose column stores the fewest entries.
-    Passes repeat over the rows that an elimination changed after the
-    pass visited them, in index order, as they may have gained a unit.
-    Over Q a constant other than +-1 is no pivot, so no new fractions
-    arise; fractions already present are carried exactly.
-
-    Entries are numbers when nvars == 0, else exponent-tuple -> coefficient
-    dicts (shared with the input elements until an update replaces them).
-    Returns (pivot count, rows left as {column: element}, empty rows
-    dropped); those keep Laurent exponents, which `_normal_form` shifts.
+def _eliminate(M, arithmetic):
+    """Sparse elimination on the rows {column: value} of M, in place:
+    (pivot count, rows left, empty rows dropped). `arithmetic` holds
+    whether an entry may pivot (None: every stored entry, as over a
+    field), a pivot a's inverse, the factor -b * a^-1 from an entry b and
+    that inverse, and x + f * y (x None when not stored; a false result is
+    zero). In index order, a row pivots on its admissible entry whose
+    column stores the fewest entries, x <- x - b * a^-1 * y updates the
+    rows that store an entry b in that column, and the row is dropped.
+    These row operations are invertible, so the rank is the pivot count
+    plus the rank of the rows left. Passes repeat over the rows that an
+    elimination changed after the pass visited them, as they may have
+    gained a pivot; over a field one pass leaves no row.
     """
-    mod2 = ring is CoefficientRing.MOD2
-    if nvars:
-        M = [{j: e.terms for j, e in row.items()} for row in rows]
-
-        def is_unit(x):
-            return len(x) == 1 and (mod2 or next(iter(x.values())) in (1, -1))
-    else:
-        M = [{j: c for j, e in row.items() for c in e.terms.values()}
-             for row in rows]
-        is_unit = (1, -1).__contains__
+    admissible, inverse, factor, axpy = arithmetic
     where = {}  # column -> indices of the rows that store it
     for i, row in enumerate(M):
         for j in row:
@@ -724,42 +712,22 @@ def _unit_eliminate(rows, ring, nvars):
         for i in visit:
             touched.discard(i)
             pivot = M[i]
-            units = [j for j, x in pivot.items() if is_unit(x)]
+            units = pivot if admissible is None else [
+                j for j, x in pivot.items() if admissible(x)
+            ]
             if not units:
                 continue
             col = min(units, key=lambda j: len(where[j]))
-            a = pivot.pop(col)
-            if nvars:  # a = s * t^exp, a^-1 = s * t^-exp
-                ((exp, s),) = a.items()
+            a_inv = inverse(pivot.pop(col))
             for j in pivot:
                 where[j].discard(i)
             others = where.pop(col)
             others.discard(i)
             for r in others:
                 row = M[r]
-                b = row.pop(col)
-                if nvars:  # f = -b * a^-1
-                    f = [(tuple(map(sub, e, exp)), -s * cb) for e, cb in b.items()]
-                else:
-                    f = -a * b
+                f = factor(row.pop(col), a_inv)
                 for j, y in pivot.items():
-                    x = row.get(j)
-                    if nvars:
-                        x = dict(x) if x else {}
-                        for ef, cf in f:
-                            for ey, cy in y.items():
-                                e = tuple(map(add, ef, ey))
-                                z = x.get(e, 0) + cf * cy
-                                if mod2:
-                                    z &= 1
-                                if z:
-                                    x[e] = z
-                                else:
-                                    del x[e]
-                    else:
-                        x = (x or 0) + f * y
-                        if mod2:
-                            x &= 1
+                    x = axpy(row.get(j), f, y)
                     if x:
                         if j not in row:
                             where.setdefault(j, set()).add(r)
@@ -771,14 +739,46 @@ def _unit_eliminate(rows, ring, nvars):
             M[i] = None
             pivots += 1
         visit = sorted(touched)
-    left = []
-    for row in M:
-        if row:
-            left.append({
-                j: GroupRingElement.of_terms(ring, nvars, x if nvars else {(): x})
-                for j, x in row.items()
-            })
-    return pivots, left
+    return pivots, [row for row in M if row]
+
+
+def _unit_arithmetic(mod2, nvars):
+    """The units of R[Z^n] for `_eliminate`: constants +-1 (1 over Z/2)
+    when nvars is 0, else the elements s * t^e with s = +-1 (1 over Z/2),
+    `GroupRingElement.unit_monomial`, in element arithmetic. Over Q no new
+    fractions arise; fractions already present are carried exactly."""
+    if not nvars:
+        def axpy(x, f, y):
+            x = (x or 0) + f * y
+            return x & 1 if mod2 else x
+
+        return (1, -1).__contains__, lambda a: a, lambda b, a: -a * b, axpy
+
+    def axpy(x, f, y):
+        z = f * y if x is None else x + f * y
+        return z if z.terms else None
+
+    return (
+        lambda x: x.unit_monomial() is not None,
+        GroupRingElement.monomial_inverse,
+        lambda b, a_inv: -(b * a_inv),
+        axpy,
+    )
+
+
+def _unit_eliminate(rows, ring, nvars):
+    """The unit phase of `_exact_rank` on sparse rows {column: element},
+    which it leaves unchanged: (pivot count, rows left as {column:
+    element}, empty rows dropped), with Laurent exponents kept."""
+    arithmetic = _unit_arithmetic(ring is CoefficientRing.MOD2, nvars)
+    if nvars:
+        return _eliminate([dict(row) for row in rows], arithmetic)
+    M = [{j: c for j, e in row.items() for c in e.terms.values()} for row in rows]
+    pivots, left = _eliminate(M, arithmetic)
+    return pivots, [
+        {j: GroupRingElement.of_terms(ring, 0, {(): x}) for j, x in row.items()}
+        for row in left
+    ]
 
 
 def _exact_rank(rows, ring, nvars) -> int:
@@ -838,6 +838,28 @@ def _gf_tables():
         if x >> 16:
             x ^= _GF_POLY
     return exp, log
+
+
+# F_p for `_eliminate`: every stored entry pivots
+_MOD_P = (
+    None,
+    lambda a: pow(a, -1, _P),
+    lambda b, a_inv: -b * a_inv % _P,
+    lambda x, f, y: ((x or 0) + f * y) % _P,
+)
+
+
+def _gf_arithmetic():
+    """GF(2^16) for `_eliminate`: every stored entry pivots, and an
+    inverse and a factor are discrete logarithms (-b = b in
+    characteristic 2), so x + f * y is one antilog lookup."""
+    exp, log = _gf_tables()
+    return (
+        None,
+        lambda a: -log[a] % _GF_ORDER,
+        lambda b, l_inv: (log[b] + l_inv) % _GF_ORDER,
+        lambda x, lf, y: (x or 0) ^ exp[lf + log[y]],
+    )
 
 
 def _point(ring, nvars, seed):
@@ -909,59 +931,15 @@ def _evaluate_gf(rows, logs, monomials):
     return out
 
 
-def _rank_mod_p(M) -> int:
-    """Rank of {column: value} rows over F_p; eliminates in place."""
-    pivots = {}  # leading column -> row with 1 there and no column before it
-    for row in M:
-        while row:
-            col = min(row)
-            a = row[col]
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(a, -1, _P)
-                pivots[col] = {j: x * inv % _P for j, x in row.items()}
-                break
-            for j, y in pivot.items():
-                x = (row.get(j, 0) - a * y) % _P
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-    return len(pivots)
-
-
-def _rank_gf(M) -> int:
-    """Rank of {column: value} rows over GF(2^16); eliminates in place."""
-    exp_table, log_table = _gf_tables()
-    pivots = {}  # leading column -> {column: log} of a row with 1 there
-    for row in M:
-        while row:
-            col = min(row)
-            la = log_table[row[col]]
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = {
-                    j: (log_table[x] - la) % _GF_ORDER for j, x in row.items()
-                }
-                break
-            for j, l in pivot.items():
-                x = row.get(j, 0) ^ exp_table[la + l]
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-    return len(pivots)
-
-
 def _point_rank(rows, ring, point, monomials) -> int:
     """Rank of sparse rows at the point: a proved lower bound for the rank
     over the fraction field, since evaluation is a ring map and so every
     vanishing minor stays zero. 0 (still a lower bound) when the point is
     outside the domain of a coefficient."""
     if ring is CoefficientRing.MOD2:
-        return _rank_gf(_evaluate_gf(rows, point, monomials))
+        return _eliminate(_evaluate_gf(rows, point, monomials), _gf_arithmetic())[0]
     values = _evaluate_mod_p(rows, point, monomials)
-    return 0 if values is None else _rank_mod_p(values)
+    return 0 if values is None else _eliminate(values, _MOD_P)[0]
 
 
 def _shape(rows):

@@ -425,6 +425,33 @@ def test_huge_decimal_exponent_is_an_input_error(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", ["validate", "betti"])
+def test_integer_literal_of_more_than_4300_digits_is_an_input_error(capsys, tmp_path, command):
+    # json.loads raises a plain ValueError for it, not a JSONDecodeError;
+    # json.dumps cannot write the document, so it is written as text
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"coefficients": "Q", "rank": ' + "1" * 5000 + ', "cells": [["v"]], "boundaries": []}'
+    )
+    code, out, err = call(capsys, [command, str(path), "--format", "json"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "InputError",
+        "message": f"{path} is not valid JSON: an integer literal has more than 4300 digits",
+    }
+
+
+def test_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    # json.loads raises UnicodeDecodeError, not a JSONDecodeError
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"coefficients": "\x80"}')
+    code, out, err = call(capsys, ["validate", str(path), "--format", "json"])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith(f"{path} is not valid JSON: ")
+
+
 LINE = {"coefficients": "Q", "rank": 1, "cells": [["v"], ["e"], ["f"]]}
 
 

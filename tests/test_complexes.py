@@ -559,6 +559,20 @@ def test_ingest_rejects_bad_documents():
         ingest(doc)
 
 
+@pytest.mark.parametrize("text", [str, str.encode])
+def test_ingest_integer_literal_of_more_than_4300_digits(text):
+    # json.loads raises a plain ValueError for the literal; the InputError
+    # does not echo it
+    literal = "1" * 5000
+    document = text(
+        '{"coefficients": "Q", "rank": ' + literal + ', "cells": [["v"]], "boundaries": []}'
+    )
+    with pytest.raises(InputError) as info:
+        ingest(document)
+    assert str(info.value) == "not valid JSON: an integer literal has more than 4300 digits"
+    assert literal not in str(info.value)
+
+
 def test_ingest_square_zero_failure_is_validation_error():
     doc = torus_doc()
     doc["boundaries"][1] = [["t2 - 1"], ["t1 - 1"]]

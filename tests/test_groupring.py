@@ -1031,6 +1031,112 @@ def test_evaluate_mod_p_matches_the_pow_formula():
         assert groupring._evaluate_mod_p(rows, point, monomials) == expected
 
 
+def gf_mul(a, b):
+    exp, log = groupring._gf_tables()
+    return exp[log[a] + log[b]] if a and b else 0
+
+
+def gf_dense_rank(rows, m):
+    """Reference: dense Gaussian elimination over GF(2^16) on the tables,
+    where x - y = x + y = x ^ y."""
+    exp, log = groupring._gf_tables()
+    M = [[row.get(j, 0) for j in range(m)] for row in rows]
+    rank = 0
+    for c in range(m):
+        p = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        M[rank], M[p] = M[p], M[rank]
+        a_inv = exp[-log[M[rank][c]] % groupring._GF_ORDER]
+        for i in range(rank + 1, len(M)):
+            f = gf_mul(M[i][c], a_inv)
+            M[i] = [x ^ gf_mul(f, y) for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+def mod_p_dense_rank(rows, m):
+    """Reference: sympy's rank over GF(2^61 - 1)."""
+    K = sympy.GF(groupring._P)
+    dense = [[K(row.get(j, 0)) for j in range(m)] for row in rows]
+    return DomainMatrix(dense, (len(rows), m), K).rank()
+
+
+# field -> (random nonzero value, product, sum, the loop's arithmetic,
+# dense reference rank)
+FIELDS = {
+    "mod p": (
+        lambda rng: rng.randrange(1, groupring._P),
+        lambda a, b: a * b % groupring._P,
+        lambda a, b: (a + b) % groupring._P,
+        lambda: groupring._MOD_P,
+        mod_p_dense_rank,
+    ),
+    "GF(2^16)": (
+        lambda rng: rng.randrange(1, 1 << 16),
+        gf_mul,
+        lambda a, b: a ^ b,
+        groupring._gf_arithmetic,
+        gf_dense_rank,
+    ),
+}
+
+
+def thin_product(rng, n, m, r, field):
+    """Sparse rows {column: value} of an n x m matrix U * V of rank r, for
+    thin random factors U (n x r) and V (r x m) with one to three entries
+    per row of U and column of V. r rows of U and r columns of V are the
+    unit vectors e_0, ..., e_{r-1}, so U * V holds I_r there and its rank
+    is r; some other rows of U and columns of V are zero, which leaves
+    empty rows and columns."""
+    value, mul, add = FIELDS[field][:3]
+    unit_rows = dict(zip(rng.sample(range(n), r), range(r)))
+    unit_cols = dict(zip(rng.sample(range(m), r), range(r)))
+
+    def thin(index, units):
+        if index in units:
+            return {units[index]: 1}
+        if not r or rng.random() < 0.15:
+            return {}
+        return {k: value(rng) for k in rng.sample(range(r), rng.randint(1, min(3, r)))}
+
+    U = [thin(i, unit_rows) for i in range(n)]
+    V = [{} for _ in range(r)]  # rows of V
+    for c in range(m):
+        for k, v in thin(c, unit_cols).items():
+            V[k][c] = v
+    rows = []
+    for u in U:
+        row = {}
+        for k, f in u.items():
+            for c, v in V[k].items():
+                row[c] = add(row.get(c, 0), mul(f, v))
+        rows.append({c: x for c, x in row.items() if x})
+    return rows
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("n, m, r", [
+    (1, 1, 1), (1, 5, 0), (20, 20, 5), (90, 80, 50), (40, 110, 30), (100, 73, 73),
+])
+def test_eliminate_over_the_point_fields_against_a_dense_reference(field, n, m, r):
+    # every stored entry of a field pivots: the pivot count is the rank,
+    # no row is left, and neither depends on the order of rows or columns
+    rng = random.Random(f"{field} {n} {m} {r}")
+    *_, arithmetic, reference = FIELDS[field]
+    rows = thin_product(rng, n, m, r, field)
+    assert any(not row for row in rows) or n == r  # an empty row
+    assert len(set().union(*rows)) < m or m == r  # an empty column
+    assert reference(rows, m) == r
+    for trial in range(3):
+        order = list(range(m))
+        if trial:
+            rng.shuffle(rows)
+            rng.shuffle(order)
+        copy = [{order[j]: x for j, x in row.items()} for row in rows]
+        assert groupring._eliminate(copy, arithmetic()) == (r, [])
+
+
 def test_denominator_divisible_by_p_takes_the_fallback():
     p = groupring._P
     entry = GroupRingElement(Q, 1, {(1,): Fraction(1, p), (0,): 1})

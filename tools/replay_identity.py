@@ -52,7 +52,7 @@ def _row(*entries, ring="Q", rank=2):
     }
 
 
-# name -> document; each is run under validate and betti
+# name -> document, or the text of one; each is run under validate and betti
 ERROR_DOCUMENTS = {
     "corrupted": _torus("1 - t2", "t1 + 1"),
     "non-string": {**TORUS, "boundaries": [[["t1 - 1", 1]], TORUS["boundaries"][1]]},
@@ -79,6 +79,9 @@ ERROR_DOCUMENTS = {
     "rank-2-t3": _row("t3 - 1", "t3^2 - t3", rank=2),
     "zero-mod-2": _row("2*t1 + t2", "t2 + 2*t1", "2*t1", ring="Z2"),
     "empty-object": {},
+    # json.dump cannot write an int that str() cannot print
+    "integer-literal-of-5000-digits":
+        '{"coefficients": "Q", "rank": ' + "1" * 5000 + ', "cells": [["v"]], "boundaries": []}',
 }
 
 SHOWN = 5  # differences printed in full
@@ -118,7 +121,10 @@ def build_commands(workdir, seeds):
     for name, document in ERROR_DOCUMENTS.items():
         paths[name] = os.path.join(workdir, f"error-{name}.json")
         with open(paths[name], "w") as fh:
-            json.dump(document, fh)
+            if isinstance(document, str):
+                fh.write(document)
+            else:
+                json.dump(document, fh)
         for sub in ("validate", "betti"):
             commands.append([sub, paths[name], "--format", "json"])
     for argv in OTHER_COMMANDS:
