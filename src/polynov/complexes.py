@@ -44,10 +44,9 @@ class EquivariantComplex:
 
     columns[k][j] is {row: element} for the nonzero entries of column j
     of the boundary from degree k + 1 to degree k, rows ascending.
-    `_pushed` holds the last (map, complex) pair that `specialize` built.
     """
 
-    __slots__ = ("ring", "deck", "cells", "columns", "_pushed")
+    __slots__ = ("ring", "deck", "cells", "columns")
 
     def __init__(self, ring, rank, cells, boundaries, validate=True):
         deck = DeckGroup(int(rank))
@@ -65,7 +64,6 @@ class EquivariantComplex:
         cells, columns = _columns(cells, boundaries, fill)
         self.ring, self.deck, self.cells = ring, deck, cells
         self.columns = columns
-        self._pushed = None
         if validate:
             self.validate()
 
@@ -87,7 +85,6 @@ class EquivariantComplex:
         validated."""
         X = cls.__new__(cls)
         X.ring, X.deck, X.cells, X.columns = ring, DeckGroup(rank), cells, columns
-        X._pushed = None
         return X
 
     @property
@@ -211,21 +208,12 @@ class EquivariantComplex:
         pass, without the entries whose image is zero. The quotient
         induces a ring map, and a ring map keeps d∘d = 0, so the image of
         this (validated) complex is not checked again.
-
-        The result for the last map is kept on self and returned again for
-        an equal map: the Novikov rank and the truncated oracle of one
-        `novikov` job push along the same quotient, and share the pushed
-        complex (and no rank code). Complexes and their elements are never
-        changed after construction, so a caller that asks twice gets what a
-        second pushforward would build.
         """
         if lattice_map.rank_in != self.deck.rank:
             raise InputError(
                 f"map expects rank {lattice_map.rank_in}, complex has "
                 f"deck rank {self.deck.rank}"
             )
-        if self._pushed is not None and self._pushed[0] == lattice_map:
-            return self._pushed[1]
         stored = {
             id(e): e for band in self.columns for c in band for e in c.values()
         }
@@ -245,9 +233,7 @@ class EquivariantComplex:
             )
             for band in self.columns
         )
-        Y = EquivariantComplex._stored(ring, rank, self.cells, columns)
-        self._pushed = (lattice_map, Y)
-        return Y
+        return EquivariantComplex._stored(ring, rank, self.cells, columns)
 
     # -- serialization --------------------------------------------------
 

@@ -17,8 +17,9 @@ taken on sparse rows {column: element} of the nonzero entries
 constants, else at a seeded random point (in F_p with p = 2^61 - 1 over Z
 and Q, in GF(2^16) over Z/2), where the rank is a proved lower bound.
 `chain_ranks` certifies it as the exact rank or falls back to the exact
-rank, or, over Z or Q above 64 rows or columns, reports it as a labelled
-lower bound (route "evaluation", exact=False).
+rank, or, over Z or Q when the unit phase leaves more than 64 rows or
+columns, reports it as a labelled lower bound (route "evaluation",
+exact=False).
 
 One sparse elimination loop, `_eliminate`, serves the rank at the point
 and the first phase of the exact rank. A row pivots on its admissible
@@ -41,9 +42,10 @@ negative exponents and its denominators, which keeps the rank. The
 polynomials are then packed-key -> int dicts with coefficients in Z (mod
 2 over Z/2), each exponent vector one int key of a mixed-radix Kronecker
 map sized so that every Bareiss entry stays where the map is injective
-and ordered (`_normal_form`). The exact route over Z and Q is capped at
-64 rows and columns because Bareiss on a large remainder without units
-can take minutes.
+and ordered (`_normal_form`). In the fallback of an uncertified rank
+over Z and Q, Bareiss is capped at 64 rows left and 64 columns stored
+in them (`_BAREISS_LIMIT`), because Bareiss on a large remainder without
+units can take minutes.
 """
 
 from __future__ import annotations
@@ -816,8 +818,9 @@ _P = (1 << 61) - 1
 # polynomial), whose nonzero elements are the powers of x
 _GF_POLY = 0x1100B  # x^16 + x^12 + x^3 + x + 1
 _GF_ORDER = (1 << 16) - 1
-# fraction-free elimination on uncertified Q/Z matrices up to this size;
-# above it the rank at the point is reported as a labelled lower bound
+# fraction-free elimination on what the unit phase leaves of an uncertified
+# Q/Z matrix, up to this many rows and stored columns; above it the rank at
+# the point is reported as a labelled lower bound
 _BAREISS_LIMIT = 64
 
 
@@ -1004,10 +1007,11 @@ def chain_ranks(X, *, seed: int = 0):
 
 def _ranks(bands, ring, nvars, seed):
     """RankResults of the boundaries (sparse rows, column count) of one
-    chain, consecutive products zero, as `chain_ranks` describes. Both
-    exact routes over Z and Q ("constant", and "fraction-free" at most
-    _BAREISS_LIMIT rows and columns, a limit on the matrix as given) and
-    "fraction-free" over Z/2 take `_exact_rank`."""
+    chain, consecutive products zero, as `chain_ranks` describes. The
+    fallback runs the unit phase, then Bareiss on the rows left; over Z
+    and Q only when those rows and the columns they store number at most
+    _BAREISS_LIMIT each, else the rank at the point is reported as the
+    labelled lower bound."""
     mod2 = ring is CoefficientRing.MOD2
     point, monomials = _point(ring, nvars, seed), {}
     results, bounds = [], []
@@ -1034,9 +1038,11 @@ def _ranks(bands, ring, nvars, seed):
             continue
         if certified[i]:
             results[i] = RankResult(bounds[i], True, "modular")
-        elif not mod2 and max(len(rows), m) > _BAREISS_LIMIT:
+            continue
+        pivots, left = _unit_eliminate(rows, ring, nvars)
+        if not mod2 and max(len(left), len(set().union(*left))) > _BAREISS_LIMIT:
             results[i] = RankResult(bounds[i], False, "evaluation")
         else:
-            rank = _exact_rank(rows, ring, nvars)
+            rank = pivots + _bareiss_rank(left, ring, nvars)
             results[i] = RankResult(rank, True, "fraction-free")
     return results

@@ -5,12 +5,13 @@ domain in scope sits between a Laurent group ring and one of its completed
 series rings, and all of them embed in the fraction field of the quotient
 Laurent ring, where column ranks agree. Reports say so explicitly.
 
-The truncated-series oracle recomputes rank-one cases by Gaussian
-elimination over windowed series, with the window doubled until two
-consecutive runs agree; it shares no rank code with the fraction-field
-path. On a rank-one quotient a windowed series is a plain
-{height: coefficient} dict, the height of t^e being s*e for the window
-weight s = +-1 and the window being height <= cutoff. The elimination
+The truncated-series oracle recomputes one class's Betti numbers by
+Gaussian elimination over windowed series, with the window doubled until
+two consecutive runs agree; it shares no rank code with the
+fraction-field path, and no quotient code either. A windowed series is a
+plain {height: coefficient} dict read off the complex as it is: with
+a = w / s, w a primitive integer vector, the height of t^e is w . e, and
+the window of order N is height <= floor(N * s). The elimination
 multiplies only the pairs of terms whose heights sum to at most the
 cutoff: a pair lands at exactly that sum, so the pruned product equals
 the full product windowed afterwards.
@@ -21,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import floor
+from operator import mul
 
 from .complexes import EquivariantComplex, _betti_from_ranks
 from .errors import IncreaseOrder, InputError
@@ -29,6 +32,7 @@ from .lattice import (
     MAX_ORACLE_ORDER,
     CohomologyClass,
     Polytope,
+    _primitive_form,
     convex_combination,
     format_rational,
     kernel_lattice,
@@ -38,7 +42,7 @@ from .lattice import (
 )
 from .morse import morse_reduce
 from .novseries import (
-    Truncation,
+    _nonzero,
     height_difference,
     height_inverse,
     height_product,
@@ -149,11 +153,20 @@ def _polytope_ring(T) -> dict:
 # truncated-series oracle
 
 
-def _lift_row(row, weight, cutoff):
+def _lift_row(row, weights, cutoff, mod2):
     """One row as windowed height dicts, shifted so that its least height
-    is 0. The shift is a unit monomial, so it keeps the rank, and the
-    window then drops only monomials of an ideal (see `novseries`)."""
-    heights = [{weight * e: c for (e,), c in entry.terms.items()} for entry in row]
+    is 0. t^e has height weights . e; the terms of an entry that land on
+    one height are summed (mod 2 over Z/2) and dropped at zero. The shift
+    is a unit monomial, so it keeps the rank, and the window then drops
+    only monomials of an ideal (see `novseries`)."""
+    heights = []
+    for entry in row:
+        acc = {}
+        for e, c in entry.terms.items():
+            h = sum(map(mul, weights, e))
+            acc[h] = acc.get(h, 0) + c
+        # without two terms on one height, nothing was summed
+        heights.append(acc if len(acc) == len(entry.terms) else _nonzero(acc, mod2))
     low = min((h for entry in heights for h in entry), default=0)
     return [
         {h - low: c for h, c in entry.items() if h - low <= cutoff}
@@ -161,12 +174,12 @@ def _lift_row(row, weight, cutoff):
     ]
 
 
-def _series_rank(matrix, weight, cutoff, ring) -> int:
+def _series_rank(matrix, weights, cutoff, ring) -> int:
     """Rank by full-pivot elimination over windowed series.
 
-    The quotient has rank one, so each series is a height dict (see
-    `novseries`): t^e has height s*e for the window weight s = +-1, and
-    the window is height <= cutoff. Every row starts with least height 0;
+    Each series is a height dict (see `novseries`): t^e has height
+    weights . e, for the class's primitive integer weight vector, and the
+    window is height <= cutoff. Every row starts with least height 0;
     the pivot is the free entry of least lowest height, first in
     row-major order, where the leading-term inverse is most accurate, so
     every height stays in [0, cutoff]. A product lands each pair of terms
@@ -176,18 +189,19 @@ def _series_rank(matrix, weight, cutoff, ring) -> int:
     multiplies free entries of the pivot column, whose heights are all
     h0 or more. Coefficients are reduced mod 2 over Z/2; integral
     coefficients are ints over Z and Q alike, so Z input runs as it is
-    over Q. So every
-    windowed entry, pivot and rank is the one the same elimination over
-    `TruncatedNovikovSeries` with `leading_unit_inverse` gives. Entries
-    that vanish inside the window count as zero. Soundness comes from the
-    caller's doubling protocol, not from any single run.
+    over Q. So every windowed entry, pivot and rank is the one the same
+    elimination over `TruncatedNovikovSeries` with `leading_unit_inverse`
+    gives in one variable, where the height is the exponent times the
+    window's sign. Entries that vanish inside the window count as zero.
+    Soundness comes from the caller's doubling protocol, not from any
+    single run.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
     if nrows == 0 or ncols == 0:
         return 0
     mod2 = ring is CoefficientRing.MOD2
-    work = [_lift_row(row, weight, cutoff) for row in matrix]
+    work = [_lift_row(row, weights, cutoff, mod2) for row in matrix]
     row_free = [True] * nrows
     col_free = [True] * ncols
     rank = 0
@@ -228,16 +242,18 @@ def truncated_homology_oracle(
 ) -> BettiReport:
     """Independent Betti computation over truncated series in one variable.
 
-    Requires a class whose induced period has rank-one image (any nonzero
-    class after the kernel quotient). The truncation order doubles until
-    two consecutive runs return the same boundary ranks and the result is
-    internally consistent (nonnegative Betti, Euler identity); failing to
-    stabilize raises IncreaseOrder. A starting order above
+    Requires a nonzero class. With a = w / s, w the primitive integer
+    vector on the ray of a and s > 0 rational, the monomial t^e of X has
+    height w . e, so a(e) = (w . e) / s, and the window of order N holds
+    the heights up to floor(N * s). The boundaries of X are ranked as
+    they are: nothing is pushed to the quotient by the kernel of a, whose
+    rank-one image carries the same heights. The truncation order doubles
+    until two consecutive runs return the same boundary ranks and the
+    result is internally consistent (nonnegative Betti, Euler identity);
+    failing to stabilize raises IncreaseOrder. A starting order above
     `lattice.MAX_ORACLE_ORDER` is an InputError, and so is a starting
-    window whose integer cutoff is above it: the window of order N along
-    the induced period b = m / D (m, D coprime) holds the heights up to
-    N * D / |m|, so it grows with the denominator D. For an integral class
-    whose induced period is +-1 the cutoff is the order itself.
+    window whose cutoff floor(order * s) is above it. For an integral
+    class with primitive periods the cutoff is the order itself.
     """
     a = _as_class(a, X.deck.rank)
     if a.is_zero():
@@ -249,31 +265,22 @@ def truncated_homology_oracle(
         raise InputError(
             f"truncation order {order} is above the limit {MAX_ORACLE_ORDER}"
         )
-    q = quotient_map([a])
-    if q.rank_out != 1:
-        raise InputError("class does not induce a rank-one quotient")
-    induced = q.induced_class(a)
-    region = Polytope([induced])
-    cutoff = Truncation.interior(region, order)._cutoff
-    if cutoff > MAX_ORACLE_ORDER:
+    weights, s = _primitive_form(a.periods)
+    if floor(order * s) > MAX_ORACLE_ORDER:
         raise InputError(
             f"the oracle window at order {order} reaches heights above "
             f"the limit {MAX_ORACLE_ORDER}"
         )
-    Y = X.specialize(q)
-    counts = Y.cell_counts()
-    chi = euler_characteristic(Y)
+    counts = X.cell_counts()
+    chi = euler_characteristic(X)
 
-    boundaries = Y.boundaries
+    boundaries = X.boundaries
     orders = []
     previous = None
     N = order
     for _ in range(max_doublings):
-        # the window's own integer form: primitive weight s and cutoff
-        trunc = Truncation.interior(region, N)
-        (weight,) = trunc._weights
         ranks = tuple(
-            _series_rank(m, weight, trunc._cutoff, Y.ring) for m in boundaries
+            _series_rank(m, weights, floor(N * s), X.ring) for m in boundaries
         )
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)
@@ -285,7 +292,7 @@ def truncated_homology_oracle(
                 "kind": "class",
                 # Z input is ranked as it is, over Q, its fraction field
                 "coefficients": (
-                    "Q" if Y.ring is CoefficientRing.INT else Y.ring.value
+                    "Q" if X.ring is CoefficientRing.INT else X.ring.value
                 ),
                 "deck_rank": X.deck.rank,
                 "class": a.ray_normalized().to_json(),

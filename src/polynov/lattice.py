@@ -405,10 +405,6 @@ def _diagonalize(rows):
     return D, T, Tinv
 
 
-def _clear_denominators(classes):
-    return [_integer_form(a.periods)[0] for a in classes]
-
-
 def _class_ranks(classes, rank):
     ranks = {a.rank for a in classes}
     if rank is not None:
@@ -424,28 +420,18 @@ def kernel_lattice(classes, rank=None) -> tuple:
     """Saturated basis of the common kernel of the given period functionals.
 
     Returns a tuple of integer vectors generating
-    {A in Z^rank : period_eval(a, A) == 0 for every a}. The quotient by this
-    sublattice is torsion-free (kernels of maps into torsion-free groups are
-    automatically saturated).
+    {A in Z^rank : period_eval(a, A) == 0 for every a}: the kernel of
+    `quotient_map(classes, rank)`, or the standard basis for no classes.
+    The quotient by this sublattice is torsion-free (kernels of maps into
+    torsion-free groups are automatically saturated).
     """
     classes = tuple(classes)
-    r = _class_ranks(classes, rank)
     if not classes:
+        r = _class_ranks(classes, rank)
         return tuple(
             tuple(1 if i == j else 0 for i in range(r)) for j in range(r)
         )
-    rows = _clear_denominators(classes)
-    D, T, Tinv = _diagonalize(rows)
-    k = len(rows)
-    free = [
-        j
-        for j in range(r)
-        if j >= k or j >= len(D) or D[j][j] == 0
-    ]
-    basis = []
-    for j in free:
-        basis.append(tuple(Tinv[i][j] for i in range(r)))
-    return tuple(basis)
+    return quotient_map(classes, rank).kernel
 
 
 @dataclass(frozen=True)
@@ -543,7 +529,7 @@ def quotient_map(classes, rank=None) -> LatticeMap:
     r = _class_ranks(classes, rank)
     if not classes:
         raise InputError("quotient_map needs at least one class")
-    rows = _clear_denominators(classes)
+    rows = [_integer_form(a.periods)[0] for a in classes]
     D, T, Tinv = _diagonalize(rows)
     k = len(rows)
     pivots = [j for j in range(min(k, r)) if D[j][j] != 0]

@@ -12,11 +12,15 @@ For data whose support has nonnegative direction-period (every series this
 module constructs) the discarded monomials form an ideal, so results agree
 with the untruncated computation modulo the window.
 
-For windows of rank one the `height_*` functions do the same arithmetic on
-plain {height: coefficient} dicts, without building elements: with
-primitive window weight s = +-1 the monomial t^e has height s*e, the window
-keeps exactly the heights <= its integer cutoff, and coefficients over Z/2
-are reduced mod 2.
+The `height_*` functions do the same arithmetic on plain
+{height: coefficient} dicts, without building elements; the truncated
+oracle (`homology.truncated_homology_oracle`) runs on them alone. Along a
+class a = w / s, w a primitive integer vector and s > 0, the monomial t^e
+has height w . e, the window of order N keeps exactly the heights
+<= floor(N * s) (the integer cutoff of `Truncation(a, N)`), and
+coefficients over Z/2 are reduced mod 2. `Truncation` and the series
+classes are on no command's path: they remain as API and as the tests'
+reference for that arithmetic.
 """
 
 from __future__ import annotations

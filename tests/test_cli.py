@@ -16,7 +16,7 @@ from polynov import cli, homology
 from polynov.cli import main
 from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import CoefficientRing, GroupRingElement, matrix_rank_fraction_field
-from polynov.lattice import MAX_ORACLE_ORDER, quotient_map, zero_class
+from polynov.lattice import MAX_ORACLE_ORDER, LatticeMap, quotient_map, zero_class
 from test_complexes import cubical_torus
 
 
@@ -330,8 +330,9 @@ def test_constant_ranks_above_64_cells_are_exact(capsys, tmp_path):
 
 
 def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
-    # ingest and the Morse reduction validate; the image under the quotient
-    # map is not checked again, because a ring map keeps d∘d = 0
+    # ingest and the Morse reduction validate; the images under the
+    # quotient map, by either twist route, are not checked again, because
+    # a ring map keeps d∘d = 0
     calls = []
     original = EquivariantComplex.validate
 
@@ -346,8 +347,11 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
         (["betti", "torus"], 1),
         (["betti", str(path)], 1),
         (["morse", str(path), "--seed", "2"], 2),  # 5 cells -> 1 per degree
-        # the oracle's copy over Q is the image of a ring map too
         (["novikov", str(GOLDEN / "koszul3-Z.json"), "--class=1,2,3"], 1),
+        # ingest only: neither twist route validates, and the torus has no
+        # Morse pair to reduce
+        (["main-check", "torus", "--vertices", "1,0;0,1",
+          "--a", "1/2,1/2", "--b", "1/3,2/3"], 1),
     ):
         calls.clear()
         code, _, _ = call(capsys, [*args, "--format", "json"])
@@ -356,8 +360,9 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
 
 
 def test_one_pushed_complex_per_novikov_job(capsys, monkeypatch):
-    # the Novikov rank and the truncated oracle share one pushforward, so
-    # no element is pushed twice in a job
+    # only the Novikov rank pushes to the quotient (the truncated oracle
+    # reads heights off the unpushed complex), so no element is pushed
+    # twice in a job
     pushes = []  # the elements themselves, so no id is reused
     original = GroupRingElement.pushed_terms
 
@@ -377,6 +382,26 @@ def test_one_pushed_complex_per_novikov_job(capsys, monkeypatch):
         assert json.loads(out)["oracle"] is not None
         assert pushes
         assert len({id(e) for e in pushes}) == len(pushes)
+
+
+@pytest.mark.parametrize("args", [
+    ["novikov", "torus", "--class=1,2"],
+    ["novikov", str(GOLDEN / "koszul3-Z2.json"), "--class=-1,-1,-1"],
+])
+def test_oracle_sees_a_broken_quotient_path(capsys, monkeypatch, args):
+    # sending every exponent to 0 is still a ring map, so d∘d = 0 holds and
+    # the Novikov rank turns into the ordinary one; the oracle does not
+    # push, so it disagrees
+    def zero_images(self, exponents):
+        if not self.matrix:
+            return None
+        return {x: (0,) * self.rank_out for x in exponents}
+
+    monkeypatch.setattr(LatticeMap, "images", zero_images)
+    code, out, _ = call(capsys, [*args, "--format", "json"])
+    payload = json.loads(out)
+    assert (code, payload["agree"]) == (1, False)
+    assert payload["report"]["betti"] != payload["oracle"]["betti"]
 
 
 def test_equal_entry_strings_share_one_element_safely(capsys, monkeypatch, tmp_path):

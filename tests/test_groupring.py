@@ -1142,11 +1142,12 @@ def test_denominator_divisible_by_p_takes_the_fallback():
     entry = GroupRingElement(Q, 1, {(1,): Fraction(1, p), (0,): 1})
     assert point_rank([[entry]], 0) == 0  # outside the domain: bound 0
     assert matrix_rank_fraction_field([[entry]]) == (1, True, "fraction-free")
-    zero = GroupRingElement.zero(Q, 1)
-    tall = [[entry]] + [[zero]] * 64
+    # no entry is a unit, so the unit phase leaves all 65 rows to Bareiss,
+    # above its limit
+    t = GroupRingElement.from_string("t", Q, 1)
+    tall = [[entry]] + [[t - GroupRingElement.one(Q, 1)]] * 64
     assert matrix_rank_fraction_field(tall) == (0, False, "evaluation")
     # in a chain, the other boundary is ranked at the point as usual
-    t = GroupRingElement.from_string("t", Q, 1)
     d1 = [[entry, -entry]]
     d2 = [[t], [t]]
     X = EquivariantComplex(Q, 1, [["v"], ["a", "b"], ["f"]], [d1, d2])

@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 import sympy
 
-from polynov import homology
+from polynov import homology, lattice
 from polynov.complexes import EquivariantComplex, GroupPresentation, fox_boundary, ingest
 from polynov.errors import IncreaseOrder, InputError
 from polynov.groupring import CoefficientRing, GroupRingElement
@@ -307,6 +307,83 @@ def test_oracle_against_sympy_on_random_matrices():
         assert rep.betti == novikov_betti(X, (1,)).betti
 
 
+def test_oracle_pushes_nothing(monkeypatch):
+    # the oracle reads heights off the complex as it is, so a fault on the
+    # quotient path cannot reach both sides of the `novikov` cross-check
+    calls = []
+
+    def spy(owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(recorded))
+
+    spy(lattice, "quotient_map")
+    spy(homology, "quotient_map")
+    spy(lattice.LatticeMap, "images")
+    spy(EquivariantComplex, "specialize")
+    spy(GroupRingElement, "pushed_terms")
+    spy(Truncation, "interior", wrap=lambda f: classmethod(lambda cls, *a: f(*a)))
+    for X, a in ((torus(), (1, 2)), (genus2(), (1, 2, 0, -1)),
+                 (koszul_t3(), (1, -1, -1)), (klein(), ("2/3",))):
+        truncated_homology_oracle(X, a, 16)
+    assert calls == []
+    novikov_betti(torus(), (1, 2))
+    Truncation.interior(Polytope([(1,)]), 4)
+    assert {"quotient_map", "images", "specialize", "pushed_terms",
+            "interior"} <= set(calls)
+
+
+def kernel_difference_matrix(rng, ring, kernel):
+    """A random one-band matrix over Z^3 whose entries hold differences
+    t^x - t^(x + v), v in `kernel` (of a class), so that terms cancel
+    on one height (and pairs of equal heights sum to 2 over Z/2)."""
+    def element():
+        terms = {}
+        for _ in range(rng.randrange(3)):
+            x = tuple(rng.randint(-2, 2) for _ in range(3))
+            y = tuple(p + q for p, q in zip(x, rng.choice(kernel)))
+            if x != y:
+                terms[x] = 1
+                terms[y] = 1 if ring is Z2 else -1
+        for _ in range(rng.randrange(2)):
+            terms[tuple(rng.randint(-2, 2) for _ in range(3))] = (
+                1 if ring is Z2 else rng.choice((-2, 1, 3))
+            )
+        return GroupRingElement(ring, 3, terms)
+
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+    return [[element() for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("ring", [Q, Z2])
+def test_oracle_sums_the_terms_on_one_height(ring):
+    # t1 - t2 (t1 + t2 over Z/2) and t3 - 1 both vanish at (1,1,0)
+    one = 1 if ring is Z2 else -1
+    t = [GroupRingElement(ring, 3, {e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    diff = GroupRingElement(ring, 3, {(1, 0, 0): 1, (0, 1, 0): one})
+    t3_minus_1 = GroupRingElement(ring, 3, {(0, 0, 0): one, (0, 0, 1): 1})
+    matrix = [[diff, t3_minus_1], [diff + t[2], t[0]]]
+    X = EquivariantComplex(ring, 3, [["c0", "c1"], ["d0", "d1"]], [matrix])
+    rep = truncated_homology_oracle(X, (1, 1, 0), 16)
+    assert rep.checks["boundary_ranks"] == [1]
+    assert rep.betti == novikov_betti(X, (1, 1, 0)).betti == (1, 1)
+    rng = random.Random(29)
+    for a, kernel in (((1, 1, 0), [(1, -1, 0), (0, 0, 1)]),
+                      ((2, -1, 1), [(1, 2, 0), (0, 1, 1)]),
+                      (("1/2", "-1/3", 0), [(2, 3, 0), (0, 0, -1)])):
+        for trial in range(12):
+            matrix = kernel_difference_matrix(rng, ring, kernel)
+            names = [[f"c{i}" for i in range(len(matrix))],
+                     [f"d{j}" for j in range(len(matrix[0]))]]
+            X = EquivariantComplex(ring, 3, names, [matrix])
+            expected = novikov_betti(X, a).betti
+            assert truncated_homology_oracle(X, a, 8).betti == expected, (a, trial)
+
+
 def test_oracle_negative_direction():
     rep = truncated_homology_oracle(circle(), ("-2/3",), 16)
     assert rep.betti == (0, 0)
@@ -365,8 +442,7 @@ def reference_series_rank(matrix, region, order, ring):
 def series_rank(matrix, region, order, ring):
     """`homology._series_rank` in the window `Truncation.interior` gives."""
     trunc = Truncation.interior(region, order)
-    (weight,) = trunc._weights
-    return homology._series_rank(matrix, weight, trunc._cutoff, ring)
+    return homology._series_rank(matrix, trunc._weights, trunc._cutoff, ring)
 
 
 def random_dependent_matrix(rng, ring):

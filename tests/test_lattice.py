@@ -14,7 +14,7 @@ from polynov.lattice import (
     CohomologyClass,
     Polytope,
     Subpolytope,
-    _clear_denominators,
+    _integer_form,
     convex_combination,
     format_rational,
     kernel_lattice,
@@ -315,12 +315,13 @@ def test_integer_lattice_paths_match_the_fraction_formulas():
     for _ in range(60):
         r = rng.randint(1, 4)
         classes = random_classes(rng, r, rng.randint(1, 3))
-        # _clear_denominators: each class times the lcm of its denominators
-        for a, row in zip(classes, _clear_denominators(classes)):
+        # _integer_form, the rows quotient_map eliminates: each class times
+        # the lcm of its denominators
+        for a in classes:
             den = 1
             for p in a.periods:
                 den = den * p.denominator // gcd(den, p.denominator)
-            assert row == [int(p * den) for p in a.periods]
+            assert _integer_form(a.periods) == ([int(p * den) for p in a.periods], den)
         # ray_normalized: the primitive integer vector on the class's ray
         for a in classes:
             b = a.ray_normalized()

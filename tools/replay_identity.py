@@ -10,7 +10,10 @@ checkout and the polynov of A; every job runs with --format json. Then
 `demo` (in both formats) and the error commands below run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
 `polynov.cli.main` call after another as the benchmark makes them, so state
-kept between calls shows up as a difference. The script compares stdout,
+kept between calls shows up as a difference. The two interpreters run with
+different hash seeds (PYTHONHASHSEED 1 and 2), so output that follows the
+iteration order of a set or dict of strings shows up too; with A == B the
+script is a determinism check. The script compares stdout,
 stderr and exit code of each command, prints the command count and the
 first differences, and exits 1 if any command differs. It reads perfbench/
 but writes nothing there and no bytecode into either tree.
@@ -151,9 +154,12 @@ def replay(commands):
     return results, cli.__file__
 
 
-def _child(tree, mode, payload, cwd):
-    """Run this script in mode `mode` with tree/src first on the path."""
+def _child(tree, mode, payload, cwd, hash_seed=None):
+    """Run this script in mode `mode` with tree/src first on the path, and
+    under PYTHONHASHSEED=hash_seed when one is given."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     done = subprocess.run(
         [sys.executable, "-B", os.path.abspath(__file__), mode],
         input=json.dumps(payload), capture_output=True, text=True, env=env, cwd=cwd,
@@ -189,8 +195,8 @@ def main(argv=None):
         request = {"workdir": workdir, "seeds": args.seeds}
         commands, jobs = _child(trees[0], "--build", request, workdir)
         outcomes = []
-        for tree in trees:
-            results, where = _child(tree, "--replay", commands, workdir)
+        for hash_seed, tree in enumerate(trees, 1):
+            results, where = _child(tree, "--replay", commands, workdir, hash_seed)
             if not os.path.abspath(where).startswith(os.path.join(tree, "src") + os.sep):
                 sys.exit(f"replay_identity: replayed polynov from {where}, not {tree}")
             outcomes.append([tuple(r) for r in results])
