@@ -4,9 +4,8 @@ A complex stores, per degree, the list of base cell names and the boundary
 matrix whose entries live in the deck group ring (rows indexed by cells one
 degree down, columns by cells of the degree). It is stored once, as sparse
 columns with zeros never stored, and every layer reads those, the rank
-engine included; the dense `boundaries` view serves only serialization
-and the truncated-series oracle, an independent cross-check whose
-row-major pivot order fixes its truncation orders.
+engine and the truncated-series oracle included; the dense `boundaries`
+view serves serialization only.
 Square-zero is validated exactly on construction.
 
 Two JSON input modes are understood by `ingest`: explicit matrices, and a
@@ -102,10 +101,6 @@ class EquivariantComplex:
         return tuple(dense)
 
     # -- shape ----------------------------------------------------------
-
-    @property
-    def dimension(self) -> int:
-        return len(self.cells) - 1
 
     def cell_counts(self):
         return tuple(len(names) for names in self.cells)

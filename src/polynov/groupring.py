@@ -31,7 +31,9 @@ pivots, and the units of R[Z^n] as constants +-1 or as monomials +-t^e
 rows rank constant Z/2 boundaries at a tenth of the loop's cost;
 `_bareiss_rank`, whose fraction-free update runs over every row below the
 pivot; and the truncated-series rank of the oracle
-(`homology._series_rank`), kept independent on purpose.
+(`homology._series_rank`), kept independent on purpose: it eliminates on
+rows of {height: coefficient} series, lifted once per oracle call, with
+pivot inverses memoized per call.
 
 The exact rank (`_exact_rank`) has two phases. `_unit_eliminate` runs
 the loop on the unit arithmetics; its row operations are invertible over

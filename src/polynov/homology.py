@@ -11,10 +11,10 @@ two consecutive runs agree; it shares no rank code with the
 fraction-field path, and no quotient code either. A windowed series is a
 plain {height: coefficient} dict read off the complex as it is: with
 a = w / s, w a primitive integer vector, the height of t^e is w . e, and
-the window of order N is height <= floor(N * s). The elimination
-multiplies only the pairs of terms whose heights sum to at most the
-cutoff: a pair lands at exactly that sum, so the pruned product equals
-the full product windowed afterwards.
+the window of order N is height <= floor(N * s). One oracle call lifts
+each boundary once, from its stored columns, into sparse rows
+{column: series}; each order only windows those rows, and pivot
+inverses are memoized across the orders and boundaries of the call.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from .lattice import (
     zero_class,
 )
 from .morse import morse_reduce
-from .novseries import (
-    _nonzero,
-    height_difference,
-    height_inverse,
-    height_product,
-)
+from .novseries import _nonzero, height_accumulate, height_inverse
 from .twist import tensor_base_change, twisted_complex
 
 RANK_VALIDITY_NOTE = (
@@ -153,87 +148,93 @@ def _polytope_ring(T) -> dict:
 # truncated-series oracle
 
 
-def _lift_row(row, weights, cutoff, mod2):
-    """One row as windowed height dicts, shifted so that its least height
-    is 0. t^e has height weights . e; the terms of an entry that land on
-    one height are summed (mod 2 over Z/2) and dropped at zero. The shift
-    is a unit monomial, so it keeps the rank, and the window then drops
-    only monomials of an ideal (see `novseries`)."""
-    heights = []
-    for entry in row:
-        acc = {}
-        for e, c in entry.terms.items():
-            h = sum(map(mul, weights, e))
-            acc[h] = acc.get(h, 0) + c
-        # without two terms on one height, nothing was summed
-        heights.append(acc if len(acc) == len(entry.terms) else _nonzero(acc, mod2))
-    low = min((h for entry in heights for h in entry), default=0)
-    return [
-        {h - low: c for h, c in entry.items() if h - low <= cutoff}
-        for entry in heights
-    ]
+def _lift(band, nrows, heights, mod2):
+    """One boundary, from its stored columns, as sparse rows
+    {column: {height: coefficient}}, each shifted to least height 0.
+    t^e has height heights[e]; the terms of an entry that land on one
+    height are summed (mod 2 over Z/2) and dropped at zero. The shift is
+    a unit monomial, so it keeps the rank, and a window then drops only
+    monomials of an ideal (see `novseries`). No window enters here."""
+    rows = [{} for _ in range(nrows)]
+    for j, column in enumerate(band):
+        for i, x in column.items():
+            acc = {}
+            for e, c in x.terms.items():
+                h = heights[e]
+                acc[h] = acc.get(h, 0) + c
+            acc = _nonzero(acc, mod2)
+            if acc:
+                rows[i][j] = acc
+    for i, row in enumerate(rows):
+        low = min(map(min, row.values()), default=0)
+        if low:
+            rows[i] = {j: {h - low: c for h, c in x.items()} for j, x in row.items()}
+    return rows
 
 
-def _series_rank(matrix, weights, cutoff, ring) -> int:
-    """Rank by full-pivot elimination over windowed series.
+def _series_rank(rows, cutoff, ring, inverses) -> int:
+    """Rank of `_lift` rows (left unchanged) by full-pivot elimination
+    over series windowed at height <= cutoff.
 
-    Each series is a height dict (see `novseries`): t^e has height
-    weights . e, for the class's primitive integer weight vector, and the
-    window is height <= cutoff. Every row starts with least height 0;
-    the pivot is the free entry of least lowest height, first in
+    The pivot is the free entry of least lowest height, first in
     row-major order, where the leading-term inverse is most accurate, so
-    every height stays in [0, cutoff]. A product lands each pair of terms
-    at the sum of their heights, so skipping the pairs above the cutoff is
-    the full product windowed afterwards. The pivot's inverse is kept only
-    up to height cutoff - h0, h0 the pivot's least height: it only
-    multiplies free entries of the pivot column, whose heights are all
-    h0 or more. Coefficients are reduced mod 2 over Z/2; integral
-    coefficients are ints over Z and Q alike, so Z input runs as it is
-    over Q. So every windowed entry, pivot and rank is the one the same
+    every height stays in [0, cutoff]; each row keeps its least (height,
+    column), recomputed when an update changes the row. Entries that
+    vanish inside the window count as zero. Each update x - f*y is
+    windowed and summed into one dict (`novseries.height_accumulate`,
+    over the pivot row sorted once). A pivot p of least height h0 only
+    multiplies entries of
+    height h0 or more, so it is inverted as p t^-h0 up to height cutoff,
+    memoized in `inverses` by (p t^-h0, cutoff, ring). Coefficients are
+    reduced mod 2 over Z/2, and integral ones are ints over Z and Q
+    alike. So every windowed entry, pivot and rank is the one the same
     elimination over `TruncatedNovikovSeries` with `leading_unit_inverse`
     gives in one variable, where the height is the exponent times the
-    window's sign. Entries that vanish inside the window count as zero.
-    Soundness comes from the caller's doubling protocol, not from any
-    single run.
+    window's sign. Soundness comes from the caller's doubling protocol.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    if nrows == 0 or ncols == 0:
-        return 0
     mod2 = ring is CoefficientRing.MOD2
-    work = [_lift_row(row, weights, cutoff, mod2) for row in matrix]
-    row_free = [True] * nrows
-    col_free = [True] * ncols
+    work = {}  # free row -> {column: windowed series}
+    for r, row in enumerate(rows):
+        windowed = {}
+        for c, x in row.items():
+            if max(x) > cutoff:
+                x = {h: v for h, v in x.items() if h <= cutoff}
+            if x:
+                windowed[c] = x
+        if windowed:
+            work[r] = windowed
+    best = {r: min((min(x), c) for c, x in row.items()) for r, row in work.items()}
     rank = 0
-    while True:
-        best = None
-        for r in range(nrows):
-            if not row_free[r]:
-                continue
-            row = work[r]
-            for c in range(ncols):
-                if col_free[c] and row[c]:
-                    h = min(row[c])
-                    if best is None or h < best[0]:
-                        best = (h, r, c)
-        if best is None:
-            break
-        h0, pr, pc = best
-        pivot_row = work[pr]
-        pinv = height_inverse(pivot_row[pc], cutoff - h0, mod2)
-        for r in range(nrows):
-            row = work[r]
-            if r == pr or not row_free[r] or not row[pc]:
-                continue
-            factor = height_product(row[pc], pinv, cutoff, mod2)
-            for c in range(ncols):
-                if col_free[c] and c != pc and pivot_row[c]:
-                    step = height_product(factor, pivot_row[c], cutoff, mod2)
-                    row[c] = height_difference(row[c], step, mod2)
-            row[pc] = {}
-        row_free[pr] = False
-        col_free[pc] = False
+    while work:
+        h0, pr, pc = min((h, r, c) for r, (h, c) in best.items())
+        pivot = work.pop(pr)
+        del best[pr]
+        p = {h - h0: v for h, v in pivot.pop(pc).items()}
+        key = (frozenset(p.items()), cutoff, ring)
+        if key not in inverses:
+            inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
+        pinv = inverses[key]
+        others = [(c, sorted(y.items())) for c, y in pivot.items()]
         rank += 1
+        for r in list(work):
+            row = work[r]
+            x = row.pop(pc, None)
+            if x is None:
+                continue
+            # -x p^-1 = (-x t^-h0)(p t^-h0)^-1, windowed at cutoff
+            neg = {h - h0: -v for h, v in x.items()}
+            factor = _nonzero(height_accumulate({}, neg, pinv, cutoff), mod2)
+            for c, y in others:
+                acc = height_accumulate(dict(row.get(c, ())), factor, y, cutoff)
+                acc = _nonzero(acc, mod2)
+                if acc:
+                    row[c] = acc
+                else:
+                    row.pop(c, None)
+            if row:
+                best[r] = min((min(x), c) for c, x in row.items())
+            else:
+                del work[r], best[r]
     return rank
 
 
@@ -247,13 +248,14 @@ def truncated_homology_oracle(
     height w . e, so a(e) = (w . e) / s, and the window of order N holds
     the heights up to floor(N * s). The boundaries of X are ranked as
     they are: nothing is pushed to the quotient by the kernel of a, whose
-    rank-one image carries the same heights. The truncation order doubles
-    until two consecutive runs return the same boundary ranks and the
-    result is internally consistent (nonnegative Betti, Euler identity);
-    failing to stabilize raises IncreaseOrder. A starting order above
-    `lattice.MAX_ORACLE_ORDER` is an InputError, and so is a starting
-    window whose cutoff floor(order * s) is above it. For an integral
-    class with primitive periods the cutoff is the order itself.
+    rank-one image carries the same heights; each is lifted once, and
+    only windowed at each order. The truncation order doubles until two
+    consecutive runs return the same boundary ranks and the result is
+    internally consistent (nonnegative Betti, Euler identity); failing to
+    stabilize raises IncreaseOrder. A starting order above
+    `lattice.MAX_ORACLE_ORDER` is an InputError, and so is an order whose
+    cutoff floor(N * s) is above it, before that order runs. For an
+    integral class with primitive periods the cutoff is the order itself.
     """
     a = _as_class(a, X.deck.rank)
     if a.is_zero():
@@ -266,21 +268,31 @@ def truncated_homology_oracle(
             f"truncation order {order} is above the limit {MAX_ORACLE_ORDER}"
         )
     weights, s = _primitive_form(a.periods)
-    if floor(order * s) > MAX_ORACLE_ORDER:
-        raise InputError(
-            f"the oracle window at order {order} reaches heights above "
-            f"the limit {MAX_ORACLE_ORDER}"
-        )
     counts = X.cell_counts()
     chi = euler_characteristic(X)
 
-    boundaries = X.boundaries
+    mod2 = X.ring is CoefficientRing.MOD2
+    exponents = {
+        e for band in X.columns for column in band
+        for x in column.values() for e in x.terms
+    }
+    heights = {e: sum(map(mul, weights, e)) for e in exponents}
+    lifted = [
+        _lift(band, n, heights, mod2) for band, n in zip(X.columns, counts)
+    ]
+    inverses = {}
     orders = []
     previous = None
     N = order
     for _ in range(max_doublings):
+        cutoff = floor(N * s)
+        if cutoff > MAX_ORACLE_ORDER:
+            raise InputError(
+                f"the oracle window at order {N} reaches heights above "
+                f"the limit {MAX_ORACLE_ORDER}"
+            )
         ranks = tuple(
-            _series_rank(m, weights, floor(N * s), X.ring) for m in boundaries
+            _series_rank(rows, cutoff, X.ring, inverses) for rows in lifted
         )
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)

@@ -110,10 +110,11 @@ def _primitive_form(periods):
 MAX_DECK_RANK = 64
 
 # The largest starting truncation order of the series oracle (`novikov
-# --order`). Its work grows about linearly with the order: the torus takes
-# 0.2 s at this limit and took 2.7 s at order 10^6, and the oracle may
-# double the order seven times. The bundled examples, the acceptance suite
-# and the benchmark start at 16 and run at most 8 orders, up to 2048.
+# --order`), and the largest window height floor(N * s) of any order N it
+# runs, doubled ones included. Its work grows at least linearly with the
+# window: at this limit a torus command takes 0.3 s and a Koszul T^3 one
+# over Q 7.5 s (2 cores, Python 3.11). The bundled examples, the
+# acceptance suite and the benchmark start at 16 and reach at most 2048.
 MAX_ORACLE_ORDER = 1 << 16
 
 

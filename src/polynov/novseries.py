@@ -276,23 +276,26 @@ def _nonzero(acc, mod2):
     return {h: c for h, c in acc.items() if c}
 
 
-def height_product(a, b, cutoff, mod2):
-    """The product a*b windowed at `cutoff`.
+def height_accumulate(acc, a, b, cutoff):
+    """Add a*b windowed at `cutoff` into the dict `acc` and return it, not
+    reduced; b is given as (height, coefficient) pairs sorted by height.
 
     A pair of terms lands at height h1 + h2 and nowhere else, so skipping
     the pairs above the cutoff gives the full product windowed afterwards.
     """
-    acc = {}
     get = acc.get
-    low = sorted(b.items())
     for h1, c1 in a.items():
         room = cutoff - h1
-        for h2, c2 in low:
+        for h2, c2 in b:
             if h2 > room:
                 break
-            h = h1 + h2
-            acc[h] = get(h, 0) + c1 * c2
-    return _nonzero(acc, mod2)
+            acc[h1 + h2] = get(h1 + h2, 0) + c1 * c2
+    return acc
+
+
+def height_product(a, b, cutoff, mod2):
+    """The product a*b windowed at `cutoff`."""
+    return _nonzero(height_accumulate({}, a, sorted(b.items()), cutoff), mod2)
 
 
 def height_difference(a, b, mod2):

@@ -154,14 +154,19 @@ NINES = 10**4300 - 1  # the largest denominator a flag rational may have
      (KOSZUL3, "1/101,1/103,1/107", 16, 101 * 103 * 107),
      (KOSZUL3, "1/1009,1/1013,1/1019", 16, 1009 * 1013 * 1019),
      # a cutoff of 4302 digits, which str() cannot print
-     ("torus", f"1/{NINES},1", 16, NINES)],
-    ids=["7-11-13", "7-11-13-order-66", "101-103-107", "1009-1013-1019", "nines"],
+     ("torus", f"1/{NINES},1", 16, NINES),
+     # the first window is under the limit and the doubled one is not
+     ("torus", "1/1000,1", 32, 1000),
+     ("torus", "1/1000,1", 64, 1000)],
+    ids=["7-11-13", "7-11-13-order-66", "101-103-107", "1009-1013-1019", "nines",
+         "1000-order-32", "1000-order-64"],
 )
 def test_oracle_window_cutoff_limit(capsys, monkeypatch, complex_, klass, order, denominator):
     # the induced period is 1/D, so the window of order N holds N * D
     # heights; above the limit the oracle ran for minutes or ran out of
-    # memory, and it now stops before any elimination. Order 66 is below
-    # the order limit, but its window is not.
+    # memory, and it now stops before it runs such an order, the first or
+    # a doubled one. Order 66 is below the order limit, but its window is
+    # not.
     eliminations = []
     series_rank = homology._series_rank
 
@@ -170,20 +175,22 @@ def test_oracle_window_cutoff_limit(capsys, monkeypatch, complex_, klass, order,
         return series_rank(*args)
 
     monkeypatch.setattr(homology, "_series_rank", counting)
-    cutoff = order * denominator
     args = ["novikov", complex_, "--class", klass, "--order", str(order)]
     code, out, err = call(capsys, [*args, "--format", "json"])
-    if cutoff <= MAX_ORACLE_ORDER:
+    if 2 * order * denominator <= MAX_ORACLE_ORDER:
         assert code == 0
         payload = json.loads(out)
         assert payload["agree"] and payload["oracle"]["checks"]["orders"] == [order, 2 * order]
         assert eliminations
         return
-    assert eliminations == []
+    stopped = order if order * denominator > MAX_ORACLE_ORDER else 2 * order
+    # every elimination ran in the window of the order before
+    assert {cutoff for _, cutoff, *_ in eliminations} == (
+        set() if stopped == order else {order * denominator})
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {
         "type": "InputError",
-        "message": f"the oracle window at order {order} reaches heights above "
+        "message": f"the oracle window at order {stopped} reaches heights above "
                    f"the limit {MAX_ORACLE_ORDER}",
     }
 
@@ -575,6 +582,31 @@ def test_json_report_matches_golden_bytes(capsys, monkeypatch, name, args, route
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert route in routes
+
+
+@pytest.mark.parametrize(
+    "name, args, expected",
+    [
+        ("novikov-hidden-Q-orders-1-8",
+         ["novikov", "hidden-Q.json", "--class=1/2,1/3,1/5", "--order", "1"], 0),
+        ("novikov-hidden-Z2-orders-2-16",
+         ["novikov", "hidden-Z2.json", "--class=1,1,1", "--order", "2"], 0),
+        # too short a window for this class: orders 6 and 12 settle on Betti
+        # (1, 2, 1, 0) against the exact (0, 0, 0, 0), so exit 1
+        ("novikov-hidden-Q-disagree",
+         ["novikov", "hidden-Q.json", "--class=1,2,3", "--order", "3"], 1),
+    ],
+)
+def test_oracle_runs_of_more_than_two_orders_match_golden_bytes(
+    capsys, monkeypatch, name, args, expected
+):
+    # the benchmark's oracles stop at their second order; these run three
+    # or four, over Q and Z/2, at a rational class among them
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = call(capsys, [*args, "--format", "json"])
+    assert (code, err) == (expected, "")
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert len(json.loads(out)["oracle"]["checks"]["orders"]) > 2
 
 
 @pytest.mark.parametrize("ring", ["Q", "Z", "Z2"])

@@ -12,6 +12,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import sympy
@@ -36,6 +37,7 @@ from polynov.morse import morse_reduce
 from polynov.novseries import (
     TruncatedNovikovSeries,
     Truncation,
+    height_inverse,
     leading_unit_inverse,
 )
 from polynov.twist import twisted_complex
@@ -439,10 +441,24 @@ def reference_series_rank(matrix, region, order, ring):
         rank += 1
 
 
+def lifted_rows(matrix, weights, ring):
+    """`homology._lift` of a dense one-band matrix, with heights weights . e."""
+    columns = [
+        {i: row[j] for i, row in enumerate(matrix) if row[j].terms}
+        for j in range(len(matrix[0]))
+    ]
+    heights = {
+        e: sum(w * x for w, x in zip(weights, e))
+        for row in matrix for entry in row for e in entry.terms
+    }
+    return homology._lift(columns, len(matrix), heights, ring is Z2)
+
+
 def series_rank(matrix, region, order, ring):
     """`homology._series_rank` in the window `Truncation.interior` gives."""
     trunc = Truncation.interior(region, order)
-    return homology._series_rank(matrix, trunc._weights, trunc._cutoff, ring)
+    rows = lifted_rows(matrix, trunc._weights, ring)
+    return homology._series_rank(rows, trunc._cutoff, ring, {})
 
 
 def random_dependent_matrix(rng, ring):
@@ -479,6 +495,146 @@ def test_series_rank_matches_the_series_reference():
                 expected = reference_series_rank(matrix, region, order, ring)
                 got = series_rank(matrix, region, order, ring)
                 assert got == expected, (ring, region, order)
+
+
+def random_sparse_matrix(rng, ring):
+    """Up to 6 x 8 Laurent matrices in one variable over few exponents, so
+    that lowest heights tie, with zero entries, empty rows and columns,
+    far monomials that leave the window and rows that are combinations
+    of other rows."""
+    zero = GroupRingElement.zero(ring, 1)
+
+    def element(size):
+        terms = {}
+        for _ in range(rng.randint(1, size)):
+            c = Fraction(rng.choice((-2, -1, 1, 1, 3)), rng.choice((1, 1, 2)))
+            terms[(rng.randint(-2, 2),)] = 1 if ring is Z2 else c
+        if rng.random() < 0.1:
+            terms[(rng.choice((-1, 1)) * rng.randint(20, 40),)] = 1
+        return GroupRingElement(ring, 1, terms)
+
+    ncols = rng.randint(1, 8)
+    density = rng.choice((0.2, 0.5, 0.8))
+    rows = [
+        [element(3) if rng.random() < density else zero for _ in range(ncols)]
+        for _ in range(rng.randint(1, 4))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        combo = [zero] * ncols
+        for row in rows:
+            f = element(2) if rng.random() < 0.7 else zero
+            combo = [x + f * e for x, e in zip(combo, row)]
+        rows.append(combo)
+    if rng.random() < 0.3:
+        rows.append([zero] * ncols)
+    if rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        rows = [[zero if k == j else e for k, e in enumerate(row)] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_series_rank_on_sparse_matrices_matches_the_series_reference(monkeypatch):
+    # the reference's pivots, shifted to height 0, are the memoized ones
+    inverted = []
+
+    def spy(x, direction, trunc, _original=leading_unit_inverse):
+        heights = {trunc._weights[0] * e: c for (e,), c in x.element.terms.items()}
+        low = min(heights)
+        inverted.append(frozenset((h - low, c) for h, c in heights.items()))
+        return _original(x, direction, trunc)
+
+    monkeypatch.setitem(globals(), "leading_unit_inverse", spy)
+    rng = random.Random(97)
+    seen = dict.fromkeys(
+        ("empty row", "empty column", "tie across rows", "tie across columns",
+         "vanishes in the window"), 0)
+    for ring in (Q, Z2):
+        for trial in range(60):
+            matrix = random_sparse_matrix(rng, ring)
+            region = Polytope([(Fraction(rng.choice(("1", "-1", "2/3", "-3/2"))),)])
+            for order in (3, 4, 8):
+                trunc = Truncation.interior(region, order)
+                rows = lifted_rows(matrix, trunc._weights, ring)
+                lows = [
+                    (min(x), i, j) for i, row in enumerate(rows)
+                    for j, x in row.items() if min(x) <= trunc._cutoff
+                ]
+                first = [(i, j) for h, i, j in lows if h == min(lows)[0]] if lows else []
+                seen["empty row"] += any(not any(e.terms for e in r) for r in matrix)
+                seen["empty column"] += any(
+                    not any(r[j].terms for r in matrix) for j in range(len(matrix[0])))
+                seen["tie across rows"] += len({i for i, _ in first}) > 1
+                seen["tie across columns"] += len({j for _, j in first}) > 1
+                seen["vanishes in the window"] += len(lows) < sum(map(len, rows))
+                inverted.clear()
+                expected = reference_series_rank(matrix, region, order, ring)
+                inverses = {}
+                got = homology._series_rank(rows, trunc._cutoff, ring, inverses)
+                assert got == expected, (ring, trial, order)
+                assert {key for key, _, _ in inverses} == set(inverted)
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize(
+    "document, klass, order, orders, cutoffs, reused",
+    [
+        # a = (15, 10, 6) / 30: the window of order N is height <= 30 N
+        ("hidden-Q", ("1/2", "1/3", "1/5"), 1, [1, 2, 4, 8], {30, 60, 120, 240}, False),
+        # every entry is +-(t_i - 1), so pivots repeat
+        ("koszul3-Q", (1, 1, 1), 16, [16, 32], {16, 32}, True),
+        ("koszul3-Z2", (-1, -1, -1), 16, [16, 32], {16, 32}, True),
+    ],
+)
+def test_oracle_lifts_each_boundary_once_and_memoizes_true_inverses(
+    monkeypatch, document, klass, order, orders, cutoffs, reused
+):
+    # each stored term is lifted once per call, from the stored columns,
+    # whatever the number of orders; every memoized inverse is that of its
+    # pivot shifted to height 0, and pivots with one shifted series share it
+    path = Path(__file__).parent / "golden" / f"{document}.json"
+    X = ingest(json.loads(path.read_text()))
+    lifted, lookups, memos, pivots = [], [], [], []
+
+    class CountingHeights(dict):
+        def __getitem__(self, e):
+            lookups.append(e)
+            return dict.__getitem__(self, e)
+
+    lift, series_rank_ = homology._lift, homology._series_rank
+
+    def lift_spy(band, nrows, heights, mod2):
+        lifted.append(band)
+        return lift(band, nrows, CountingHeights(heights), mod2)
+
+    def rank_spy(rows, cutoff, ring, inverses):
+        memos.append(inverses)
+        pivots.append(series_rank_(rows, cutoff, ring, inverses))
+        return pivots[-1]
+
+    def no_dense_view(self):
+        raise AssertionError("the dense boundaries view was built")
+
+    monkeypatch.setattr(homology, "_lift", lift_spy)
+    monkeypatch.setattr(homology, "_series_rank", rank_spy)
+    monkeypatch.setattr(EquivariantComplex, "boundaries", property(no_dense_view))
+    report = truncated_homology_oracle(X, klass, order)
+    assert report.checks["orders"] == orders
+    assert [id(b) for b in lifted] == [id(b) for b in X.columns]
+    terms = [e for band in X.columns for column in band
+             for x in column.values() for e in x.terms]
+    assert sorted(lookups) == sorted(terms)
+    assert len(memos) == len(orders) * len(X.columns)
+    assert all(m is memos[0] for m in memos)
+    inverses = memos[0]
+    assert {cutoff for _, cutoff, _ in inverses} == cutoffs
+    assert 0 < len(inverses) <= sum(pivots)
+    assert (len(inverses) < sum(pivots)) == reused
+    for (series, cutoff, ring), inverse in inverses.items():
+        assert ring is X.ring
+        assert min(h for h, _ in series) == 0
+        assert [h for h, _ in inverse] == sorted(h for h, _ in inverse)
+        assert dict(inverse) == height_inverse(dict(series), cutoff, ring is Z2)
 
 
 def test_series_rank_builds_no_series_or_group_ring_elements(monkeypatch):

@@ -72,14 +72,14 @@ def tensor_complex(A: EquivariantComplex, B: EquivariantComplex):
             ring, rank, {(0,) * ra + e: c for e, c in x.terms.items()}
         )
 
-    dim = A.dimension + B.dimension
+    dim = len(A.cells) + len(B.cells) - 2
     index = {}  # (p, i, q, j) -> position in degree p + q
     cells = []
     for n in range(dim + 1):
         names = []
         for p in range(n + 1):
             q = n - p
-            if p > A.dimension or q > B.dimension:
+            if p >= len(A.cells) or q >= len(B.cells):
                 continue
             for i, a in enumerate(A.cells[p]):
                 for j, b in enumerate(B.cells[q]):
@@ -93,7 +93,7 @@ def tensor_complex(A: EquivariantComplex, B: EquivariantComplex):
         matrix = [[zero] * len(cells[n]) for _ in cells[n - 1]]
         for p in range(n + 1):
             q = n - p
-            if p > A.dimension or q > B.dimension:
+            if p >= len(A.cells) or q >= len(B.cells):
                 continue
             for i in range(len(A.cells[p])):
                 for j in range(len(B.cells[q])):

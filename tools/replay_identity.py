@@ -7,7 +7,9 @@ A and B are source checkouts (each holds src/polynov). For every seed and
 every workload in perfbench/workloads.py, one round of jobs and its warm-up
 job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
-`demo` (in both formats) and the error commands below run too. Each tree
+`demo` (in both formats), the error commands below and oracle runs over
+rational classes, Z input, three or four orders and the window limit
+(some on this checkout's tests/golden documents) run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
 `polynov.cli.main` call after another as the benchmark makes them, so state
 kept between calls shows up as a difference. The two interpreters run with
@@ -31,7 +33,9 @@ import subprocess
 import sys
 import tempfile
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 TORUS = {
     "coefficients": "Q",
@@ -89,7 +93,8 @@ ERROR_DOCUMENTS = {
 
 SHOWN = 5  # differences printed in full
 
-# argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name]
+# argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name], and
+# "{golden/name}" for that of tests/golden/name
 OTHER_COMMANDS = [
     ["betti", "no_such_thing", "--format", "json"],
     ["novikov", "torus", "--class", "1,2,3", "--format", "json"],
@@ -100,6 +105,20 @@ OTHER_COMMANDS = [
     ["validate", "{not-json}", "--format", "json"],
     ["demo", "--format", "json"],
     ["demo"],
+    # oracle windows: the doubled window of the first is above the limit
+    ["novikov", "torus", "--class=1/1000,1", "--order", "64", "--format", "json"],
+    ["novikov", "torus", "--class=1/1000,1", "--order", "32", "--format", "json"],
+    ["novikov", "{golden/koszul3-Q.json}", "--class=1/7,1/11,1/13", "--order", "65",
+     "--format", "json"],
+    # oracle runs of three and four orders
+    ["novikov", "{golden/hidden-Q.json}", "--class=1/2,1/3,1/5", "--order", "1",
+     "--format", "json"],
+    ["novikov", "{golden/hidden-Z2.json}", "--class=1,1,1", "--order", "2", "--format", "json"],
+    ["novikov", "{golden/hidden-Q.json}", "--class=1,2,3", "--order", "3", "--format", "json"],
+    ["novikov", "genus2", "--class=1,2,0,-1", "--format", "json"],
+    ["novikov", "torus", "--class=2/3,-3/2", "--order", "5", "--format", "json"],
+    ["novikov", "{golden/koszul3-Z.json}", "--class=1/7,1/11,1/13", "--order", "4",
+     "--format", "json"],
 ]
 
 
@@ -130,6 +149,7 @@ def build_commands(workdir, seeds):
                 json.dump(document, fh)
         for sub in ("validate", "betti"):
             commands.append([sub, paths[name], "--format", "json"])
+    paths.update((f"golden/{name}", os.path.join(GOLDEN, name)) for name in os.listdir(GOLDEN))
     for argv in OTHER_COMMANDS:
         commands.append([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
     return commands, jobs
