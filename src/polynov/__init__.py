@@ -55,7 +55,6 @@ from .complexes import (
 )
 from .twist import (
     TwistedComplex,
-    lift_conjugation_self_test,
     tensor_base_change,
     twisted_complex,
     zero_vertex_extend,
@@ -118,7 +117,6 @@ __all__ = [
     "ingest",
     "kernel_lattice",
     "leading_unit_inverse",
-    "lift_conjugation_self_test",
     "main_theorem_check",
     "matrix_rank_fraction_field",
     "morse_reduce",

@@ -32,7 +32,6 @@ from .lattice import (
     LatticeMap,
     Polytope,
     check_deck_rank,
-    kernel_lattice,
     parse_rational,
     quotient_map,
 )
@@ -586,11 +585,10 @@ def scale_check(X: EquivariantComplex, P: Polytope, r) -> bool:
         raise InputError("scale factor must be positive")
     if P.rank != X.deck.rank:
         raise InputError("polytope rank disagrees with the complex")
-    scaled = P.scale(r)
-    if kernel_lattice(P.vertices) != kernel_lattice(scaled.vertices):
-        return False
     q_plain = quotient_map(P.vertices)
-    q_scaled = quotient_map(scaled.vertices)
+    q_scaled = quotient_map(P.scale(r).vertices)
+    if q_plain.kernel != q_scaled.kernel:
+        return False
     left = X.specialize(q_plain).canonical_bytes()
     right = X.specialize(q_scaled).canonical_bytes()
     return left == right

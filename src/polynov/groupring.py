@@ -59,11 +59,11 @@ import random
 import re
 from array import array
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError
-from .lattice import _BIG, MAX_DECIMAL_EXPONENT, LatticeMap, _read_decimal, _size
+from .lattice import _BIG, MAX_DECIMAL_EXPONENT, _read_decimal, _size
 
 
 class CoefficientRing(enum.Enum):
@@ -305,27 +305,14 @@ class GroupRingElement:
 
     # -- specialization -----------------------------------------------
 
-    def specialize(self, lattice_map: LatticeMap) -> "GroupRingElement":
-        """Push forward along a lattice quotient; colliding monomials are
-        combined additively (and may cancel). The exponents are mapped
-        together (`LatticeMap.images`) and the terms pushed by
-        `pushed_terms`, as `EquivariantComplex.specialize` does."""
-        if lattice_map.rank_in != self.rank:
-            raise InputError(
-                f"map expects rank {lattice_map.rank_in}, element has {self.rank}"
-            )
-        images = lattice_map.images(self.terms)
-        return GroupRingElement.of_terms(
-            self.ring, lattice_map.rank_out, self.pushed_terms(images)
-        )
-
     def pushed_terms(self, images) -> dict:
         """The terms of the image of self under a lattice quotient, where
         `images` maps each exponent of self to its image, or is None for
         a quotient of rank 0, as `LatticeMap.images` gives them. Images
         that collide are summed in term order, and sums that cancel are
         dropped; on rank 0 the one image () carries the sum of the
-        coefficients (mod 2 over Z/2)."""
+        coefficients (mod 2 over Z/2). `EquivariantComplex.specialize`
+        pushes each distinct stored element through this once."""
         mod2 = self.ring is CoefficientRing.MOD2
         terms = self.terms
         if images is None:
@@ -947,21 +934,6 @@ def _point_rank(rows, ring, point, monomials) -> int:
     return 0 if values is None else _eliminate(values, _MOD_P)[0]
 
 
-def _shape(rows):
-    """(rows, cols, coefficient ring, deck rank) of a nonempty matrix;
-    InputError if it is ragged or mixes rings."""
-    n, m = len(rows), len(rows[0])
-    ring = rows[0][0].ring
-    rank = rows[0][0].rank
-    for row in rows:
-        if len(row) != m:
-            raise InputError("ragged matrix")
-        for e in row:
-            if e.ring is not ring or e.rank != rank:
-                raise InputError("mixed rings or ranks in matrix")
-    return n, m, ring, rank
-
-
 def matrix_rank_fraction_field(rows, *, seed: int = 0):
     """Rank of a dense matrix of group-ring elements over the fraction field.
 
@@ -975,7 +947,13 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0):
     """
     if not rows or not rows[0]:
         return RankResult(0, True, "empty")
-    _, m, ring, nvars = _shape(rows)
+    m, ring, nvars = len(rows[0]), rows[0][0].ring, rows[0][0].rank
+    for row in rows:
+        if len(row) != m:
+            raise InputError("ragged matrix")
+        for e in row:
+            if e.ring is not ring or e.rank != nvars:
+                raise InputError("mixed rings or ranks in matrix")
     sparse = [{j: e for j, e in enumerate(row) if e.terms} for row in rows]
     return _ranks([(sparse, m)], ring, nvars, seed)[0]
 

@@ -44,6 +44,8 @@ from .morse import morse_reduce
 from .novseries import _nonzero, height_accumulate, height_inverse
 from .twist import tensor_base_change, twisted_complex
 
+_MAX_DOUBLINGS = 8  # orders the series oracle runs before IncreaseOrder
+
 RANK_VALIDITY_NOTE = (
     "ranks taken over the fraction field of the quotient Laurent ring; "
     "they agree over every domain between the integral group ring of the "
@@ -115,13 +117,16 @@ def novikov_betti(X: EquivariantComplex, a) -> BettiReport:
     """
     a = _as_class(a, X.deck.rank)
     q = quotient_map([a])
-    ring_desc = {
+    return _rank_report(X.specialize(q), _class_ring(X.ring.value, X, a))
+
+
+def _class_ring(coefficients, X: EquivariantComplex, a: CohomologyClass) -> dict:
+    return {
         "kind": "class",
-        "coefficients": X.ring.value,
+        "coefficients": coefficients,
         "deck_rank": X.deck.rank,
         "class": a.ray_normalized().to_json(),
     }
-    return _rank_report(X.specialize(q), ring_desc)
 
 
 def ordinary_betti(X: EquivariantComplex) -> BettiReport:
@@ -238,9 +243,7 @@ def _series_rank(rows, cutoff, ring, inverses) -> int:
     return rank
 
 
-def truncated_homology_oracle(
-    X: EquivariantComplex, a, order=16, *, max_doublings=8
-) -> BettiReport:
+def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport:
     """Independent Betti computation over truncated series in one variable.
 
     Requires a nonzero class. With a = w / s, w the primitive integer
@@ -252,10 +255,11 @@ def truncated_homology_oracle(
     only windowed at each order. The truncation order doubles until two
     consecutive runs return the same boundary ranks and the result is
     internally consistent (nonnegative Betti, Euler identity); failing to
-    stabilize raises IncreaseOrder. A starting order above
-    `lattice.MAX_ORACLE_ORDER` is an InputError, and so is an order whose
-    cutoff floor(N * s) is above it, before that order runs. For an
-    integral class with primitive periods the cutoff is the order itself.
+    stabilize within `_MAX_DOUBLINGS` orders raises IncreaseOrder. A
+    starting order above `lattice.MAX_ORACLE_ORDER` is an InputError, and
+    so is an order whose cutoff floor(N * s) is above it, before that
+    order runs. For an integral class with primitive periods the cutoff
+    is the order itself.
     """
     a = _as_class(a, X.deck.rank)
     if a.is_zero():
@@ -284,7 +288,7 @@ def truncated_homology_oracle(
     orders = []
     previous = None
     N = order
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         cutoff = floor(N * s)
         if cutoff > MAX_ORACLE_ORDER:
             raise InputError(
@@ -300,22 +304,17 @@ def truncated_homology_oracle(
             sum((-1) ** i * b for i, b in enumerate(betti)) == chi
         )
         if previous == ranks and consistent:
-            ring_desc = {
-                "kind": "class",
-                # Z input is ranked as it is, over Q, its fraction field
-                "coefficients": (
-                    "Q" if X.ring is CoefficientRing.INT else X.ring.value
-                ),
-                "deck_rank": X.deck.rank,
-                "class": a.ray_normalized().to_json(),
-            }
             checks = {
                 "euler_consistent": True,
                 "stabilized": True,
                 "orders": orders,
                 "boundary_ranks": list(ranks),
             }
-            return BettiReport(betti, chi, ring_desc, "truncated-oracle", checks)
+            # Z input is ranked as it is, over Q, its fraction field
+            ring = "Q" if X.ring is CoefficientRing.INT else X.ring.value
+            return BettiReport(
+                betti, chi, _class_ring(ring, X, a), "truncated-oracle", checks
+            )
         previous = ranks
         N *= 2
     raise IncreaseOrder(

@@ -252,16 +252,6 @@ class Subpolytope:
     def vertices(self) -> tuple:
         return tuple(self.polytope.vertices[i] for i in self.vertex_indices)
 
-    @property
-    def rank(self) -> int:
-        return self.polytope.rank
-
-    def to_json(self):
-        return {
-            "polytope": self.polytope.to_json(),
-            "vertex_indices": list(self.vertex_indices),
-        }
-
 
 def active_vertices(region) -> tuple:
     """The vertex classes of a Polytope or Subpolytope."""
@@ -456,28 +446,29 @@ class LatticeMap:
         return len(self.matrix)
 
     def apply(self, exponent) -> tuple:
-        """The image of one lattice vector; `apply_all` maps many."""
+        """The image of one lattice vector; `images` maps many."""
         if len(exponent) != self.rank_in:
             raise InputError(
                 f"vector of length {len(exponent)} against rank {self.rank_in}"
             )
         return tuple(sum(map(mul, row, exponent)) for row in self.matrix)
 
-    def apply_all(self, exponents) -> list:
-        """[apply(x) for x in exponents], computed on coordinate columns.
+    def images(self, exponents):
+        """{x: apply(x) for x in exponents}, computed on coordinate columns;
+        None when rank_out is 0, where every image is ().
 
         Output coordinate i is the sum over the nonzero entries a of row i
         of a times the input column of a: one `map` pass over all the
         vectors per nonzero entry, and no Python call per vector.
         """
+        if not self.matrix:
+            return None
         exponents = list(exponents)
         if set(map(len, exponents)) - {self.rank_in}:
             bad = next(x for x in exponents if len(x) != self.rank_in)
             raise InputError(
                 f"vector of length {len(bad)} against rank {self.rank_in}"
             )
-        if not self.matrix:
-            return [()] * len(exponents)
         columns = list(zip(*exponents))
         out = []
         for row in self.matrix:
@@ -488,15 +479,7 @@ class LatticeMap:
                 elif a:
                     acc = map(add, acc, map(mul, repeat(a), column))
             out.append(list(acc))
-        return list(zip(*out))
-
-    def images(self, exponents):
-        """{x: apply(x) for x in exponents}, from one `apply_all` call; None
-        when rank_out is 0, where every image is ()."""
-        if not self.matrix:
-            return None
-        exponents = list(exponents)
-        return dict(zip(exponents, self.apply_all(exponents)))
+        return dict(zip(exponents, zip(*out)))
 
     def induced_class(self, a: CohomologyClass) -> CohomologyClass:
         """The unique class b on the quotient with b(apply(x)) == a(x).

@@ -18,15 +18,20 @@ oracle (`homology.truncated_homology_oracle`) runs on them alone. Along a
 class a = w / s, w a primitive integer vector and s > 0, the monomial t^e
 has height w . e, the window of order N keeps exactly the heights
 <= floor(N * s) (the integer cutoff of `Truncation(a, N)`), and
-coefficients over Z/2 are reduced mod 2. `Truncation` and the series
-classes are on no command's path: they remain as API and as the tests'
-reference for that arithmetic.
+coefficients over Z/2 are reduced mod 2.
+
+`Truncation`, `TruncatedNovikovSeries`, `leading_unit_inverse`,
+`geom_inverse` and `positivity_check` are on no command's path. They stay
+as API and as the tests' reference for the oracle's height arithmetic;
+`geom_inverse` is the independent cross-check of `leading_unit_inverse`,
+which the benchmark's per-layer tracer also wraps by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import floor
 from operator import mul
 
@@ -139,9 +144,6 @@ class TruncatedNovikovSeries:
             self.element - other.element, self.truncation
         )
 
-    def __neg__(self):
-        return TruncatedNovikovSeries(-self.element, self.truncation)
-
     def __mul__(self, other):
         self._check_window(other)
         return TruncatedNovikovSeries(
@@ -157,9 +159,6 @@ class TruncatedNovikovSeries:
 
     def __hash__(self):
         return hash((self.element, self.truncation))
-
-    def to_string(self) -> str:
-        return self.element.to_string()
 
     def __repr__(self):
         c = self.truncation.direction.to_json()
@@ -293,20 +292,6 @@ def height_accumulate(acc, a, b, cutoff):
     return acc
 
 
-def height_product(a, b, cutoff, mod2):
-    """The product a*b windowed at `cutoff`."""
-    return _nonzero(height_accumulate({}, a, sorted(b.items()), cutoff), mod2)
-
-
-def height_difference(a, b, mod2):
-    """a - b; a window holding both holds the difference."""
-    acc = dict(a)
-    get = acc.get
-    for h, c in b.items():
-        acc[h] = get(h, 0) - c
-    return _nonzero(acc, mod2)
-
-
 def height_inverse(x, cutoff, mod2):
     """`leading_unit_inverse` of a nonzero height dict, windowed at `cutoff`.
 
@@ -316,19 +301,35 @@ def height_inverse(x, cutoff, mod2):
     integer form of the `order + m` inner window, so that after the shift
     by -h0 it fills the window. Its coefficients are those of the power
     series inverse s of 1 - u, s_k = sum_i u_i s_(k-i), which is the
-    truncated geometric sum term by term. Needs h0 >= -cutoff, which holds
-    in the oracle, where every height is in [0, cutoff].
+    truncated geometric sum term by term. Each nonzero s_k is pushed
+    forward to the heights k + i, and a heap hands out the next height
+    with pending terms, so the work follows the nonzero terms, not the
+    window. Needs h0 >= -cutoff, which holds in the oracle, where every
+    height is in [0, cutoff].
     """
     h0 = min(x)
     a = x[h0]
     inv = a if a in (1, -1) else 1 / Fraction(a)
-    u = [(h - h0, -c * inv) for h, c in x.items() if h != h0]
+    u = sorted((h - h0, -c * inv) for h, c in x.items() if h != h0)
     top = cutoff + h0
-    s = [1] + [0] * top
-    for k in range(1, top + 1):
-        acc = 0
-        for i, c in u:
-            if i <= k:
-                acc += c * s[k - i]
-        s[k] = acc & 1 if mod2 else acc
-    return {k - h0: inv * c for k, c in enumerate(s) if c}
+    out = {}
+    pending = {0: 1}  # height -> s_k summed so far
+    heap = [0]
+    while heap:
+        k = heappop(heap)
+        c = pending.pop(k)
+        if mod2:
+            c &= 1
+        if not c:
+            continue
+        out[k - h0] = inv * c
+        for i, ui in u:
+            j = k + i
+            if j > top:
+                break
+            if j in pending:
+                pending[j] += ui * c
+            else:
+                pending[j] = ui * c
+                heappush(heap, j)
+    return out

@@ -11,12 +11,11 @@ consistency checks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .complexes import EquivariantComplex, _betti_from_ranks
+from .complexes import EquivariantComplex
 from .errors import InputError
-from .groupring import CoefficientRing, GroupRingElement, chain_ranks
+from .groupring import GroupRingElement
 from .lattice import (
     LatticeMap,
     Polytope,
@@ -64,37 +63,35 @@ class TwistedComplex:
         }
 
 
-def _restriction_indices(P: Polytope, B) -> tuple:
-    if B is None:
-        return tuple(range(len(P.vertices)))
-    if isinstance(B, Subpolytope):
-        if B.polytope != P:
-            raise InputError("subpolytope belongs to a different polytope")
-        return B.vertex_indices
-    return Subpolytope(P, B).vertex_indices
-
-
-def _induced_polytope(P: Polytope, q: LatticeMap) -> Polytope:
-    induced = [q.induced_class(v) for v in P.vertices]
-    if len(set(induced)) != len(induced):
-        raise InputError("polytope vertices collapsed under their own quotient")
-    return Polytope(induced)
-
-
-def twisted_complex(X: EquivariantComplex, P: Polytope, B=None) -> TwistedComplex:
-    """Push X forward along the quotient by the polytope's common kernel."""
+def _twist(X: EquivariantComplex, P: Polytope, B, push) -> TwistedComplex:
+    """The twist of X by P restricted to B, with base push(X, q) for the
+    quotient q by the polytope's common kernel. The two routes below
+    differ only in `push`."""
     if P.rank != X.deck.rank:
         raise InputError(
             f"polytope rank {P.rank} against deck rank {X.deck.rank}"
         )
-    indices = _restriction_indices(P, B)
+    if B is None:
+        indices = tuple(range(len(P.vertices)))
+    elif isinstance(B, Subpolytope):
+        if B.polytope != P:
+            raise InputError("subpolytope belongs to a different polytope")
+        indices = B.vertex_indices
+    else:
+        indices = Subpolytope(P, B).vertex_indices
     q = quotient_map(P.vertices)
+    base = push(X, q)
+    induced = [q.induced_class(v) for v in P.vertices]
+    if len(set(induced)) != len(induced):
+        raise InputError("polytope vertices collapsed under their own quotient")
     return TwistedComplex(
-        base=X.specialize(q),
-        quotient=q,
-        polytope=_induced_polytope(P, q),
-        finiteness=indices,
+        base=base, quotient=q, polytope=Polytope(induced), finiteness=indices
     )
+
+
+def twisted_complex(X: EquivariantComplex, P: Polytope, B=None) -> TwistedComplex:
+    """Push X forward along the quotient by the polytope's common kernel."""
+    return _twist(X, P, B, EquivariantComplex.specialize)
 
 
 def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedComplex:
@@ -109,12 +106,10 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
     one `LatticeMap.images` call over the distinct exponents. The image of
     a ring map keeps d∘d = 0, so it is not validated again.
     """
-    if P.rank != X.deck.rank:
-        raise InputError(
-            f"polytope rank {P.rank} against deck rank {X.deck.rank}"
-        )
-    indices = _restriction_indices(P, B)
-    q = quotient_map(P.vertices)
+    return _twist(X, P, B, _extend_scalars)
+
+
+def _extend_scalars(X: EquivariantComplex, q: LatticeMap) -> EquivariantComplex:
     ring = X.ring
     exponents = set().union(
         *(e.terms for band in X.columns for column in band for e in column.values())
@@ -136,14 +131,8 @@ def tensor_base_change(X: EquivariantComplex, P: Polytope, B=None) -> TwistedCom
         [{i: move(e) for i, e in column.items()} for column in band]
         for band in X.columns
     ]
-    base = EquivariantComplex.from_columns(
+    return EquivariantComplex.from_columns(
         ring, q.rank_out, X.cells, columns, validate=False
-    )
-    return TwistedComplex(
-        base=base,
-        quotient=q,
-        polytope=_induced_polytope(P, q),
-        finiteness=indices,
     )
 
 
@@ -161,51 +150,3 @@ def zero_vertex_extend(P: Polytope):
     if kernel_lattice(extended.vertices) != kernel_lattice(P.vertices):
         raise InputError("adding the zero vertex moved the kernel")
     return extended, extended.vertices.index(zero)
-
-
-def lift_conjugation_self_test(T: TwistedComplex, seed: int = 0):
-    """Re-pick the lift of every base cell and compare the outcome.
-
-    Changing lifts conjugates each boundary matrix by diagonal unit
-    monomials. The conjugated complex must still square to zero and must
-    have the same boundary ranks (hence the same Betti numbers over the
-    generic fiber). Returns a report dict with the ranks on both sides.
-    """
-    rng = random.Random(seed)
-    X = T.base
-    ring = X.ring
-    rank = X.deck.rank
-
-    def unit():
-        exp = tuple(rng.randrange(-2, 3) for _ in range(rank))
-        u = GroupRingElement.monomial(ring, rank, exp)
-        if ring is not CoefficientRing.MOD2 and rng.random() < 0.5:
-            u = -u
-        return u
-
-    units = [[unit() for _ in names] for names in X.cells]
-    inverses = [[u.monomial_inverse() for u in row] for row in units]
-
-    columns = [
-        [
-            {i: inverses[k][i] * e * units[k + 1][j] for i, e in column.items()}
-            for j, column in enumerate(band)
-        ]
-        for k, band in enumerate(X.columns)
-    ]
-    relifted = EquivariantComplex.from_columns(ring, rank, X.cells, columns)
-
-    def boundary_ranks(Y):
-        return tuple(r.rank for r in chain_ranks(Y))
-
-    before = boundary_ranks(X)
-    after = boundary_ranks(relifted)
-    counts = X.cell_counts()
-    report = {
-        "ok": before == after,
-        "ranks_before": before,
-        "ranks_after": after,
-        "betti_before": _betti_from_ranks(counts, before),
-        "betti_after": _betti_from_ranks(counts, after),
-    }
-    return report

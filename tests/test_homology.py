@@ -392,10 +392,11 @@ def test_oracle_negative_direction():
 
 
 @pytest.mark.parametrize("a", [(-1, -1, -1), (1, -1, -1)])
-def test_oracle_stabilizes_on_negative_period_rows(a):
+def test_oracle_stabilizes_on_negative_period_rows(a, monkeypatch):
     # these classes put rows such as 1 - t^-1 into the window, which once
     # never stabilized
-    rep = truncated_homology_oracle(koszul_t3(), a, order=4, max_doublings=3)
+    monkeypatch.setattr(homology, "_MAX_DOUBLINGS", 3)
+    rep = truncated_homology_oracle(koszul_t3(), a, order=4)
     assert rep.betti == (0, 0, 0, 0)
 
 
@@ -663,9 +664,10 @@ def test_oracle_input_errors():
         truncated_homology_oracle(circle(), (1, 0), 16)
 
 
-def test_oracle_stabilization_signal():
+def test_oracle_stabilization_signal(monkeypatch):
+    monkeypatch.setattr(homology, "_MAX_DOUBLINGS", 1)
     with pytest.raises(IncreaseOrder):
-        truncated_homology_oracle(circle(), (1,), 16, max_doublings=1)
+        truncated_homology_oracle(circle(), (1,), 16)
 
 
 # -- main theorem ------------------------------------------------------------------

@@ -285,7 +285,7 @@ def random_classes(rng, r, k):
     ]
 
 
-def test_apply_all_matches_apply():
+def test_images_match_apply():
     rng = random.Random(17)
     for _ in range(40):
         r = rng.randint(1, 4)
@@ -297,17 +297,17 @@ def test_apply_all_matches_apply():
             tuple(rng.randint(-6, 6) for _ in range(r))
             for _ in range(rng.randint(0, 12))
         ]
-        assert q.apply_all(xs) == [q.apply(x) for x in xs]
-        assert q.apply_all(iter(xs)) == [q.apply(x) for x in xs]
-        assert q.apply_all([]) == []
-        with pytest.raises(InputError):
-            q.apply_all(xs + [(0,) * (r + 1)])
-        # images: the same map as a dict, None on a quotient of rank 0
         if q.rank_out:
-            assert q.images(iter(xs)) == {x: q.apply(x) for x in xs}
+            expected = {x: q.apply(x) for x in xs}
+            assert q.images(xs) == expected
+            assert q.images(iter(xs)) == expected
+            assert q.images([]) == {}
+            with pytest.raises(InputError):
+                q.images(xs + [(0,) * (r + 1)])
         else:
+            # every image is (), so none is computed
             assert q.images(xs) is None
-    assert quotient_map([zero_class(3)]).apply_all([(5, -2, 7), (0, 0, 0)]) == [(), ()]
+    assert quotient_map([zero_class(3)]).images([(5, -2, 7), (0, 0, 0)]) is None
 
 
 def test_integer_lattice_paths_match_the_fraction_formulas():

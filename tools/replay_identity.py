@@ -7,9 +7,10 @@ A and B are source checkouts (each holds src/polynov). For every seed and
 every workload in perfbench/workloads.py, one round of jobs and its warm-up
 job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
-`demo` (in both formats), the error commands below and oracle runs over
-rational classes, Z input, three or four orders and the window limit
-(some on this checkout's tests/golden documents) run too. Each tree
+`demo` and `approx` (in both formats), the error commands below, oracle
+runs over rational classes, Z input, three or four orders and the window
+limit (some on this checkout's tests/golden documents), and a text-format
+run of every other subcommand run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
 `polynov.cli.main` call after another as the benchmark makes them, so state
 kept between calls shows up as a difference. The two interpreters run with
@@ -119,6 +120,17 @@ OTHER_COMMANDS = [
     ["novikov", "torus", "--class=2/3,-3/2", "--order", "5", "--format", "json"],
     ["novikov", "{golden/koszul3-Z.json}", "--class=1/7,1/11,1/13", "--order", "4",
      "--format", "json"],
+    # approx in both formats, and the text format of every other subcommand
+    ["approx", "--class=1/2,0,3", "--eps", "1/10", "--format", "json"],
+    ["approx", "--class=1/2,0,3", "--eps", "1/10"],
+    ["validate", "genus2"],
+    ["betti", "genus2"],
+    ["novikov", "genus2", "--class=0,0,0,0"],
+    ["novikov", "genus2", "--class=1,2,0,-1"],
+    ["polytope", "genus2", "--vertices", "1,0,0,0;0,1,0,0", "--restrict", "0"],
+    ["main-check", "genus2", "--vertices", "1,0,0,0;0,1,0,0", "--a", "1,0",
+     "--b", "1/2,1/2"],
+    ["morse", "genus2"],
 ]
 
 
