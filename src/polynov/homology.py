@@ -15,6 +15,10 @@ the window of order N is height <= floor(N * s). One oracle call lifts
 each boundary once, from its stored columns, into sparse rows
 {column: series}; each order only windows those rows, and pivot
 inverses are memoized across the orders and boundaries of the call.
+Pivot heights never decrease, so the first elimination, at the window
+of order 2N, also gives the ranks of order N (see `_series_rank`).
+Where the heights are dense, rows are eliminated packed into ints, one
+fixed-width slot per height; dicts remain the general path.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from .novseries import _nonzero, height_accumulate, height_inverse
 from .twist import tensor_base_change, twisted_complex
 
 _MAX_DOUBLINGS = 8  # orders the series oracle runs before IncreaseOrder
+_WIDTH = 64  # bits per packed height slot before any rerun at twice that
+_SPREAD = 4  # packed rows need their heights to fill 1/_SPREAD of their span
 
 RANK_VALIDITY_NOTE = (
     "ranks taken over the fraction field of the quotient Laurent ring; "
@@ -177,26 +183,58 @@ def _lift(band, nrows, heights, mod2):
     return rows
 
 
-def _series_rank(rows, cutoff, ring, inverses) -> int:
-    """Rank of `_lift` rows (left unchanged) by full-pivot elimination
-    over series windowed at height <= cutoff.
+def _series_rank(rows, cutoff, ring, inverses) -> list:
+    """Pivot heights, in the order taken, of a full-pivot elimination of
+    `_lift` rows (left unchanged) over series windowed at height <= cutoff;
+    their number is the rank.
 
     The pivot is the free entry of least lowest height, first in
     row-major order, where the leading-term inverse is most accurate, so
-    every height stays in [0, cutoff]; each row keeps its least (height,
-    column), recomputed when an update changes the row. Entries that
-    vanish inside the window count as zero. Each update x - f*y is
-    windowed and summed into one dict (`novseries.height_accumulate`,
-    over the pivot row sorted once). A pivot p of least height h0 only
-    multiplies entries of
-    height h0 or more, so it is inverted as p t^-h0 up to height cutoff,
-    memoized in `inverses` by (p t^-h0, cutoff, ring). Coefficients are
-    reduced mod 2 over Z/2, and integral ones are ints over Z and Q
-    alike. So every windowed entry, pivot and rank is the one the same
-    elimination over `TruncatedNovikovSeries` with `leading_unit_inverse`
-    gives in one variable, where the height is the exponent times the
-    window's sign. Soundness comes from the caller's doubling protocol.
+    every height stays in [0, cutoff]. Entries that vanish inside the
+    window count as zero. A pivot p of least height h0 only multiplies
+    entries of height h0 or more, so it is inverted as p t^-h0 up to
+    height cutoff (`novseries.height_inverse`), memoized in `inverses`
+    under (p t^-h0, cutoff, ring, slot width). Coefficients are reduced
+    mod 2 over Z/2, and integral ones are ints over Z and Q alike. So
+    every windowed entry, pivot and rank is the one the same elimination
+    over `TruncatedNovikovSeries` with `leading_unit_inverse` gives in one
+    variable, where the height is the exponent times the window's sign.
+
+    Every entry has height h0 or more, and x - f*y keeps it so, so pivot
+    heights never decrease. Entries at cutoff c are exact below height
+    c + 1, and a factor is exact below c + 1 - h0 and multiplies heights
+    of h0 or more. So the runs at cutoffs c <= C hold the same entries up
+    to height c and take the same pivots among them: the rank at c is the
+    number of pivot heights <= c of the run at C.
+
+    The elimination runs on packed ints (`_packed_pivots`) when the
+    distinct lifted heights up to the cutoff number more than 1/_SPREAD of
+    the largest of them, and on dicts (`_dict_pivots`) otherwise, or when
+    packing declines. Fill-in follows the gaps between heights, and
+    packing pays for dense windows only. On the boundaries of Koszul T^5
+    at the class (1,...,1), all of whose entries are t - 1, packing is
+    2.1x faster than dicts at cutoff 16, 2.3x at 32, 2.7x at 64 and 6.5x
+    at 1024 over Q (with the call's inverses memoized); with the heights
+    scaled by g, it is 1.3x faster at g = 4 and 1.5x slower at g = 8
+    (cutoff 32g), so rows of 1 - t^g pack for g < 8. Rows of 1 - t^143
+    (koszul3-Q at the class (1/7, 1/11, 1/13), cutoff 16016) fill one
+    height in 143: packing them made that command take 2.7-2.9 s instead
+    of 0.7-1.3 s. Soundness comes from the caller's doubling protocol.
     """
+    occupied = {h for row in rows for x in row.values() for h in x if h <= cutoff}
+    if occupied and len(occupied) * _SPREAD > max(occupied):
+        pivots = _packed_pivots(rows, cutoff, ring, inverses, _WIDTH)
+        if pivots is not None:
+            return pivots
+    return _dict_pivots(rows, cutoff, ring, inverses)
+
+
+def _dict_pivots(rows, cutoff, ring, inverses) -> list:
+    """`_series_rank` on {height: coefficient} dicts, for every ring and
+    coefficient. Each row keeps its least (height, column), recomputed when
+    an update changes the row, and each update x - f*y is windowed and
+    summed into one dict (`novseries.height_accumulate`, over the pivot
+    row sorted once)."""
     mod2 = ring is CoefficientRing.MOD2
     work = {}  # free row -> {column: windowed series}
     for r, row in enumerate(rows):
@@ -209,18 +247,18 @@ def _series_rank(rows, cutoff, ring, inverses) -> int:
         if windowed:
             work[r] = windowed
     best = {r: min((min(x), c) for c, x in row.items()) for r, row in work.items()}
-    rank = 0
+    heights = []
     while work:
         h0, pr, pc = min((h, r, c) for r, (h, c) in best.items())
         pivot = work.pop(pr)
         del best[pr]
         p = {h - h0: v for h, v in pivot.pop(pc).items()}
-        key = (frozenset(p.items()), cutoff, ring)
+        key = (frozenset(p.items()), cutoff, ring, 0)
         if key not in inverses:
             inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
         pinv = inverses[key]
         others = [(c, sorted(y.items())) for c, y in pivot.items()]
-        rank += 1
+        heights.append(h0)
         for r in list(work):
             row = work[r]
             x = row.pop(pc, None)
@@ -240,7 +278,137 @@ def _series_rank(rows, cutoff, ring, inverses) -> int:
                 best[r] = min((min(x), c) for c, x in row.items())
             else:
                 del work[r], best[r]
-    return rank
+    return heights
+
+
+def _packed_pivots(rows, cutoff, ring, inverses, width) -> list | None:
+    """`_dict_pivots` with each entry x packed into the int
+    sum_h x_h 2^(width h) (Kronecker substitution), so that x - f*y is one
+    multiplication and a window is a mask. Slots are signed over Z and Q,
+    and parity slots, reduced by a mask, over Z/2. The least height of a
+    nonzero entry z is the slot of its lowest set bit.
+
+    Signed slots are checked to stay in [-2^B, 2^B), B the largest with
+    2B + bitlen(cutoff + 1) <= width - 2: then every slot of x - f*y is
+    below 2^(width - 1) in size, so the product carries nothing across
+    slots and a window (the mask, then a balanced fix of the top slot) is
+    exact. A stored entry or factor outside the bound reruns the call at
+    twice the width, once. Returns None, for the dict path to rerun the
+    call, on a Fraction coefficient, a pivot lead other than +-1 or a
+    second overflow: coefficients that outgrow 128-bit slots grow unevenly,
+    and slots as wide as the largest of them (up to 4096 bits) made the
+    oracle on hidden-Z at the class (1/7, 1/7, -1/3), order 64, take 124 s
+    instead of 45 s.
+    """
+    mod2 = ring is CoefficientRing.MOD2
+    slot = (1 << width) - 1
+    size = (cutoff + 1) * width
+    ones = _ones(cutoff + 1, width)
+    if mod2:
+        bits, sign = width, 1  # -1 = 1 mod 2, and parity slots stay nonnegative
+
+        def fit(z):
+            return z & ones
+    else:
+        bits, sign = (width - 2 - (cutoff + 1).bit_length()) // 2, -1
+        window, half = (1 << size) - 1, 1 << (size - 1)
+        bias, high = ones << bits, window - ones * ((2 << bits) - 1)
+
+        def fit(z):
+            z &= window
+            if z & half:
+                z -= window + 1
+            if (z + bias) & high:
+                raise OverflowError
+            return z
+
+    def low(z):
+        return ((z & -z).bit_length() - 1) // width
+
+    try:
+        work = {}  # free row -> {column: packed windowed series}
+        for r, row in enumerate(rows):
+            packed = {}
+            for c, x in row.items():
+                z = 0
+                for h, v in x.items():
+                    if h <= cutoff:
+                        if type(v) is not int:
+                            return None
+                        if v >> bits not in (0, -1):
+                            raise OverflowError
+                        z += v << (h * width)
+                if z:
+                    packed[c] = z
+            if packed:
+                work[r] = packed
+        best = {r: min((low(z), c) for c, z in row.items()) for r, row in work.items()}
+        heights = []
+        while work:
+            h0, pr, pc = min((h, r, c) for r, (h, c) in best.items())
+            pivot = work.pop(pr)
+            del best[pr]
+            p = pivot.pop(pc) >> h0 * width
+            if p & slot not in (1, slot):
+                return None
+            key = (p, cutoff, ring, width)
+            if key not in inverses:
+                inverse = height_inverse(_unpack(p, width, mod2), cutoff, mod2)
+                inverses[key] = fit(_pack(inverse, width, mod2))
+            pinv = inverses[key]
+            heights.append(h0)
+            for r in list(work):
+                row = work[r]
+                x = row.pop(pc, None)
+                if x is None:
+                    continue
+                factor = fit(sign * (x >> h0 * width) * pinv)
+                for c, y in pivot.items():
+                    z = fit(row.get(c, 0) + factor * y)
+                    if z:
+                        row[c] = z
+                    else:
+                        row.pop(c, None)
+                if row:
+                    best[r] = min((low(z), c) for c, z in row.items())
+                else:
+                    del work[r], best[r]
+        return heights
+    except OverflowError:
+        if width > _WIDTH:
+            return None
+        return _packed_pivots(rows, cutoff, ring, inverses, 2 * width)
+
+
+def _ones(slots, width):
+    """The int with a 1 in each of its lowest `slots` slots of `width` bits."""
+    return ((1 << slots * width) - 1) // ((1 << width) - 1)
+
+
+def _pack(x, width, mod2):
+    """The packed int of a nonempty {height: coefficient} dict, built from
+    bytes so that the time is linear in the top height; OverflowError when a
+    coefficient does not fit its slot."""
+    n, top = width // 8, max(x) + 1
+    offset = 0 if mod2 else 1 << (width - 1)  # makes every slot nonnegative
+    zero = offset.to_bytes(n, "little")
+    data = b"".join(
+        (x[h] + offset).to_bytes(n, "little") if h in x else zero for h in range(top)
+    )
+    return int.from_bytes(data, "little") - offset * _ones(top, width)
+
+
+def _unpack(z, width, mod2):
+    """The {height: coefficient} dict of a packed entry, read as bytes."""
+    n, top = width // 8, z.bit_length() // width + 1
+    offset = 0 if mod2 else 1 << (width - 1)
+    data = (z + offset * _ones(top, width)).to_bytes(top * n, "little")
+    out = {}
+    for h in range(top):
+        c = int.from_bytes(data[h * n:(h + 1) * n], "little") - offset
+        if c:
+            out[h] = c
+    return out
 
 
 def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport:
@@ -255,11 +423,13 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
     only windowed at each order. The truncation order doubles until two
     consecutive runs return the same boundary ranks and the result is
     internally consistent (nonnegative Betti, Euler identity); failing to
-    stabilize within `_MAX_DOUBLINGS` orders raises IncreaseOrder. A
+    stabilize within `_MAX_DOUBLINGS` orders raises IncreaseOrder. One
+    elimination at the window of order 2N gives the ranks of orders N and
+    2N (see `_series_rank`); each later order runs one elimination. A
     starting order above `lattice.MAX_ORACLE_ORDER` is an InputError, and
-    so is an order whose cutoff floor(N * s) is above it, before that
-    order runs. For an integral class with primitive periods the cutoff
-    is the order itself.
+    so is an order whose cutoff floor(N * s) is above it, before any
+    elimination at that order's window runs. For an integral class with
+    primitive periods the cutoff is the order itself.
     """
     a = _as_class(a, X.deck.rank)
     if a.is_zero():
@@ -275,6 +445,15 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
     counts = X.cell_counts()
     chi = euler_characteristic(X)
 
+    def window(N):
+        cutoff = floor(N * s)
+        if cutoff > MAX_ORACLE_ORDER:
+            raise InputError(
+                f"the oracle window at order {N} reaches heights above "
+                f"the limit {MAX_ORACLE_ORDER}"
+            )
+        return cutoff
+
     mod2 = X.ring is CoefficientRing.MOD2
     exponents = {
         e for band in X.columns for column in band
@@ -286,18 +465,21 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
     ]
     inverses = {}
     orders = []
-    previous = None
+    previous = doubled = None
     N = order
     for _ in range(_MAX_DOUBLINGS):
-        cutoff = floor(N * s)
-        if cutoff > MAX_ORACLE_ORDER:
-            raise InputError(
-                f"the oracle window at order {N} reaches heights above "
-                f"the limit {MAX_ORACLE_ORDER}"
-            )
-        ranks = tuple(
-            _series_rank(rows, cutoff, X.ring, inverses) for rows in lifted
-        )
+        if doubled is not None:
+            ranks, doubled = doubled, None
+        else:
+            cutoff = window(N)
+            # the first elimination runs at the window of order 2N, and its
+            # pivots of height <= cutoff give the ranks of order N
+            first = not orders and _MAX_DOUBLINGS > 1
+            run = window(2 * N) if first else cutoff
+            pivots = [_series_rank(rows, run, X.ring, inverses) for rows in lifted]
+            ranks = tuple(sum(h <= cutoff for h in p) for p in pivots)
+            if first:
+                doubled = tuple(map(len, pivots))
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)
         consistent = all(b >= 0 for b in betti) and (

@@ -43,6 +43,7 @@ from polynov.novseries import (
 from polynov.twist import twisted_complex
 
 Q = CoefficientRing.RAT
+Z = CoefficientRing.INT
 Z2 = CoefficientRing.MOD2
 
 
@@ -456,10 +457,25 @@ def lifted_rows(matrix, weights, ring):
 
 
 def series_rank(matrix, region, order, ring):
-    """`homology._series_rank` in the window `Truncation.interior` gives."""
+    """The rank `homology._series_rank` gives in the window of
+    `Truncation.interior`."""
     trunc = Truncation.interior(region, order)
     rows = lifted_rows(matrix, trunc._weights, ring)
-    return homology._series_rank(rows, trunc._cutoff, ring, {})
+    return len(homology._series_rank(rows, trunc._cutoff, ring, {}))
+
+
+def memo_entries(inverses):
+    """(pivot, cutoff, ring, inverse) of each memoized pivot inverse, with
+    the pivot as a frozenset of (height, coefficient) and the inverse as a
+    dict, whether it was memoized packed (slot width > 0) or as a dict."""
+    for (pivot, cutoff, ring, width), inverse in inverses.items():
+        if width:
+            pivot = frozenset(homology._unpack(pivot, width, ring is Z2).items())
+            inverse = homology._unpack(inverse, width, ring is Z2)
+        else:
+            assert [h for h, _ in inverse] == sorted(h for h, _ in inverse)
+            inverse = dict(inverse)
+        yield pivot, cutoff, ring, inverse
 
 
 def random_dependent_matrix(rng, ring):
@@ -499,7 +515,8 @@ def test_series_rank_matches_the_series_reference():
 
 
 def random_sparse_matrix(rng, ring):
-    """Up to 6 x 8 Laurent matrices in one variable over few exponents, so
+    """Up to 6 x 8 Laurent matrices in one variable over few exponents (with
+    non-unit coefficients, fractional ones over Q), so
     that lowest heights tie, with zero entries, empty rows and columns,
     far monomials that leave the window and rows that are combinations
     of other rows."""
@@ -509,7 +526,8 @@ def random_sparse_matrix(rng, ring):
         terms = {}
         for _ in range(rng.randint(1, size)):
             c = Fraction(rng.choice((-2, -1, 1, 1, 3)), rng.choice((1, 1, 2)))
-            terms[(rng.randint(-2, 2),)] = 1 if ring is Z2 else c
+            terms[(rng.randint(-2, 2),)] = (
+                1 if ring is Z2 else c.numerator if ring is Z else c)
         if rng.random() < 0.1:
             terms[(rng.choice((-1, 1)) * rng.randint(20, 40),)] = 1
         return GroupRingElement(ring, 1, terms)
@@ -572,26 +590,181 @@ def test_series_rank_on_sparse_matrices_matches_the_series_reference(monkeypatch
                 expected = reference_series_rank(matrix, region, order, ring)
                 inverses = {}
                 got = homology._series_rank(rows, trunc._cutoff, ring, inverses)
-                assert got == expected, (ring, trial, order)
-                assert {key for key, _, _ in inverses} == set(inverted)
+                assert len(got) == expected, (ring, trial, order)
+                assert {key for key, *_ in memo_entries(inverses)} == set(inverted)
     assert min(seen.values()) >= 10, seen
+
+
+def over_q(matrix):
+    """A Z matrix as the Q matrix the oracle ranks it as."""
+    return [[GroupRingElement(Q, 1, e.terms) for e in row] for row in matrix]
+
+
+class Unmemoized(dict):
+    """A memo that never hits, so that every pivot is inverted in turn."""
+
+    def __contains__(self, key):
+        return False
+
+
+@pytest.mark.parametrize("ring", [Q, Z, Z2])
+def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
+    # the rule the oracle's first elimination rests on: pivot heights never
+    # decrease, and the pivots of height <= c of the run at cutoff C are
+    # those the run at c takes (up to the window), so their count is the
+    # rank at window c
+    inverted, pivots = [], []
+
+    def spy(x, direction, trunc, _original=leading_unit_inverse):
+        heights = {e: c for (e,), c in x.element.terms.items()}
+        inverted.append(frozenset((h - min(heights), c) for h, c in heights.items()))
+        return _original(x, direction, trunc)
+
+    def pivot_spy(p, cutoff, mod2):
+        pivots.append(p)
+        return height_inverse(p, cutoff, mod2)
+
+    monkeypatch.setitem(globals(), "leading_unit_inverse", spy)
+    monkeypatch.setattr(homology, "height_inverse", pivot_spy)
+    rng = random.Random({Q: 131, Z: 137, Z2: 139}[ring])
+    region = Polytope([(1,)])
+    runs = 0
+    for trial in range(12):
+        matrix = random_sparse_matrix(rng, ring)
+        reference = over_q(matrix) if ring is Z else matrix
+        rows = lifted_rows(matrix, (1,), ring)
+        cutoff = rng.randint(0, 40)
+        pivots.clear()
+        heights = homology._series_rank(rows, cutoff, ring, Unmemoized())
+        # a packed run that declines a lead is rerun on dicts, whose
+        # pivots are the last ones inverted
+        del pivots[:len(pivots) - len(heights)]
+        assert heights == sorted(heights) and len(pivots) == len(heights)
+        assert all(h <= cutoff for h in heights), (trial, cutoff, heights)
+        for c in range(cutoff + 1):
+            inverted.clear()
+            expected = reference_series_rank(reference, region, c, Q if ring is Z else ring)
+            assert sum(h <= c for h in heights) == expected, (trial, cutoff, c)
+            taken = {
+                frozenset((k, v) for k, v in p.items() if k <= c - h)
+                for p, h in zip(pivots, heights) if h <= c
+            }
+            assert taken == set(inverted), (trial, cutoff, c)
+            runs += 1
+    assert runs > 100
+
+
+def memo_widths(inverses):
+    return {width for _, _, _, width in inverses}
+
+
+@pytest.mark.parametrize("ring", [Q, Z, Z2])
+def test_packed_and_dict_eliminations_take_the_same_pivots(ring):
+    rng = random.Random({Q: 149, Z: 151, Z2: 157}[ring])
+    declined = 0
+    for trial in range(80):
+        matrix = random_sparse_matrix(rng, ring)
+        rows = lifted_rows(matrix, (1,), ring)
+        cutoff = rng.randint(0, 40)
+        expected = homology._dict_pivots(rows, cutoff, ring, {})
+        packed = homology._packed_pivots(rows, cutoff, ring, {}, 64)
+        if packed is None:
+            declined += 1
+        else:
+            assert packed == expected, (trial, cutoff)
+        assert homology._series_rank(rows, cutoff, ring, {}) == expected
+    # over Q fractions and leads other than +-1 send calls to dicts; over Z
+    # a lead of 2 or 3 does, and over Z/2 nothing does
+    assert (declined > 0) == (ring is not Z2), declined
+
+
+def series(x, ring=Q):
+    """The one-variable element sum c t^e of a dict {e: c}."""
+    return GroupRingElement(ring, 1, {(e,): c for e, c in x.items()})
+
+
+def spy_widths(monkeypatch):
+    """The slot widths of every `_packed_pivots` call, recorded in order."""
+    widths = []
+    packed = homology._packed_pivots
+
+    def spy(rows, cutoff, ring, inverses, width):
+        widths.append(width)
+        return packed(rows, cutoff, ring, inverses, width)
+
+    monkeypatch.setattr(homology, "_packed_pivots", spy)
+    return widths
+
+
+@pytest.mark.parametrize("ring, first", [
+    (Q, {0: 1, 1: Fraction(1, 2)}),  # a Fraction coefficient
+    (Q, {0: 2, 1: -1}),  # a pivot lead of 2
+    (Z, {0: -2, 2: 1}),  # a pivot lead of -2 over Z
+])
+def test_packing_declines_fractions_and_non_unit_leads(monkeypatch, ring, first):
+    widths = spy_widths(monkeypatch)
+    t_minus_1 = series({0: -1, 1: 1}, ring)
+    matrix = [[series(first, ring), t_minus_1], [t_minus_1, series({0: 1}, ring)]]
+    rows = lifted_rows(matrix, (1,), ring)
+    assert homology._packed_pivots(rows, 16, ring, {}, 64) is None
+    inverses = {}
+    heights = homology._series_rank(rows, 16, ring, inverses)
+    assert heights == homology._dict_pivots(rows, 16, ring, {})
+    assert len(heights) == 2 and widths == [64, 64]
+    # the dict rerun memoizes its inverses as dicts
+    assert 0 in memo_widths(inverses)
+
+
+@pytest.mark.parametrize("big, memoized", [
+    (2**40 + 1, {128}), (-(2**40) - 3, {128}), (2**70, {0}), (-(2**90), {0})])
+def test_slots_that_leave_the_bound_rerun_at_twice_the_width(monkeypatch, big, memoized):
+    # B = +-2^40 and its products with 1 + t + t^2 + ... are above 2^28,
+    # the bound of 64-bit slots at cutoff 16, and below 2^60, that of
+    # 128-bit ones; above that bound too, the call runs on dicts
+    widths = spy_widths(monkeypatch)
+    p, b, bt = series({0: 1, 1: -1}), series({0: big}), series({0: big, 1: 1})
+    for matrix, expected in (([[p, b], [p, bt]], [0, 1]), ([[p, p], [bt, bt]], [0])):
+        rows = lifted_rows(matrix, (1,), Q)
+        widths.clear()
+        inverses = {}
+        heights = homology._series_rank(rows, 16, Q, inverses)
+        assert heights == homology._dict_pivots(rows, 16, Q, {}) == expected
+        assert widths == [64, 128]
+        assert memo_widths(inverses) == memoized
+
+
+@pytest.mark.parametrize("ring", [Q, Z2])
+def test_sparse_wide_windows_run_on_dicts(monkeypatch, ring):
+    # 1 - t^143 fills one height in 143 of the window, as in koszul3-Q at
+    # the class (1/7, 1/11, 1/13); t - 1 fills every height
+    widths = spy_widths(monkeypatch)
+    one = 1 if ring is Z2 else -1
+    sparse = [[series({0: 1, 143: one}, ring), series({0: 1, 91: one}, ring)]]
+    inverses = {}
+    assert homology._series_rank(lifted_rows(sparse, (1,), ring), 16016, ring, inverses) == [0]
+    assert widths == [] and memo_widths(inverses) == {0}
+    dense = [[series({0: 1, 1: one}, ring), series({0: 1, 2: one}, ring)]]
+    assert homology._series_rank(lifted_rows(dense, (1,), ring), 16016, ring, {}) == [0]
+    assert widths == [64]
 
 
 @pytest.mark.parametrize(
     "document, klass, order, orders, cutoffs, reused",
     [
-        # a = (15, 10, 6) / 30: the window of order N is height <= 30 N
-        ("hidden-Q", ("1/2", "1/3", "1/5"), 1, [1, 2, 4, 8], {30, 60, 120, 240}, False),
+        # a = (15, 10, 6) / 30: the window of order N is height <= 30 N,
+        # and the first elimination runs at that of order 2N
+        ("hidden-Q", ("1/2", "1/3", "1/5"), 1, [1, 2, 4, 8], {60, 120, 240}, False),
         # every entry is +-(t_i - 1), so pivots repeat
-        ("koszul3-Q", (1, 1, 1), 16, [16, 32], {16, 32}, True),
-        ("koszul3-Z2", (-1, -1, -1), 16, [16, 32], {16, 32}, True),
+        ("koszul3-Q", (1, 1, 1), 16, [16, 32], {32}, True),
+        ("koszul3-Z2", (-1, -1, -1), 16, [16, 32], {32}, True),
     ],
 )
 def test_oracle_lifts_each_boundary_once_and_memoizes_true_inverses(
     monkeypatch, document, klass, order, orders, cutoffs, reused
 ):
     # each stored term is lifted once per call, from the stored columns,
-    # whatever the number of orders; every memoized inverse is that of its
+    # whatever the number of orders; each boundary is eliminated once for
+    # each order after the first; every memoized inverse is that of its
     # pivot shifted to height 0, and pivots with one shifted series share it
     path = Path(__file__).parent / "golden" / f"{document}.json"
     X = ingest(json.loads(path.read_text()))
@@ -625,17 +798,39 @@ def test_oracle_lifts_each_boundary_once_and_memoizes_true_inverses(
     terms = [e for band in X.columns for column in band
              for x in column.values() for e in x.terms]
     assert sorted(lookups) == sorted(terms)
-    assert len(memos) == len(orders) * len(X.columns)
+    assert len(memos) == (len(orders) - 1) * len(X.columns)
     assert all(m is memos[0] for m in memos)
+    assert all(p == sorted(p) for p in pivots)
     inverses = memos[0]
-    assert {cutoff for _, cutoff, _ in inverses} == cutoffs
-    assert 0 < len(inverses) <= sum(pivots)
-    assert (len(inverses) < sum(pivots)) == reused
-    for (series, cutoff, ring), inverse in inverses.items():
+    entries = list(memo_entries(inverses))
+    assert {cutoff for _, cutoff, _, _ in entries} == cutoffs
+    assert 0 < len(inverses) <= sum(map(len, pivots))
+    assert (len(inverses) < sum(map(len, pivots))) == reused
+    for series, cutoff, ring, inverse in entries:
         assert ring is X.ring
         assert min(h for h, _ in series) == 0
-        assert [h for h, _ in inverse] == sorted(h for h, _ in inverse)
-        assert dict(inverse) == height_inverse(dict(series), cutoff, ring is Z2)
+        assert inverse == height_inverse(dict(series), cutoff, ring is Z2)
+
+
+@pytest.mark.parametrize("document", ["koszul3-Q", "koszul3-Z2", "hidden-Q"])
+def test_a_two_order_run_eliminates_each_boundary_once_at_the_doubled_window(
+    monkeypatch, document
+):
+    # the ranks of order N are the pivots of height <= N of the run at 2N
+    path = Path(__file__).parent / "golden" / f"{document}.json"
+    X = ingest(json.loads(path.read_text()))
+    calls = []
+    series_rank_ = homology._series_rank
+
+    def rank_spy(rows, cutoff, ring, inverses):
+        calls.append((id(rows), cutoff))
+        return series_rank_(rows, cutoff, ring, inverses)
+
+    monkeypatch.setattr(homology, "_series_rank", rank_spy)
+    report = truncated_homology_oracle(X, (1, 1, 1), 16)
+    assert report.checks["orders"] == [16, 32]
+    assert [cutoff for _, cutoff in calls] == [32] * len(X.columns)
+    assert len({rows for rows, _ in calls}) == len(X.columns)
 
 
 def test_series_rank_builds_no_series_or_group_ring_elements(monkeypatch):
@@ -665,9 +860,19 @@ def test_oracle_input_errors():
 
 
 def test_oracle_stabilization_signal(monkeypatch):
+    # a single order runs at its own window: no doubled window is reached
+    cutoffs = []
+    series_rank_ = homology._series_rank
+
+    def rank_spy(rows, cutoff, ring, inverses):
+        cutoffs.append(cutoff)
+        return series_rank_(rows, cutoff, ring, inverses)
+
     monkeypatch.setattr(homology, "_MAX_DOUBLINGS", 1)
+    monkeypatch.setattr(homology, "_series_rank", rank_spy)
     with pytest.raises(IncreaseOrder):
         truncated_homology_oracle(circle(), (1,), 16)
+    assert cutoffs == [16]
 
 
 # -- main theorem ------------------------------------------------------------------

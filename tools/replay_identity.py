@@ -8,9 +8,10 @@ every workload in perfbench/workloads.py, one round of jobs and its warm-up
 job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
 `demo` and `approx` (in both formats), the error commands below, oracle
-runs over rational classes, Z input, three or four orders and the window
-limit (some on this checkout's tests/golden documents), and a text-format
-run of every other subcommand run too. Each tree
+runs over rational classes, Z input, three or four orders, the window
+limit, a wide window and a pivot lead of 2 (some on this checkout's
+tests/golden documents), and a text-format run of every other subcommand
+run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
 `polynov.cli.main` call after another as the benchmark makes them, so state
 kept between calls shows up as a difference. The two interpreters run with
@@ -92,6 +93,13 @@ ERROR_DOCUMENTS = {
         '{"coefficients": "Q", "rank": ' + "1" * 5000 + ', "cells": [["v"]], "boundaries": []}',
 }
 
+# name -> document that only the commands below read
+ORACLE_DOCUMENTS = {
+    # the oracle's first pivot, 2 - t1, has lead 2: packed rows decline it
+    # and the call reruns on dicts
+    "lead-2": _row("2 - t1", "t2 - 1"),
+}
+
 SHOWN = 5  # differences printed in full
 
 # argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name], and
@@ -120,6 +128,10 @@ OTHER_COMMANDS = [
     ["novikov", "torus", "--class=2/3,-3/2", "--order", "5", "--format", "json"],
     ["novikov", "{golden/koszul3-Z.json}", "--class=1/7,1/11,1/13", "--order", "4",
      "--format", "json"],
+    # oracle rows packed at a wide, dense window, and rows rerun on dicts
+    ["novikov", "{golden/koszul3-Z2.json}", "--class=1,1,1", "--order", "128",
+     "--format", "json"],
+    ["novikov", "{lead-2}", "--class=1,1", "--format", "json"],
     # approx in both formats, and the text format of every other subcommand
     ["approx", "--class=1/2,0,3", "--eps", "1/10", "--format", "json"],
     ["approx", "--class=1/2,0,3", "--eps", "1/10"],
@@ -152,15 +164,16 @@ def build_commands(workdir, seeds):
     paths = {"not-json": os.path.join(workdir, "not-json.json")}
     with open(paths["not-json"], "w") as fh:
         fh.write("{ not json")
-    for name, document in ERROR_DOCUMENTS.items():
-        paths[name] = os.path.join(workdir, f"error-{name}.json")
+    for name, document in {**ERROR_DOCUMENTS, **ORACLE_DOCUMENTS}.items():
+        paths[name] = os.path.join(workdir, f"document-{name}.json")
         with open(paths[name], "w") as fh:
             if isinstance(document, str):
                 fh.write(document)
             else:
                 json.dump(document, fh)
-        for sub in ("validate", "betti"):
-            commands.append([sub, paths[name], "--format", "json"])
+        if name in ERROR_DOCUMENTS:
+            for sub in ("validate", "betti"):
+                commands.append([sub, paths[name], "--format", "json"])
     paths.update((f"golden/{name}", os.path.join(GOLDEN, name)) for name in os.listdir(GOLDEN))
     for argv in OTHER_COMMANDS:
         commands.append([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
