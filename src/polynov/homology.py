@@ -15,10 +15,10 @@ the window of order N is height <= floor(N * s). One oracle call lifts
 each boundary once, from its stored columns, into sparse rows
 {column: series}; each order only windows those rows, and pivot
 inverses are memoized across the orders and boundaries of the call.
-Pivot heights never decrease, so the first elimination, at the window
-of order 2N, also gives the ranks of order N (see `_series_rank`).
-Where the heights are dense, rows are eliminated packed into ints, one
-fixed-width slot per height; dicts remain the general path.
+Pivot heights never decrease, so each elimination, at the window of
+order 2N, also gives the ranks of order N (see `_series_rank`). One
+pivot loop runs on dense heights packed into ints, 64 bits a height,
+and on dicts, which also take what packing declines or overflows.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .novseries import _nonzero, height_accumulate, height_inverse
 from .twist import tensor_base_change, twisted_complex
 
 _MAX_DOUBLINGS = 8  # orders the series oracle runs before IncreaseOrder
-_WIDTH = 64  # bits per packed height slot before any rerun at twice that
+_WIDTH = 64  # bits per packed height slot
 _SPREAD = 4  # packed rows need their heights to fill 1/_SPREAD of their span
 
 RANK_VALIDITY_NOTE = (
@@ -194,11 +194,12 @@ def _series_rank(rows, cutoff, ring, inverses) -> list:
     window count as zero. A pivot p of least height h0 only multiplies
     entries of height h0 or more, so it is inverted as p t^-h0 up to
     height cutoff (`novseries.height_inverse`), memoized in `inverses`
-    under (p t^-h0, cutoff, ring, slot width). Coefficients are reduced
-    mod 2 over Z/2, and integral ones are ints over Z and Q alike. So
-    every windowed entry, pivot and rank is the one the same elimination
-    over `TruncatedNovikovSeries` with `leading_unit_inverse` gives in one
-    variable, where the height is the exponent times the window's sign.
+    under (p t^-h0 packed, or as a frozenset of items, cutoff, ring).
+    Coefficients are reduced mod 2 over Z/2, and integral ones are ints
+    over Z and Q alike. So every windowed entry, pivot and rank is the one
+    the same elimination over `TruncatedNovikovSeries` with
+    `leading_unit_inverse` gives in one variable, where the height is the
+    exponent times the window's sign.
 
     Every entry has height h0 or more, and x - f*y keeps it so, so pivot
     heights never decrease. Entries at cutoff c are exact below height
@@ -207,10 +208,11 @@ def _series_rank(rows, cutoff, ring, inverses) -> list:
     to height c and take the same pivots among them: the rank at c is the
     number of pivot heights <= c of the run at C.
 
-    The elimination runs on packed ints (`_packed_pivots`) when the
-    distinct lifted heights up to the cutoff number more than 1/_SPREAD of
-    the largest of them, and on dicts (`_dict_pivots`) otherwise, or when
-    packing declines. Fill-in follows the gaps between heights, and
+    One loop (`_pivots`) runs on one of two entry encodings: packed ints
+    (`_packed`) when the distinct lifted heights up to the cutoff number
+    more than 1/_SPREAD of the largest of them, and dicts (`_dicts`)
+    otherwise, or when the packed run declines a coefficient or a slot
+    leaves its bound. Fill-in follows the gaps between heights, and
     packing pays for dense windows only. On the boundaries of Koszul T^5
     at the class (1,...,1), all of whose entries are t - 1, packing is
     2.1x faster than dicts at cutoff 16, 2.3x at 32, 2.7x at 64 and 6.5x
@@ -223,166 +225,156 @@ def _series_rank(rows, cutoff, ring, inverses) -> list:
     """
     occupied = {h for row in rows for x in row.values() for h in x if h <= cutoff}
     if occupied and len(occupied) * _SPREAD > max(occupied):
-        pivots = _packed_pivots(rows, cutoff, ring, inverses, _WIDTH)
-        if pivots is not None:
-            return pivots
-    return _dict_pivots(rows, cutoff, ring, inverses)
+        try:
+            return _pivots(rows, _packed(cutoff, ring), inverses)
+        except (_Decline, OverflowError):
+            pass
+    return _pivots(rows, _dicts(cutoff, ring), inverses)
 
 
-def _dict_pivots(rows, cutoff, ring, inverses) -> list:
-    """`_series_rank` on {height: coefficient} dicts, for every ring and
-    coefficient. Each row keeps its least (height, column), recomputed when
-    an update changes the row, and each update x - f*y is windowed and
-    summed into one dict (`novseries.height_accumulate`, over the pivot
-    row sorted once)."""
-    mod2 = ring is CoefficientRing.MOD2
-    work = {}  # free row -> {column: windowed series}
+class _Decline(Exception):
+    """The packed encoding met a Fraction or a pivot lead other than +-1."""
+
+
+def _pivots(rows, encoding, inverses) -> list:
+    """`_series_rank` on the entries of one encoding, five functions: the
+    windowed entry of a lifted dict (false when it vanishes), its least
+    height, the memoized inverse of a pivot of least height h0, the
+    factor -x p^-1 of an entry x, and x + f*y (x None when not stored; a
+    false result is zero)."""
+    entry, low, invert, factor, axpy = encoding
+    work = {}  # free row -> {column: windowed entry}
     for r, row in enumerate(rows):
         windowed = {}
         for c, x in row.items():
-            if max(x) > cutoff:
-                x = {h: v for h, v in x.items() if h <= cutoff}
-            if x:
-                windowed[c] = x
+            z = entry(x)
+            if z:
+                windowed[c] = z
         if windowed:
             work[r] = windowed
-    best = {r: min((min(x), c) for c, x in row.items()) for r, row in work.items()}
+    best = {r: min((low(z), c) for c, z in row.items()) for r, row in work.items()}
     heights = []
     while work:
         h0, pr, pc = min((h, r, c) for r, (h, c) in best.items())
         pivot = work.pop(pr)
         del best[pr]
-        p = {h - h0: v for h, v in pivot.pop(pc).items()}
-        key = (frozenset(p.items()), cutoff, ring, 0)
-        if key not in inverses:
-            inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
-        pinv = inverses[key]
-        others = [(c, sorted(y.items())) for c, y in pivot.items()]
+        pinv = invert(pivot.pop(pc), h0, inverses)
         heights.append(h0)
         for r in list(work):
             row = work[r]
             x = row.pop(pc, None)
             if x is None:
                 continue
-            # -x p^-1 = (-x t^-h0)(p t^-h0)^-1, windowed at cutoff
-            neg = {h - h0: -v for h, v in x.items()}
-            factor = _nonzero(height_accumulate({}, neg, pinv, cutoff), mod2)
-            for c, y in others:
-                acc = height_accumulate(dict(row.get(c, ())), factor, y, cutoff)
-                acc = _nonzero(acc, mod2)
-                if acc:
-                    row[c] = acc
+            f = factor(x, h0, pinv)
+            for c, y in pivot.items():
+                z = axpy(row.get(c), f, y)
+                if z:
+                    row[c] = z
                 else:
                     row.pop(c, None)
             if row:
-                best[r] = min((min(x), c) for c, x in row.items())
+                best[r] = min((low(z), c) for c, z in row.items())
             else:
                 del work[r], best[r]
     return heights
 
 
-def _packed_pivots(rows, cutoff, ring, inverses, width) -> list | None:
-    """`_dict_pivots` with each entry x packed into the int
-    sum_h x_h 2^(width h) (Kronecker substitution), so that x - f*y is one
+def _dicts(cutoff, ring):
+    """The `_pivots` encoding of {height: coefficient} dicts, for every ring
+    and coefficient, with the pivot inverse and each factor sorted once."""
+    mod2 = ring is CoefficientRing.MOD2
+
+    def entry(x):
+        return x if max(x) <= cutoff else {h: v for h, v in x.items() if h <= cutoff}
+
+    def invert(z, h0, inverses):
+        p = {h - h0: v for h, v in z.items()}
+        key = (frozenset(p.items()), cutoff, ring)
+        if key not in inverses:
+            inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
+        return inverses[key]
+
+    def factor(x, h0, pinv):
+        # -x p^-1 = (-x t^-h0)(p t^-h0)^-1, windowed at cutoff
+        neg = {h - h0: -v for h, v in x.items()}
+        return sorted(_nonzero(height_accumulate({}, neg, pinv, cutoff), mod2).items())
+
+    def axpy(x, f, y):
+        return _nonzero(height_accumulate(dict(x or ()), y, f, cutoff), mod2)
+
+    return entry, min, invert, factor, axpy
+
+
+def _packed(cutoff, ring):
+    """The `_pivots` encoding of each entry x as the int
+    sum_h x_h 2^(_WIDTH h) (Kronecker substitution), so that x + f*y is one
     multiplication and a window is a mask. Slots are signed over Z and Q,
-    and parity slots, reduced by a mask, over Z/2. The least height of a
-    nonzero entry z is the slot of its lowest set bit.
+    and parity slots, reduced by a mask, over Z/2.
 
     Signed slots are checked to stay in [-2^B, 2^B), B the largest with
-    2B + bitlen(cutoff + 1) <= width - 2: then every slot of x - f*y is
-    below 2^(width - 1) in size, so the product carries nothing across
+    2B + bitlen(cutoff + 1) <= _WIDTH - 2: then every slot of x + f*y is
+    below 2^(_WIDTH - 1) in size, so the product carries nothing across
     slots and a window (the mask, then a balanced fix of the top slot) is
-    exact. A stored entry or factor outside the bound reruns the call at
-    twice the width, once. Returns None, for the dict path to rerun the
-    call, on a Fraction coefficient, a pivot lead other than +-1 or a
-    second overflow: coefficients that outgrow 128-bit slots grow unevenly,
-    and slots as wide as the largest of them (up to 4096 bits) made the
-    oracle on hidden-Z at the class (1/7, 1/7, -1/3), order 64, take 124 s
-    instead of 45 s.
+    exact. An entry, update, factor or inverse outside the bound raises
+    OverflowError, and a Fraction coefficient or a pivot lead other than
+    +-1 raises _Decline; `_series_rank` reruns the call on dicts on either.
     """
     mod2 = ring is CoefficientRing.MOD2
-    slot = (1 << width) - 1
-    size = (cutoff + 1) * width
-    ones = _ones(cutoff + 1, width)
+    slot = (1 << _WIDTH) - 1
+    size = (cutoff + 1) * _WIDTH
+    ones = _ones(cutoff + 1, _WIDTH)
     if mod2:
-        bits, sign = width, 1  # -1 = 1 mod 2, and parity slots stay nonnegative
+        bits, sign = _WIDTH, 1  # -1 = 1 mod 2, and parity slots stay nonnegative
 
-        def fit(z):
-            return z & ones
+        def axpy(x, f, y):
+            return ((x or 0) + f * y) & ones
     else:
-        bits, sign = (width - 2 - (cutoff + 1).bit_length()) // 2, -1
+        bits, sign = (_WIDTH - 2 - (cutoff + 1).bit_length()) // 2, -1
         window, half = (1 << size) - 1, 1 << (size - 1)
         bias, high = ones << bits, window - ones * ((2 << bits) - 1)
 
-        def fit(z):
-            z &= window
+        def axpy(x, f, y):
+            z = ((x or 0) + f * y) & window
             if z & half:
                 z -= window + 1
             if (z + bias) & high:
                 raise OverflowError
             return z
 
-    def low(z):
-        return ((z & -z).bit_length() - 1) // width
+    def entry(x):
+        z = 0
+        for h, v in x.items():
+            if h <= cutoff:
+                if type(v) is not int:
+                    raise _Decline
+                if v >> bits not in (0, -1):
+                    raise OverflowError
+                z += v << (h * _WIDTH)
+        return z
 
-    try:
-        work = {}  # free row -> {column: packed windowed series}
-        for r, row in enumerate(rows):
-            packed = {}
-            for c, x in row.items():
-                z = 0
-                for h, v in x.items():
-                    if h <= cutoff:
-                        if type(v) is not int:
-                            return None
-                        if v >> bits not in (0, -1):
-                            raise OverflowError
-                        z += v << (h * width)
-                if z:
-                    packed[c] = z
-            if packed:
-                work[r] = packed
-        best = {r: min((low(z), c) for c, z in row.items()) for r, row in work.items()}
-        heights = []
-        while work:
-            h0, pr, pc = min((h, r, c) for r, (h, c) in best.items())
-            pivot = work.pop(pr)
-            del best[pr]
-            p = pivot.pop(pc) >> h0 * width
-            if p & slot not in (1, slot):
-                return None
-            key = (p, cutoff, ring, width)
-            if key not in inverses:
-                inverse = height_inverse(_unpack(p, width, mod2), cutoff, mod2)
-                inverses[key] = fit(_pack(inverse, width, mod2))
-            pinv = inverses[key]
-            heights.append(h0)
-            for r in list(work):
-                row = work[r]
-                x = row.pop(pc, None)
-                if x is None:
-                    continue
-                factor = fit(sign * (x >> h0 * width) * pinv)
-                for c, y in pivot.items():
-                    z = fit(row.get(c, 0) + factor * y)
-                    if z:
-                        row[c] = z
-                    else:
-                        row.pop(c, None)
-                if row:
-                    best[r] = min((low(z), c) for c, z in row.items())
-                else:
-                    del work[r], best[r]
-        return heights
-    except OverflowError:
-        if width > _WIDTH:
-            return None
-        return _packed_pivots(rows, cutoff, ring, inverses, 2 * width)
+    def low(z):
+        return ((z & -z).bit_length() - 1) // _WIDTH
+
+    def invert(z, h0, inverses):
+        p = z >> h0 * _WIDTH
+        if p & slot not in (1, slot):
+            raise _Decline
+        key = (p, cutoff, ring)
+        if key not in inverses:
+            inverse = height_inverse(_unpack(p, _WIDTH, mod2), cutoff, mod2)
+            inverses[key] = axpy(_pack(inverse, _WIDTH, mod2), 0, 0)  # windowed
+        return inverses[key]
+
+    def factor(x, h0, pinv):
+        return axpy(None, sign * (x >> h0 * _WIDTH), pinv)
+
+    return entry, low, invert, factor, axpy
 
 
 def _ones(slots, width):
-    """The int with a 1 in each of its lowest `slots` slots of `width` bits."""
-    return ((1 << slots * width) - 1) // ((1 << width) - 1)
+    """The int with a 1 in each of its lowest `slots` slots of `width` bits,
+    from bytes: at 33 slots in half the time of dividing by 2^width - 1."""
+    return int.from_bytes((1).to_bytes(width // 8, "little") * slots, "little")
 
 
 def _pack(x, width, mod2):
@@ -423,9 +415,9 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
     only windowed at each order. The truncation order doubles until two
     consecutive runs return the same boundary ranks and the result is
     internally consistent (nonnegative Betti, Euler identity); failing to
-    stabilize within `_MAX_DOUBLINGS` orders raises IncreaseOrder. One
-    elimination at the window of order 2N gives the ranks of orders N and
-    2N (see `_series_rank`); each later order runs one elimination. A
+    stabilize within `_MAX_DOUBLINGS` orders raises IncreaseOrder. Each
+    doubling from N to 2N runs one elimination, at the window of order
+    2N, which gives the ranks of both orders (see `_series_rank`). A
     starting order above `lattice.MAX_ORACLE_ORDER` is an InputError, and
     so is an order whose cutoff floor(N * s) is above it, before any
     elimination at that order's window runs. For an integral class with
@@ -464,22 +456,15 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
         _lift(band, n, heights, mod2) for band, n in zip(X.columns, counts)
     ]
     inverses = {}
-    orders = []
-    previous = doubled = None
-    N = order
-    for _ in range(_MAX_DOUBLINGS):
-        if doubled is not None:
-            ranks, doubled = doubled, None
-        else:
-            cutoff = window(N)
-            # the first elimination runs at the window of order 2N, and its
-            # pivots of height <= cutoff give the ranks of order N
-            first = not orders and _MAX_DOUBLINGS > 1
-            run = window(2 * N) if first else cutoff
-            pivots = [_series_rank(rows, run, X.ring, inverses) for rows in lifted]
-            ranks = tuple(sum(h <= cutoff for h in p) for p in pivots)
-            if first:
-                doubled = tuple(map(len, pivots))
+    N, cutoff = order, window(order)
+    orders = [N]
+    for _ in range(_MAX_DOUBLINGS - 1):
+        N *= 2
+        narrow, cutoff = cutoff, window(N)
+        pivots = [_series_rank(rows, cutoff, X.ring, inverses) for rows in lifted]
+        # the pivot heights <= narrow give the ranks of order N / 2
+        previous = tuple(sum(h <= narrow for h in p) for p in pivots)
+        ranks = tuple(map(len, pivots))
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)
         consistent = all(b >= 0 for b in betti) and (
@@ -497,8 +482,6 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
             return BettiReport(
                 betti, chi, _class_ring(ring, X, a), "truncated-oracle", checks
             )
-        previous = ranks
-        N *= 2
     raise IncreaseOrder(
         f"series elimination did not stabilize at orders {orders}"
     )

@@ -467,9 +467,10 @@ def series_rank(matrix, region, order, ring):
 def memo_entries(inverses):
     """(pivot, cutoff, ring, inverse) of each memoized pivot inverse, with
     the pivot as a frozenset of (height, coefficient) and the inverse as a
-    dict, whether it was memoized packed (slot width > 0) or as a dict."""
-    for (pivot, cutoff, ring, width), inverse in inverses.items():
-        if width:
+    dict, whether it was memoized packed (an int pivot) or as a dict."""
+    width = homology._WIDTH
+    for (pivot, cutoff, ring), inverse in inverses.items():
+        if type(pivot) is int:
             pivot = frozenset(homology._unpack(pivot, width, ring is Z2).items())
             inverse = homology._unpack(inverse, width, ring is Z2)
         else:
@@ -636,8 +637,8 @@ def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
         cutoff = rng.randint(0, 40)
         pivots.clear()
         heights = homology._series_rank(rows, cutoff, ring, Unmemoized())
-        # a packed run that declines a lead is rerun on dicts, whose
-        # pivots are the last ones inverted
+        # a packed run that declines a lead or overflows is rerun on
+        # dicts, whose pivots are the last ones inverted
         del pivots[:len(pivots) - len(heights)]
         assert heights == sorted(heights) and len(pivots) == len(heights)
         assert all(h <= cutoff for h in heights), (trial, cutoff, heights)
@@ -654,8 +655,14 @@ def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
     assert runs > 100
 
 
-def memo_widths(inverses):
-    return {width for _, _, _, width in inverses}
+def memo_encodings(inverses):
+    """The encodings the memoized inverses were taken in."""
+    return {"packed" if type(pivot) is int else "dicts" for pivot, *_ in inverses}
+
+
+def dict_pivots(rows, cutoff, ring):
+    """`homology._pivots` on the dict encoding, with a fresh memo."""
+    return homology._pivots(rows, homology._dicts(cutoff, ring), {})
 
 
 @pytest.mark.parametrize("ring", [Q, Z, Z2])
@@ -666,15 +673,17 @@ def test_packed_and_dict_eliminations_take_the_same_pivots(ring):
         matrix = random_sparse_matrix(rng, ring)
         rows = lifted_rows(matrix, (1,), ring)
         cutoff = rng.randint(0, 40)
-        expected = homology._dict_pivots(rows, cutoff, ring, {})
-        packed = homology._packed_pivots(rows, cutoff, ring, {}, 64)
-        if packed is None:
+        expected = dict_pivots(rows, cutoff, ring)
+        try:
+            packed = homology._pivots(rows, homology._packed(cutoff, ring), {})
+        except (homology._Decline, OverflowError):
             declined += 1
         else:
             assert packed == expected, (trial, cutoff)
         assert homology._series_rank(rows, cutoff, ring, {}) == expected
     # over Q fractions and leads other than +-1 send calls to dicts; over Z
-    # a lead of 2 or 3 does, and over Z/2 nothing does
+    # a lead of 2 or 3 does, and so do coefficients that outgrow 64-bit
+    # slots; over Z/2 nothing does
     assert (declined > 0) == (ring is not Z2), declined
 
 
@@ -684,15 +693,15 @@ def series(x, ring=Q):
 
 
 def spy_widths(monkeypatch):
-    """The slot widths of every `_packed_pivots` call, recorded in order."""
+    """The slot width of every packed encoding built, recorded in order."""
     widths = []
-    packed = homology._packed_pivots
+    packed = homology._packed
 
-    def spy(rows, cutoff, ring, inverses, width):
-        widths.append(width)
-        return packed(rows, cutoff, ring, inverses, width)
+    def spy(cutoff, ring):
+        widths.append(homology._WIDTH)
+        return packed(cutoff, ring)
 
-    monkeypatch.setattr(homology, "_packed_pivots", spy)
+    monkeypatch.setattr(homology, "_packed", spy)
     return widths
 
 
@@ -706,21 +715,20 @@ def test_packing_declines_fractions_and_non_unit_leads(monkeypatch, ring, first)
     t_minus_1 = series({0: -1, 1: 1}, ring)
     matrix = [[series(first, ring), t_minus_1], [t_minus_1, series({0: 1}, ring)]]
     rows = lifted_rows(matrix, (1,), ring)
-    assert homology._packed_pivots(rows, 16, ring, {}, 64) is None
+    with pytest.raises(homology._Decline):
+        homology._pivots(rows, homology._packed(16, ring), {})
     inverses = {}
     heights = homology._series_rank(rows, 16, ring, inverses)
-    assert heights == homology._dict_pivots(rows, 16, ring, {})
+    assert heights == dict_pivots(rows, 16, ring)
     assert len(heights) == 2 and widths == [64, 64]
     # the dict rerun memoizes its inverses as dicts
-    assert 0 in memo_widths(inverses)
+    assert "dicts" in memo_encodings(inverses)
 
 
-@pytest.mark.parametrize("big, memoized", [
-    (2**40 + 1, {128}), (-(2**40) - 3, {128}), (2**70, {0}), (-(2**90), {0})])
-def test_slots_that_leave_the_bound_rerun_at_twice_the_width(monkeypatch, big, memoized):
+@pytest.mark.parametrize("big", [2**40 + 1, -(2**40) - 3, 2**70, -(2**90)])
+def test_slots_that_leave_the_bound_run_on_dicts(monkeypatch, big):
     # B = +-2^40 and its products with 1 + t + t^2 + ... are above 2^28,
-    # the bound of 64-bit slots at cutoff 16, and below 2^60, that of
-    # 128-bit ones; above that bound too, the call runs on dicts
+    # the bound of 64-bit slots at cutoff 16, and so are larger B
     widths = spy_widths(monkeypatch)
     p, b, bt = series({0: 1, 1: -1}), series({0: big}), series({0: big, 1: 1})
     for matrix, expected in (([[p, b], [p, bt]], [0, 1]), ([[p, p], [bt, bt]], [0])):
@@ -728,9 +736,9 @@ def test_slots_that_leave_the_bound_rerun_at_twice_the_width(monkeypatch, big, m
         widths.clear()
         inverses = {}
         heights = homology._series_rank(rows, 16, Q, inverses)
-        assert heights == homology._dict_pivots(rows, 16, Q, {}) == expected
-        assert widths == [64, 128]
-        assert memo_widths(inverses) == memoized
+        assert heights == dict_pivots(rows, 16, Q) == expected
+        assert widths == [64]
+        assert memo_encodings(inverses) == {"dicts"}
 
 
 @pytest.mark.parametrize("ring", [Q, Z2])
@@ -742,7 +750,7 @@ def test_sparse_wide_windows_run_on_dicts(monkeypatch, ring):
     sparse = [[series({0: 1, 143: one}, ring), series({0: 1, 91: one}, ring)]]
     inverses = {}
     assert homology._series_rank(lifted_rows(sparse, (1,), ring), 16016, ring, inverses) == [0]
-    assert widths == [] and memo_widths(inverses) == {0}
+    assert widths == [] and memo_encodings(inverses) == {"dicts"}
     dense = [[series({0: 1, 1: one}, ring), series({0: 1, 2: one}, ring)]]
     assert homology._series_rank(lifted_rows(dense, (1,), ring), 16016, ring, {}) == [0]
     assert widths == [64]
@@ -833,6 +841,35 @@ def test_a_two_order_run_eliminates_each_boundary_once_at_the_doubled_window(
     assert len({rows for rows, _ in calls}) == len(X.columns)
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_the_doubling_cap_bounds_the_orders_and_their_windows(monkeypatch, cap):
+    # hidden-Q at (1/2, 1/3, 1/5) from order 1 stabilizes at orders
+    # [1, 2, 4, 8], whose windows are heights <= 30 N; order N's ranks come
+    # from the elimination at order 2N's window, so a cap of k orders
+    # eliminates each boundary at the windows of orders 2, ..., 2^(k-1)
+    path = Path(__file__).parent / "golden" / "hidden-Q.json"
+    X = ingest(json.loads(path.read_text()))
+    cutoffs = []
+    series_rank_ = homology._series_rank
+
+    def rank_spy(rows, cutoff, ring, inverses):
+        cutoffs.append(cutoff)
+        return series_rank_(rows, cutoff, ring, inverses)
+
+    monkeypatch.setattr(homology, "_MAX_DOUBLINGS", cap)
+    monkeypatch.setattr(homology, "_series_rank", rank_spy)
+    orders = [1, 2, 4, 8][:cap]
+    if cap < 4:
+        with pytest.raises(IncreaseOrder) as info:
+            truncated_homology_oracle(X, ("1/2", "1/3", "1/5"), 1)
+        assert str(info.value).endswith(f"at orders {orders}")
+    else:
+        report = truncated_homology_oracle(X, ("1/2", "1/3", "1/5"), 1)
+        assert report.checks["orders"] == orders
+    windows = [60, 120, 240][:cap - 1]
+    assert cutoffs == [c for c in windows for _ in X.columns]
+
+
 def test_series_rank_builds_no_series_or_group_ring_elements(monkeypatch):
     rng = random.Random(3)
     cases = [(random_dependent_matrix(rng, ring), ring) for ring in (Q, Z2, Q, Z2)]
@@ -860,7 +897,8 @@ def test_oracle_input_errors():
 
 
 def test_oracle_stabilization_signal(monkeypatch):
-    # a single order runs at its own window: no doubled window is reached
+    # a single order has no earlier order to compare with: nothing is
+    # eliminated
     cutoffs = []
     series_rank_ = homology._series_rank
 
@@ -870,9 +908,10 @@ def test_oracle_stabilization_signal(monkeypatch):
 
     monkeypatch.setattr(homology, "_MAX_DOUBLINGS", 1)
     monkeypatch.setattr(homology, "_series_rank", rank_spy)
-    with pytest.raises(IncreaseOrder):
+    with pytest.raises(IncreaseOrder) as info:
         truncated_homology_oracle(circle(), (1,), 16)
-    assert cutoffs == [16]
+    assert str(info.value).endswith("at orders [16]")
+    assert cutoffs == []
 
 
 # -- main theorem ------------------------------------------------------------------

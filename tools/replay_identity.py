@@ -9,9 +9,9 @@ job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
 `demo` and `approx` (in both formats), the error commands below, oracle
 runs over rational classes, Z input, three or four orders, the window
-limit, a wide window and a pivot lead of 2 (some on this checkout's
-tests/golden documents), and a text-format run of every other subcommand
-run too. Each tree
+limit, a wide window, a pivot lead of 2 and a coefficient that overflows
+packed slots (some on this checkout's tests/golden documents), and a
+text-format run of every other subcommand run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
 `polynov.cli.main` call after another as the benchmark makes them, so state
 kept between calls shows up as a difference. The two interpreters run with
@@ -98,6 +98,9 @@ ORACLE_DOCUMENTS = {
     # the oracle's first pivot, 2 - t1, has lead 2: packed rows decline it
     # and the call reruns on dicts
     "lead-2": _row("2 - t1", "t2 - 1"),
+    # 2^40 + 1 is above the slot bound of 64-bit packed rows: the call
+    # overflows and reruns on dicts
+    "slot-overflow": _row("1 - t1", "1099511627777 + t2", ring="Z"),
 }
 
 SHOWN = 5  # differences printed in full
@@ -132,6 +135,7 @@ OTHER_COMMANDS = [
     ["novikov", "{golden/koszul3-Z2.json}", "--class=1,1,1", "--order", "128",
      "--format", "json"],
     ["novikov", "{lead-2}", "--class=1,1", "--format", "json"],
+    ["novikov", "{slot-overflow}", "--class=1,1", "--format", "json"],
     # approx in both formats, and the text format of every other subcommand
     ["approx", "--class=1/2,0,3", "--eps", "1/10", "--format", "json"],
     ["approx", "--class=1/2,0,3", "--eps", "1/10"],
