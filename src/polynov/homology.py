@@ -16,9 +16,7 @@ each boundary once, from its stored columns, into sparse rows
 {column: series}; each order only windows those rows, and pivot
 inverses are memoized across the orders and boundaries of the call.
 Pivot heights never decrease, so each elimination, at the window of
-order 2N, also gives the ranks of order N (see `_series_rank`). One
-pivot loop runs on dense heights packed into ints, 64 bits a height,
-and on dicts, which also take what packing declines or overflows.
+order 2N, also gives the ranks of order N (see `_series_rank`).
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from .novseries import _nonzero, height_accumulate, height_inverse
 from .twist import tensor_base_change, twisted_complex
 
 _MAX_DOUBLINGS = 8  # orders the series oracle runs before IncreaseOrder
-_WIDTH = 64  # bits per packed height slot
-_SPREAD = 4  # packed rows need their heights to fill 1/_SPREAD of their span
 
 RANK_VALIDITY_NOTE = (
     "ranks taken over the fraction field of the quotient Laurent ring; "
@@ -190,14 +186,17 @@ def _series_rank(rows, cutoff, ring, inverses) -> list:
 
     The pivot is the free entry of least lowest height, first in
     row-major order, where the leading-term inverse is most accurate, so
-    every height stays in [0, cutoff]. Entries that vanish inside the
-    window count as zero. A pivot p of least height h0 only multiplies
-    entries of height h0 or more, so it is inverted as p t^-h0 up to
-    height cutoff (`novseries.height_inverse`), memoized in `inverses`
-    under (p t^-h0 packed, or as a frozenset of items, cutoff, ring).
-    Coefficients are reduced mod 2 over Z/2, and integral ones are ints
-    over Z and Q alike. So every windowed entry, pivot and rank is the one
-    the same elimination over `TruncatedNovikovSeries` with
+    every height stays in [0, cutoff]; each row keeps its least (height,
+    column), recomputed when an update changes the row. Entries that
+    vanish inside the window count as zero. A pivot p of least height h0
+    only multiplies entries of height h0 or more, so it is inverted as
+    p t^-h0 up to height cutoff (`novseries.height_inverse`), memoized in
+    `inverses` under (frozenset of the items of p t^-h0, cutoff, ring).
+    Each update x - f*y is summed into one windowed dict
+    (`novseries.height_accumulate`, over the factor f sorted once per
+    row). Coefficients are reduced mod 2 over Z/2, and integral ones are
+    ints over Z and Q alike. So every windowed entry, pivot and rank is
+    the one the same elimination over `TruncatedNovikovSeries` with
     `leading_unit_inverse` gives in one variable, where the height is the
     exponent times the window's sign.
 
@@ -206,201 +205,53 @@ def _series_rank(rows, cutoff, ring, inverses) -> list:
     c + 1, and a factor is exact below c + 1 - h0 and multiplies heights
     of h0 or more. So the runs at cutoffs c <= C hold the same entries up
     to height c and take the same pivots among them: the rank at c is the
-    number of pivot heights <= c of the run at C.
-
-    One loop (`_pivots`) runs on one of two entry encodings: packed ints
-    (`_packed`) when the distinct lifted heights up to the cutoff number
-    more than 1/_SPREAD of the largest of them, and dicts (`_dicts`)
-    otherwise, or when the packed run declines a coefficient or a slot
-    leaves its bound. Fill-in follows the gaps between heights, and
-    packing pays for dense windows only. On the boundaries of Koszul T^5
-    at the class (1,...,1), all of whose entries are t - 1, packing is
-    2.1x faster than dicts at cutoff 16, 2.3x at 32, 2.7x at 64 and 6.5x
-    at 1024 over Q (with the call's inverses memoized); with the heights
-    scaled by g, it is 1.3x faster at g = 4 and 1.5x slower at g = 8
-    (cutoff 32g), so rows of 1 - t^g pack for g < 8. Rows of 1 - t^143
-    (koszul3-Q at the class (1/7, 1/11, 1/13), cutoff 16016) fill one
-    height in 143: packing them made that command take 2.7-2.9 s instead
-    of 0.7-1.3 s. Soundness comes from the caller's doubling protocol.
+    number of pivot heights <= c of the run at C. Soundness comes from
+    the caller's doubling protocol.
     """
-    occupied = {h for row in rows for x in row.values() for h in x if h <= cutoff}
-    if occupied and len(occupied) * _SPREAD > max(occupied):
-        try:
-            return _pivots(rows, _packed(cutoff, ring), inverses)
-        except (_Decline, OverflowError):
-            pass
-    return _pivots(rows, _dicts(cutoff, ring), inverses)
-
-
-class _Decline(Exception):
-    """The packed encoding met a Fraction or a pivot lead other than +-1."""
-
-
-def _pivots(rows, encoding, inverses) -> list:
-    """`_series_rank` on the entries of one encoding, five functions: the
-    windowed entry of a lifted dict (false when it vanishes), its least
-    height, the memoized inverse of a pivot of least height h0, the
-    factor -x p^-1 of an entry x, and x + f*y (x None when not stored; a
-    false result is zero)."""
-    entry, low, invert, factor, axpy = encoding
-    work = {}  # free row -> {column: windowed entry}
+    mod2 = ring is CoefficientRing.MOD2
+    work = {}  # free row -> {column: windowed series}
     for r, row in enumerate(rows):
         windowed = {}
         for c, x in row.items():
-            z = entry(x)
-            if z:
-                windowed[c] = z
+            if max(x) > cutoff:
+                x = {h: v for h, v in x.items() if h <= cutoff}
+            if x:
+                windowed[c] = x
         if windowed:
             work[r] = windowed
-    best = {r: min((low(z), c) for c, z in row.items()) for r, row in work.items()}
+    best = {r: min((min(x), c) for c, x in row.items()) for r, row in work.items()}
     heights = []
     while work:
         h0, pr, pc = min((h, r, c) for r, (h, c) in best.items())
         pivot = work.pop(pr)
         del best[pr]
-        pinv = invert(pivot.pop(pc), h0, inverses)
+        p = {h - h0: v for h, v in pivot.pop(pc).items()}
+        key = (frozenset(p.items()), cutoff, ring)
+        if key not in inverses:
+            inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
+        pinv = inverses[key]
         heights.append(h0)
         for r in list(work):
             row = work[r]
             x = row.pop(pc, None)
             if x is None:
                 continue
-            f = factor(x, h0, pinv)
+            # -x p^-1 = (-x t^-h0)(p t^-h0)^-1, windowed at cutoff
+            neg = {h - h0: -v for h, v in x.items()}
+            factor = _nonzero(height_accumulate({}, neg, pinv, cutoff), mod2)
+            factor = sorted(factor.items())
             for c, y in pivot.items():
-                z = axpy(row.get(c), f, y)
-                if z:
-                    row[c] = z
+                acc = height_accumulate(dict(row.get(c, ())), y, factor, cutoff)
+                acc = _nonzero(acc, mod2)
+                if acc:
+                    row[c] = acc
                 else:
                     row.pop(c, None)
             if row:
-                best[r] = min((low(z), c) for c, z in row.items())
+                best[r] = min((min(x), c) for c, x in row.items())
             else:
                 del work[r], best[r]
     return heights
-
-
-def _dicts(cutoff, ring):
-    """The `_pivots` encoding of {height: coefficient} dicts, for every ring
-    and coefficient, with the pivot inverse and each factor sorted once."""
-    mod2 = ring is CoefficientRing.MOD2
-
-    def entry(x):
-        return x if max(x) <= cutoff else {h: v for h, v in x.items() if h <= cutoff}
-
-    def invert(z, h0, inverses):
-        p = {h - h0: v for h, v in z.items()}
-        key = (frozenset(p.items()), cutoff, ring)
-        if key not in inverses:
-            inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
-        return inverses[key]
-
-    def factor(x, h0, pinv):
-        # -x p^-1 = (-x t^-h0)(p t^-h0)^-1, windowed at cutoff
-        neg = {h - h0: -v for h, v in x.items()}
-        return sorted(_nonzero(height_accumulate({}, neg, pinv, cutoff), mod2).items())
-
-    def axpy(x, f, y):
-        return _nonzero(height_accumulate(dict(x or ()), y, f, cutoff), mod2)
-
-    return entry, min, invert, factor, axpy
-
-
-def _packed(cutoff, ring):
-    """The `_pivots` encoding of each entry x as the int
-    sum_h x_h 2^(_WIDTH h) (Kronecker substitution), so that x + f*y is one
-    multiplication and a window is a mask. Slots are signed over Z and Q,
-    and parity slots, reduced by a mask, over Z/2.
-
-    Signed slots are checked to stay in [-2^B, 2^B), B the largest with
-    2B + bitlen(cutoff + 1) <= _WIDTH - 2: then every slot of x + f*y is
-    below 2^(_WIDTH - 1) in size, so the product carries nothing across
-    slots and a window (the mask, then a balanced fix of the top slot) is
-    exact. An entry, update, factor or inverse outside the bound raises
-    OverflowError, and a Fraction coefficient or a pivot lead other than
-    +-1 raises _Decline; `_series_rank` reruns the call on dicts on either.
-    """
-    mod2 = ring is CoefficientRing.MOD2
-    slot = (1 << _WIDTH) - 1
-    size = (cutoff + 1) * _WIDTH
-    ones = _ones(cutoff + 1, _WIDTH)
-    if mod2:
-        bits, sign = _WIDTH, 1  # -1 = 1 mod 2, and parity slots stay nonnegative
-
-        def axpy(x, f, y):
-            return ((x or 0) + f * y) & ones
-    else:
-        bits, sign = (_WIDTH - 2 - (cutoff + 1).bit_length()) // 2, -1
-        window, half = (1 << size) - 1, 1 << (size - 1)
-        bias, high = ones << bits, window - ones * ((2 << bits) - 1)
-
-        def axpy(x, f, y):
-            z = ((x or 0) + f * y) & window
-            if z & half:
-                z -= window + 1
-            if (z + bias) & high:
-                raise OverflowError
-            return z
-
-    def entry(x):
-        z = 0
-        for h, v in x.items():
-            if h <= cutoff:
-                if type(v) is not int:
-                    raise _Decline
-                if v >> bits not in (0, -1):
-                    raise OverflowError
-                z += v << (h * _WIDTH)
-        return z
-
-    def low(z):
-        return ((z & -z).bit_length() - 1) // _WIDTH
-
-    def invert(z, h0, inverses):
-        p = z >> h0 * _WIDTH
-        if p & slot not in (1, slot):
-            raise _Decline
-        key = (p, cutoff, ring)
-        if key not in inverses:
-            inverse = height_inverse(_unpack(p, _WIDTH, mod2), cutoff, mod2)
-            inverses[key] = axpy(_pack(inverse, _WIDTH, mod2), 0, 0)  # windowed
-        return inverses[key]
-
-    def factor(x, h0, pinv):
-        return axpy(None, sign * (x >> h0 * _WIDTH), pinv)
-
-    return entry, low, invert, factor, axpy
-
-
-def _ones(slots, width):
-    """The int with a 1 in each of its lowest `slots` slots of `width` bits,
-    from bytes: at 33 slots in half the time of dividing by 2^width - 1."""
-    return int.from_bytes((1).to_bytes(width // 8, "little") * slots, "little")
-
-
-def _pack(x, width, mod2):
-    """The packed int of a nonempty {height: coefficient} dict, built from
-    bytes so that the time is linear in the top height; OverflowError when a
-    coefficient does not fit its slot."""
-    n, top = width // 8, max(x) + 1
-    offset = 0 if mod2 else 1 << (width - 1)  # makes every slot nonnegative
-    zero = offset.to_bytes(n, "little")
-    data = b"".join(
-        (x[h] + offset).to_bytes(n, "little") if h in x else zero for h in range(top)
-    )
-    return int.from_bytes(data, "little") - offset * _ones(top, width)
-
-
-def _unpack(z, width, mod2):
-    """The {height: coefficient} dict of a packed entry, read as bytes."""
-    n, top = width // 8, z.bit_length() // width + 1
-    offset = 0 if mod2 else 1 << (width - 1)
-    data = (z + offset * _ones(top, width)).to_bytes(top * n, "little")
-    out = {}
-    for h in range(top):
-        c = int.from_bytes(data[h * n:(h + 1) * n], "little") - offset
-        if c:
-            out[h] = c
-    return out
 
 
 def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport:
@@ -413,8 +264,8 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
     they are: nothing is pushed to the quotient by the kernel of a, whose
     rank-one image carries the same heights; each is lifted once, and
     only windowed at each order. The truncation order doubles until two
-    consecutive runs return the same boundary ranks and the result is
-    internally consistent (nonnegative Betti, Euler identity); failing to
+    consecutive runs return the same boundary ranks and no Betti number
+    is negative (the Euler identity holds for any ranks); failing to
     stabilize within `_MAX_DOUBLINGS` orders raises IncreaseOrder. Each
     doubling from N to 2N runs one elimination, at the window of order
     2N, which gives the ranks of both orders (see `_series_rank`). A
@@ -467,11 +318,9 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
         ranks = tuple(map(len, pivots))
         orders.append(N)
         betti = _betti_from_ranks(counts, ranks)
-        consistent = all(b >= 0 for b in betti) and (
-            sum((-1) ** i * b for i, b in enumerate(betti)) == chi
-        )
-        if previous == ranks and consistent:
+        if previous == ranks and all(b >= 0 for b in betti):
             checks = {
+                # Betti numbers from ranks sum to chi whatever the ranks
                 "euler_consistent": True,
                 "stabilized": True,
                 "orders": orders,

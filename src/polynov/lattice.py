@@ -113,10 +113,10 @@ MAX_DECK_RANK = 64
 # --order`), and the largest window height floor(N * s) of any order N it
 # runs, doubled ones included. Its work grows at least linearly with the
 # window: from order 32768, whose doubled window is the limit, `novikov`
-# takes 0.3 s on the torus at the class (1,0) and 0.5 s on the Koszul T^3
-# over Q at (1,1,1), start-up included (2 cores, Python 3.11). The bundled
-# examples, the acceptance suite and the benchmark start at 16 and reach
-# at most 2048.
+# takes 0.2-0.3 s on the torus at the class (1,0) and 0.3-0.5 s on the
+# Koszul T^3 over Q and over Z/2 at (1,1,1), start-up included (2 cores,
+# Python 3.11). The bundled examples, the acceptance suite and the
+# benchmark start at 16 and reach at most 2048.
 MAX_ORACLE_ORDER = 1 << 16
 
 

@@ -18,7 +18,13 @@ import pytest
 import sympy
 
 from polynov import homology, lattice
-from polynov.complexes import EquivariantComplex, GroupPresentation, fox_boundary, ingest
+from polynov.complexes import (
+    EquivariantComplex,
+    GroupPresentation,
+    _betti_from_ranks,
+    fox_boundary,
+    ingest,
+)
 from polynov.errors import IncreaseOrder, InputError
 from polynov.groupring import CoefficientRing, GroupRingElement
 from polynov.homology import (
@@ -37,6 +43,7 @@ from polynov.morse import morse_reduce
 from polynov.novseries import (
     TruncatedNovikovSeries,
     Truncation,
+    height_accumulate,
     height_inverse,
     leading_unit_inverse,
 )
@@ -387,6 +394,19 @@ def test_oracle_sums_the_terms_on_one_height(ring):
             assert truncated_homology_oracle(X, a, 8).betti == expected, (a, trial)
 
 
+def test_betti_from_ranks_sum_to_the_euler_characteristic_for_any_ranks():
+    # so the oracle's stability test checks only that no Betti number is
+    # negative, and reports euler_consistent as true
+    rng = random.Random(23)
+    for _ in range(2000):
+        counts = [rng.randint(0, 9) for _ in range(rng.randint(1, 6))]
+        ranks = [rng.randint(-9, 9) for _ in counts[1:]]
+        betti = _betti_from_ranks(counts, ranks)
+        assert sum((-1) ** i * b for i, b in enumerate(betti)) == sum(
+            (-1) ** i * n for i, n in enumerate(counts)
+        ), (counts, ranks)
+
+
 def test_oracle_negative_direction():
     rep = truncated_homology_oracle(circle(), ("-2/3",), 16)
     assert rep.betti == (0, 0)
@@ -465,18 +485,14 @@ def series_rank(matrix, region, order, ring):
 
 
 def memo_entries(inverses):
-    """(pivot, cutoff, ring, inverse) of each memoized pivot inverse, with
-    the pivot as a frozenset of (height, coefficient) and the inverse as a
-    dict, whether it was memoized packed (an int pivot) or as a dict."""
-    width = homology._WIDTH
+    """(pivot, cutoff, ring, inverse) of each memoized pivot inverse: the
+    pivot is keyed as a frozenset of (height, coefficient), and the inverse
+    is stored as (height, coefficient) pairs sorted by height, returned as
+    a dict."""
     for (pivot, cutoff, ring), inverse in inverses.items():
-        if type(pivot) is int:
-            pivot = frozenset(homology._unpack(pivot, width, ring is Z2).items())
-            inverse = homology._unpack(inverse, width, ring is Z2)
-        else:
-            assert [h for h, _ in inverse] == sorted(h for h, _ in inverse)
-            inverse = dict(inverse)
-        yield pivot, cutoff, ring, inverse
+        assert type(pivot) is frozenset
+        assert [h for h, _ in inverse] == sorted(h for h, _ in inverse)
+        yield pivot, cutoff, ring, dict(inverse)
 
 
 def random_dependent_matrix(rng, ring):
@@ -637,9 +653,6 @@ def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
         cutoff = rng.randint(0, 40)
         pivots.clear()
         heights = homology._series_rank(rows, cutoff, ring, Unmemoized())
-        # a packed run that declines a lead or overflows is rerun on
-        # dicts, whose pivots are the last ones inverted
-        del pivots[:len(pivots) - len(heights)]
         assert heights == sorted(heights) and len(pivots) == len(heights)
         assert all(h <= cutoff for h in heights), (trial, cutoff, heights)
         for c in range(cutoff + 1):
@@ -655,54 +668,9 @@ def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
     assert runs > 100
 
 
-def memo_encodings(inverses):
-    """The encodings the memoized inverses were taken in."""
-    return {"packed" if type(pivot) is int else "dicts" for pivot, *_ in inverses}
-
-
-def dict_pivots(rows, cutoff, ring):
-    """`homology._pivots` on the dict encoding, with a fresh memo."""
-    return homology._pivots(rows, homology._dicts(cutoff, ring), {})
-
-
-@pytest.mark.parametrize("ring", [Q, Z, Z2])
-def test_packed_and_dict_eliminations_take_the_same_pivots(ring):
-    rng = random.Random({Q: 149, Z: 151, Z2: 157}[ring])
-    declined = 0
-    for trial in range(80):
-        matrix = random_sparse_matrix(rng, ring)
-        rows = lifted_rows(matrix, (1,), ring)
-        cutoff = rng.randint(0, 40)
-        expected = dict_pivots(rows, cutoff, ring)
-        try:
-            packed = homology._pivots(rows, homology._packed(cutoff, ring), {})
-        except (homology._Decline, OverflowError):
-            declined += 1
-        else:
-            assert packed == expected, (trial, cutoff)
-        assert homology._series_rank(rows, cutoff, ring, {}) == expected
-    # over Q fractions and leads other than +-1 send calls to dicts; over Z
-    # a lead of 2 or 3 does, and so do coefficients that outgrow 64-bit
-    # slots; over Z/2 nothing does
-    assert (declined > 0) == (ring is not Z2), declined
-
-
 def series(x, ring=Q):
     """The one-variable element sum c t^e of a dict {e: c}."""
     return GroupRingElement(ring, 1, {(e,): c for e, c in x.items()})
-
-
-def spy_widths(monkeypatch):
-    """The slot width of every packed encoding built, recorded in order."""
-    widths = []
-    packed = homology._packed
-
-    def spy(cutoff, ring):
-        widths.append(homology._WIDTH)
-        return packed(cutoff, ring)
-
-    monkeypatch.setattr(homology, "_packed", spy)
-    return widths
 
 
 @pytest.mark.parametrize("ring, first", [
@@ -710,50 +678,49 @@ def spy_widths(monkeypatch):
     (Q, {0: 2, 1: -1}),  # a pivot lead of 2
     (Z, {0: -2, 2: 1}),  # a pivot lead of -2 over Z
 ])
-def test_packing_declines_fractions_and_non_unit_leads(monkeypatch, ring, first):
-    widths = spy_widths(monkeypatch)
+def test_fractions_and_non_unit_leads_match_the_series_reference(ring, first):
     t_minus_1 = series({0: -1, 1: 1}, ring)
     matrix = [[series(first, ring), t_minus_1], [t_minus_1, series({0: 1}, ring)]]
     rows = lifted_rows(matrix, (1,), ring)
-    with pytest.raises(homology._Decline):
-        homology._pivots(rows, homology._packed(16, ring), {})
     inverses = {}
     heights = homology._series_rank(rows, 16, ring, inverses)
-    assert heights == dict_pivots(rows, 16, ring)
-    assert len(heights) == 2 and widths == [64, 64]
-    # the dict rerun memoizes its inverses as dicts
-    assert "dicts" in memo_encodings(inverses)
+    assert len(heights) == 2
+    reference = over_q(matrix) if ring is Z else matrix
+    for c in range(17):
+        expected = reference_series_rank(reference, Polytope([(1,)]), c, Q)
+        assert sum(h <= c for h in heights) == expected, c
+    # the first pivot has the lead of `first`, and every memoized inverse
+    # times its pivot is 1 in the window
+    assert frozenset(first.items()) in {key for key, *_ in memo_entries(inverses)}
+    for pivot, cutoff, _, inverse in memo_entries(inverses):
+        product = height_accumulate({}, dict(pivot), sorted(inverse.items()), cutoff)
+        assert {h: c for h, c in product.items() if c} == {0: 1}
 
 
 @pytest.mark.parametrize("big", [2**40 + 1, -(2**40) - 3, 2**70, -(2**90)])
-def test_slots_that_leave_the_bound_run_on_dicts(monkeypatch, big):
-    # B = +-2^40 and its products with 1 + t + t^2 + ... are above 2^28,
-    # the bound of 64-bit slots at cutoff 16, and so are larger B
-    widths = spy_widths(monkeypatch)
+def test_large_coefficients_take_the_expected_pivots(big):
     p, b, bt = series({0: 1, 1: -1}), series({0: big}), series({0: big, 1: 1})
     for matrix, expected in (([[p, b], [p, bt]], [0, 1]), ([[p, p], [bt, bt]], [0])):
         rows = lifted_rows(matrix, (1,), Q)
-        widths.clear()
-        inverses = {}
-        heights = homology._series_rank(rows, 16, Q, inverses)
-        assert heights == dict_pivots(rows, 16, Q) == expected
-        assert widths == [64]
-        assert memo_encodings(inverses) == {"dicts"}
+        heights = homology._series_rank(rows, 16, Q, {})
+        assert heights == expected
+        assert len(heights) == reference_series_rank(matrix, Polytope([(1,)]), 16, Q)
 
 
 @pytest.mark.parametrize("ring", [Q, Z2])
-def test_sparse_wide_windows_run_on_dicts(monkeypatch, ring):
+def test_sparse_wide_windows_take_the_expected_pivots(ring):
     # 1 - t^143 fills one height in 143 of the window, as in koszul3-Q at
-    # the class (1/7, 1/11, 1/13); t - 1 fills every height
-    widths = spy_widths(monkeypatch)
+    # the class (1/7, 1/11, 1/13), and its inverse is sum_k t^(143 k); t - 1
+    # fills every height
     one = 1 if ring is Z2 else -1
-    sparse = [[series({0: 1, 143: one}, ring), series({0: 1, 91: one}, ring)]]
-    inverses = {}
-    assert homology._series_rank(lifted_rows(sparse, (1,), ring), 16016, ring, inverses) == [0]
-    assert widths == [] and memo_encodings(inverses) == {"dicts"}
-    dense = [[series({0: 1, 1: one}, ring), series({0: 1, 2: one}, ring)]]
-    assert homology._series_rank(lifted_rows(dense, (1,), ring), 16016, ring, {}) == [0]
-    assert widths == [64]
+    for gaps in ((143, 91), (1, 2)):
+        matrix = [[series({0: 1, g: one}, ring) for g in gaps]]
+        inverses = {}
+        rows = lifted_rows(matrix, (1,), ring)
+        assert homology._series_rank(rows, 16016, ring, inverses) == [0]
+        [(pivot, _, _, inverse)] = memo_entries(inverses)
+        assert pivot == frozenset({0: 1, gaps[0]: one}.items())
+        assert inverse == {gaps[0] * k: 1 for k in range(16016 // gaps[0] + 1)}
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,9 @@ job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
 `demo` and `approx` (in both formats), the error commands below, oracle
 runs over rational classes, Z input, three or four orders, the window
-limit, a wide window, a pivot lead of 2 and a coefficient that overflows
-packed slots (some on this checkout's tests/golden documents), and a
-text-format run of every other subcommand run too. Each tree
+limit, wide windows (dense ones at the limit among them), a pivot lead
+of 2 and a coefficient above 2^40 (some on this checkout's tests/golden
+documents), and a text-format run of every other subcommand run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
 `polynov.cli.main` call after another as the benchmark makes them, so state
 kept between calls shows up as a difference. The two interpreters run with
@@ -95,11 +95,10 @@ ERROR_DOCUMENTS = {
 
 # name -> document that only the commands below read
 ORACLE_DOCUMENTS = {
-    # the oracle's first pivot, 2 - t1, has lead 2: packed rows decline it
-    # and the call reruns on dicts
+    # the oracle's first pivot, 2 - t1, has lead 2, so its inverse has
+    # fractions
     "lead-2": _row("2 - t1", "t2 - 1"),
-    # 2^40 + 1 is above the slot bound of 64-bit packed rows: the call
-    # overflows and reruns on dicts
+    # the coefficient 2^40 + 1 and its products grow past 64 bits
     "slot-overflow": _row("1 - t1", "1099511627777 + t2", ring="Z"),
 }
 
@@ -131,8 +130,13 @@ OTHER_COMMANDS = [
     ["novikov", "torus", "--class=2/3,-3/2", "--order", "5", "--format", "json"],
     ["novikov", "{golden/koszul3-Z.json}", "--class=1/7,1/11,1/13", "--order", "4",
      "--format", "json"],
-    # oracle rows packed at a wide, dense window, and rows rerun on dicts
+    # oracle rows at wide, dense windows, the last two at the limit, a
+    # pivot lead of 2 and large coefficients
     ["novikov", "{golden/koszul3-Z2.json}", "--class=1,1,1", "--order", "128",
+     "--format", "json"],
+    ["novikov", "{golden/koszul3-Q.json}", "--class=1,1,1", "--order", "32768",
+     "--format", "json"],
+    ["novikov", "{golden/koszul3-Z2.json}", "--class=1,1,1", "--order", "32768",
      "--format", "json"],
     ["novikov", "{lead-2}", "--class=1,1", "--format", "json"],
     ["novikov", "{slot-overflow}", "--class=1,1", "--format", "json"],
