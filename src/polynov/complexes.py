@@ -28,6 +28,7 @@ from .groupring import (
     kronecker_weights,
 )
 from .lattice import (
+    MAX_RELATOR_LETTERS,
     DeckGroup,
     LatticeMap,
     Polytope,
@@ -196,10 +197,10 @@ class EquivariantComplex:
         go through `lattice_map.images` together, and each distinct
         stored element (by identity: `ingest` shares one element between
         equal entry strings) is pushed once, by
-        `GroupRingElement.pushed_terms`. On a quotient of rank 0 (ordinary
-        homology) no exponent is mapped: an entry's image is the sum of
-        its coefficients. The columns of the result are built in the same
-        pass, without the entries whose image is zero. The quotient
+        `GroupRingElement.pushed_terms`. A quotient of rank 0 (ordinary
+        homology) takes the same path: every exponent maps to (). The
+        columns of the result are built in the same pass, without the
+        entries whose image is zero. The quotient
         induces a ring map, and a ring map keeps d∘d = 0, so the image of
         this (validated) complex is not checked again.
         """
@@ -275,19 +276,20 @@ def _betti_from_ranks(counts, ranks):
 
 
 def _parse_word(word, generators):
-    """Turn a relator into a freely reduced list of (generator index, +-1).
+    """Turn a relator into a list of (generator index, nonzero exponent),
+    unexpanded, so that its letter count can be checked first.
 
     Strings may be compact with case-swapped inverses ("xyXY") or token
     lists / '*'-or-space-separated with ^exponents ("x*y*x^-1*y^-1").
     """
     index = {g: i for i, g in enumerate(generators)}
-    letters = []
+    powers = []
 
     def push(name, exp):
         if name not in index:
             raise InputError(f"unknown generator {name!r} in relator")
-        sign = 1 if exp > 0 else -1
-        letters.extend([(index[name], sign)] * abs(exp))
+        if exp:
+            powers.append((index[name], exp))
 
     def push_token(token):
         if "^" in token:
@@ -329,13 +331,19 @@ def _parse_word(word, generators):
                 raise InputError(f"bad relator item {item!r}")
     else:
         raise InputError(f"bad relator {word!r}")
+    return powers
 
+
+def _reduced_word(powers):
+    """The freely reduced word of (generator index, +-1) letters."""
     reduced = []
-    for letter in letters:
-        if reduced and reduced[-1][0] == letter[0] and reduced[-1][1] == -letter[1]:
-            reduced.pop()
-        else:
-            reduced.append(letter)
+    for i, exp in powers:
+        sign = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if reduced and reduced[-1] == (i, -sign):
+                reduced.pop()
+            else:
+                reduced.append((i, sign))
     return tuple(reduced)
 
 
@@ -352,7 +360,14 @@ class GroupPresentation:
             raise InputError("generator names must be distinct")
         if not generators:
             raise InputError("need at least one generator")
-        words = tuple(_parse_word(w, generators) for w in relators)
+        powers = [_parse_word(w, generators) for w in relators]
+        letters = sum(abs(exp) for word in powers for _, exp in word)
+        if letters > MAX_RELATOR_LETTERS:
+            raise InputError(
+                f"relators of {letters} letters, above the limit "
+                f"{MAX_RELATOR_LETTERS}"
+            )
+        words = tuple(map(_reduced_word, powers))
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", words)
 
@@ -399,22 +414,26 @@ def fox_boundary(
         for j in range(len(gens))
     ]]
 
-    d2 = [
-        [GroupRingElement.zero(ring, rank) for _ in presentation.relators]
-        for _ in gens
-    ]
+    # terms summed in place, not one element sum (a dict copy) per letter
+    d2 = [[{} for _ in presentation.relators] for _ in gens]
     for k, word in enumerate(presentation.relators):
         prefix = [0] * rank
         for g, sign in word:
             if sign > 0:
-                term = GroupRingElement.monomial(ring, rank, tuple(prefix))
+                exp = tuple(prefix)
                 for i in range(rank):
                     prefix[i] += images[g][i]
             else:
                 for i in range(rank):
                     prefix[i] -= images[g][i]
-                term = -GroupRingElement.monomial(ring, rank, tuple(prefix))
-            d2[g][k] = d2[g][k] + term
+                exp = tuple(prefix)
+            terms = d2[g][k]
+            c = ring.add(terms.get(exp, 0), ring.coerce(sign))
+            if c:
+                terms[exp] = c
+            else:
+                del terms[exp]
+    d2 = [[GroupRingElement.of_terms(ring, rank, t) for t in row] for row in d2]
 
     cells = [
         ("v",),

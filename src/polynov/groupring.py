@@ -35,7 +35,7 @@ pivot; and the truncated-series rank of the oracle
 rows of {height: coefficient} series, lifted once per oracle call, with
 pivot inverses memoized per call.
 
-The exact rank (`_exact_rank`) has two phases. `_unit_eliminate` runs
+The exact rank has two phases. `_unit_eliminate` runs
 the loop on the unit arithmetics; its row operations are invertible over
 R[Z^n], so the rank is the pivot count plus the rank of the rows left.
 Fraction-free (Bareiss) elimination (`_bareiss_rank`) ranks those. Before
@@ -307,21 +307,14 @@ class GroupRingElement:
 
     def pushed_terms(self, images) -> dict:
         """The terms of the image of self under a lattice quotient, where
-        `images` maps each exponent of self to its image, or is None for
-        a quotient of rank 0, as `LatticeMap.images` gives them. Images
-        that collide are summed in term order, and sums that cancel are
-        dropped; on rank 0 the one image () carries the sum of the
-        coefficients (mod 2 over Z/2). `EquivariantComplex.specialize`
-        pushes each distinct stored element through this once."""
+        `images` maps each exponent of self to its image, as
+        `LatticeMap.images` gives them. Images that collide are summed in
+        term order (mod 2 over Z/2), and sums that cancel are dropped.
+        `EquivariantComplex.specialize` pushes each distinct stored
+        element through this once."""
         mod2 = self.ring is CoefficientRing.MOD2
-        terms = self.terms
-        if images is None:
-            c = sum(terms.values())
-            if mod2:
-                c &= 1
-            return {(): c} if c else {}
         acc = {}
-        for exp, c in terms.items():
+        for exp, c in self.terms.items():
             image = images[exp]
             if image in acc:
                 c = acc[image] + c
@@ -642,7 +635,7 @@ def _exact_div(num, divisor, mod2):
 
 def _bareiss_rank(rows, ring, nvars) -> int:
     """Rank over the fraction field by fraction-free elimination (Bareiss
-    1968) alone, the phase of `_exact_rank` after the unit pivots, on the
+    1968) alone, the phase of the exact rank after the unit pivots, on the
     normal form of sparse rows {column: element}, where every division is
     exact: on ints for constants over Z and Q, on packed-key -> int dicts
     over Z or Z/2 otherwise (see `_normal_form`). The pivot is
@@ -758,7 +751,7 @@ def _unit_arithmetic(mod2, nvars):
 
 
 def _unit_eliminate(rows, ring, nvars):
-    """The unit phase of `_exact_rank` on sparse rows {column: element},
+    """The unit phase of the exact rank on sparse rows {column: element},
     which it leaves unchanged: (pivot count, rows left as {column:
     element}, empty rows dropped), with Laurent exponents kept."""
     arithmetic = _unit_arithmetic(ring is CoefficientRing.MOD2, nvars)
@@ -770,14 +763,6 @@ def _unit_eliminate(rows, ring, nvars):
         {j: GroupRingElement.of_terms(ring, 0, {(): x}) for j, x in row.items()}
         for row in left
     ]
-
-
-def _exact_rank(rows, ring, nvars) -> int:
-    """Rank over the fraction field of sparse rows {column: element}: the
-    unit pivots of `_unit_eliminate`, then `_bareiss_rank` on the rows
-    left."""
-    pivots, left = _unit_eliminate(rows, ring, nvars)
-    return pivots + _bareiss_rank(left, ring, nvars)
 
 
 def _gf2_rank(rows) -> int:
@@ -999,8 +984,11 @@ def _ranks(bands, ring, nvars, seed):
         result = None
         if not rows or not m:
             result = RankResult(0, True, "empty")
+        elif mod2 and nvars == 0:
+            result = RankResult(_gf2_rank(rows), True, "constant")
         elif nvars == 0:  # exact at any size
-            rank = _gf2_rank(rows) if mod2 else _exact_rank(rows, ring, nvars)
+            pivots, left = _unit_eliminate(rows, ring, nvars)
+            rank = pivots + _bareiss_rank(left, ring, nvars)
             result = RankResult(rank, True, "constant")
         results.append(result)
         bounds.append(

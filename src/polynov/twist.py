@@ -20,7 +20,6 @@ from .lattice import (
     LatticeMap,
     Polytope,
     Subpolytope,
-    kernel_lattice,
     quotient_map,
     zero_class,
 )
@@ -82,8 +81,6 @@ def _twist(X: EquivariantComplex, P: Polytope, B, push) -> TwistedComplex:
     q = quotient_map(P.vertices)
     base = push(X, q)
     induced = [q.induced_class(v) for v in P.vertices]
-    if len(set(induced)) != len(induced):
-        raise InputError("polytope vertices collapsed under their own quotient")
     return TwistedComplex(
         base=base, quotient=q, polytope=Polytope(induced), finiteness=indices
     )
@@ -114,12 +111,12 @@ def _extend_scalars(X: EquivariantComplex, q: LatticeMap) -> EquivariantComplex:
     exponents = set().union(
         *(e.terms for band in X.columns for column in band for e in column.values())
     )
-    images = q.images(exponents)  # None on a quotient of rank 0
+    images = q.images(exponents)
 
     def move(e: GroupRingElement) -> GroupRingElement:
         terms = {}
         for exp, coeff in e.sorted_terms():
-            image = () if images is None else images[exp]
+            image = images[exp]
             s = ring.add(terms.get(image, 0), coeff)
             if s == 0:
                 del terms[image]
@@ -147,6 +144,4 @@ def zero_vertex_extend(P: Polytope):
     """
     zero = zero_class(P.rank)
     extended = Polytope(tuple(P.vertices) + (zero,))
-    if kernel_lattice(extended.vertices) != kernel_lattice(P.vertices):
-        raise InputError("adding the zero vertex moved the kernel")
     return extended, extended.vertices.index(zero)

@@ -16,7 +16,13 @@ from polynov import cli, homology
 from polynov.cli import main
 from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import CoefficientRing, GroupRingElement, matrix_rank_fraction_field
-from polynov.lattice import MAX_ORACLE_ORDER, LatticeMap, quotient_map, zero_class
+from polynov.lattice import (
+    MAX_ORACLE_ORDER,
+    MAX_RELATOR_LETTERS,
+    LatticeMap,
+    quotient_map,
+    zero_class,
+)
 from test_complexes import cubical_torus
 
 
@@ -399,8 +405,6 @@ def test_oracle_sees_a_broken_quotient_path(capsys, monkeypatch, args):
     # the Novikov rank turns into the ordinary one; the oracle does not
     # push, so it disagrees
     def zero_images(self, exponents):
-        if not self.matrix:
-            return None
         return {x: (0,) * self.rank_out for x in exponents}
 
     monkeypatch.setattr(LatticeMap, "images", zero_images)
@@ -454,6 +458,24 @@ def test_huge_decimal_exponent_is_an_input_error(capsys, tmp_path):
         "type": "InputError",
         "message": "bad factor '1e10000000' in 't1^2*1e10000000'",
     }
+
+
+@pytest.mark.parametrize("relator", [
+    "a^1000000000*b*a^-1000000000*b^-1",
+    [["a", 10**9], ["b", 1], ["a", -(10**9)], ["b", -1]],
+])
+def test_relators_above_the_letter_limit_are_input_errors(capsys, tmp_path, relator):
+    # counted before any is expanded: a^1000000000 would be a list of
+    # about 8 GB
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**TORUS_PRESENTATION, "relators": [relator]}))
+    start = time.perf_counter()
+    code, out, err = call(capsys, ["validate", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    info = json.loads(err)["error"]
+    assert info["type"] == "InputError"
+    assert f"above the limit {MAX_RELATOR_LETTERS}" in info["message"]
 
 
 @pytest.mark.parametrize("command", ["validate", "betti"])

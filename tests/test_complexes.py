@@ -26,7 +26,13 @@ from polynov.complexes import (
 from polynov.errors import CoverMismatch, InputError, ValidationError
 from polynov.groupring import CoefficientRing, GroupRingElement, chain_ranks
 from polynov.homology import ordinary_betti
-from polynov.lattice import MAX_DECK_RANK, CohomologyClass, Polytope, quotient_map
+from polynov.lattice import (
+    MAX_DECK_RANK,
+    MAX_RELATOR_LETTERS,
+    CohomologyClass,
+    Polytope,
+    quotient_map,
+)
 
 Q = CoefficientRing.RAT
 
@@ -190,6 +196,23 @@ def test_free_reduction():
 def test_exponent_tokens_expand():
     pres = GroupPresentation(["x"], ["x^3", "x^-2"])
     assert pres.relators == (((0, 1),) * 3, ((0, -1),) * 2)
+
+
+def test_relators_at_the_letter_limit_build():
+    # the limit counts the letters of all relators together, x^n as n
+    n = MAX_RELATOR_LETTERS // 2 - 1
+    at_limit = f"x^{n}*y*x^-{n}*y^-1"
+    pres = GroupPresentation(["x", "y"], [at_limit])
+    assert len(pres.relators[0]) == MAX_RELATOR_LETTERS
+    assert pres.relators[0][n:n + 2] == ((1, 1), (0, -1))
+    # the Fox derivatives of a word at the limit
+    X = fox_boundary(pres, [[1, 0], [0, 1]])
+    assert len(X.boundaries[1][0][0].terms) == 2 * n
+    assert X.boundaries[1][1][0] == elem(f"t1^{n} - 1", 2)
+    with pytest.raises(InputError, match=f"above the limit {MAX_RELATOR_LETTERS}"):
+        GroupPresentation(["x", "y"], [at_limit, "x"])
+    with pytest.raises(InputError, match=f"above the limit {MAX_RELATOR_LETTERS}"):
+        GroupPresentation(["x", "y"], [[["x", n + 1], ["y", 1], ["x", -n], ["y", -1]]])
 
 
 def test_bad_words_rejected():

@@ -661,8 +661,7 @@ def test_unit_phase_then_bareiss_against_sympy(ring, rank):
         rows = unit_phase_matrix(rng, ring, rank, kind)
         terms = [[dict(e.terms) for e in row] for row in rows]
         pivots, left = groupring._unit_eliminate(sparse(rows), ring, rank)
-        got = groupring._exact_rank(sparse(rows), ring, rank)
-        assert got == pivots + _bareiss_rank(left, ring, rank)
+        got = pivots + _bareiss_rank(left, ring, rank)
         assert got == bareiss(rows) == sympy_rank(rows), (kind, rows)
         assert [[e.terms for e in row] for row in rows] == terms  # unchanged
         assert all(left) and len(left) <= len(rows) - pivots

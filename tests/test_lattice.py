@@ -127,6 +127,14 @@ def test_kernel_lattice_is_saturated():
             assert is_integer_combination(vec, basis)
 
 
+@pytest.mark.parametrize("rank", [None, 0, 3])
+def test_kernel_lattice_needs_a_class_as_quotient_map_does(rank):
+    with pytest.raises(InputError):
+        kernel_lattice((), rank=rank)
+    with pytest.raises(InputError):
+        quotient_map((), rank=rank)
+
+
 def test_quotient_map_by_single_class_kernel():
     # quotient by ker(2,4) is (x, y) -> x + 2y up to unimodular change;
     # check the defining properties rather than the literal matrix
@@ -297,17 +305,18 @@ def test_images_match_apply():
             tuple(rng.randint(-6, 6) for _ in range(r))
             for _ in range(rng.randint(0, 12))
         ]
-        if q.rank_out:
-            expected = {x: q.apply(x) for x in xs}
-            assert q.images(xs) == expected
-            assert q.images(iter(xs)) == expected
-            assert q.images([]) == {}
-            with pytest.raises(InputError):
-                q.images(xs + [(0,) * (r + 1)])
-        else:
-            # every image is (), so none is computed
-            assert q.images(xs) is None
-    assert quotient_map([zero_class(3)]).images([(5, -2, 7), (0, 0, 0)]) is None
+        expected = {x: q.apply(x) for x in xs}
+        if not q.rank_out:
+            assert expected == {x: () for x in xs}
+        assert q.images(xs) == expected
+        assert q.images(iter(xs)) == expected
+        assert q.images([]) == {}
+        with pytest.raises(InputError):
+            q.images(xs + [(0,) * (r + 1)])
+    q = quotient_map([zero_class(3)])
+    assert q.images([(5, -2, 7), (0, 0, 0)]) == {(5, -2, 7): (), (0, 0, 0): ()}
+    with pytest.raises(InputError):
+        q.images([(5, -2)])  # the length check runs at rank 0 too
 
 
 def test_integer_lattice_paths_match_the_fraction_formulas():

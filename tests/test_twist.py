@@ -21,6 +21,7 @@ from polynov.lattice import (
     Subpolytope,
     kernel_lattice,
     period_eval,
+    quotient_map,
     zero_class,
 )
 from polynov.twist import (
@@ -159,20 +160,28 @@ def test_tensor_route_agrees_everywhere():
 
 
 def test_induced_polytope_is_jointly_faithful():
+    # distinct functionals vanishing on the common kernel K stay distinct
+    # on Z^r/K, and adjoining the zero functional does not change K
     rng = random.Random(5)
-    for _ in range(20):
-        P = random_polytope(rng, 3, rng.randrange(1, 4))
-        if all(v.is_zero() for v in P.vertices):
-            continue
+    with_zero = 0
+    for _ in range(240):
+        r = rng.randint(1, 4)
+        P = random_polytope(rng, r, rng.randint(1, 4))
+        if rng.random() < 0.3:
+            P = Polytope(P.vertices + (zero_class(r),))
+        with_zero += zero_class(r) in P.vertices
+        entry = GroupRingElement.from_string("t - 1" if r == 1 else "t1 - 1", Q, r)
         T = twisted_complex(
-            EquivariantComplex(
-                Q, 3, [["v"], ["e"]],
-                [[[GroupRingElement.from_string("t1 - 1", Q, 3)]]],
-            ),
-            P,
+            EquivariantComplex(Q, r, [["v"], ["e"]], [[[entry]]]), P
         )
+        q = quotient_map(P.vertices)
+        induced = [q.induced_class(v) for v in P.vertices]
+        assert len(set(induced)) == len(P.vertices) == len(T.polytope.vertices)
         # common kernel of the induced classes is trivial on the quotient
         assert kernel_lattice(T.polytope.vertices, rank=T.base.deck.rank) == ()
+        extended, _ = zero_vertex_extend(P)
+        assert quotient_map(extended.vertices).kernel == q.kernel
+    assert with_zero >= 40
 
 
 def test_restriction_index_forms():

@@ -7,7 +7,8 @@ A and B are source checkouts (each holds src/polynov). For every seed and
 every workload in perfbench/workloads.py, one round of jobs and its warm-up
 job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
-`demo` and `approx` (in both formats), the error commands below, oracle
+`demo` and `approx` (in both formats), the error commands below (an
+over-long relator among them), both twist routes at the zero vertex, oracle
 runs over rational classes, Z input, three or four orders, the window
 limit, wide windows (dense ones at the limit among them), a pivot lead
 of 2 and a coefficient above 2^40 (some on this checkout's tests/golden
@@ -91,6 +92,12 @@ ERROR_DOCUMENTS = {
     # json.dump cannot write an int that str() cannot print
     "integer-literal-of-5000-digits":
         '{"coefficients": "Q", "rank": ' + "1" * 5000 + ', "cells": [["v"]], "boundaries": []}',
+    # 80002 letters, just over lattice.MAX_RELATOR_LETTERS
+    "relators-over-the-letter-limit": {
+        "generators": ["x", "y"],
+        "relators": ["x^40000*y*x^-40000*y^-1"],
+        "deck_map": [[1, 0], [0, 1]],
+    },
 }
 
 # name -> document that only the commands below read
@@ -151,6 +158,9 @@ OTHER_COMMANDS = [
     ["main-check", "genus2", "--vertices", "1,0,0,0;0,1,0,0", "--a", "1,0",
      "--b", "1/2,1/2"],
     ["morse", "genus2"],
+    # the zero vertex alone: both twist routes push to a quotient of rank 0
+    ["polytope", "torus", "--vertices", "0,0", "--format", "json"],
+    ["main-check", "torus", "--vertices", "0,0", "--a", "1", "--b", "1", "--format", "json"],
 ]
 
 
