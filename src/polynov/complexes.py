@@ -300,8 +300,6 @@ def _parse_word(word, generators):
                 raise InputError(f"bad exponent in token {token!r}") from exc
         else:
             name, exp = token, 1
-        if exp == 0:
-            return
         if name in index:
             push(name, exp)
         elif name.swapcase() in index and len(name) == 1:

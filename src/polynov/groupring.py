@@ -32,8 +32,8 @@ rows rank constant Z/2 boundaries at a tenth of the loop's cost;
 `_bareiss_rank`, whose fraction-free update runs over every row below the
 pivot; and the truncated-series rank of the oracle
 (`homology._series_rank`), kept independent on purpose: it eliminates on
-rows of {height: coefficient} series, lifted once per oracle call, with
-pivot inverses memoized per call.
+rows of {height: coefficient} series, lifted once per oracle call, and
+clears each row with one windowed series division by the pivot.
 
 The exact rank has two phases. `_unit_eliminate` runs
 the loop on the unit arithmetics; its row operations are invertible over

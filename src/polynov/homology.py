@@ -13,10 +13,11 @@ plain {height: coefficient} dict read off the complex as it is: with
 a = w / s, w a primitive integer vector, the height of t^e is w . e, and
 the window of order N is height <= floor(N * s). One oracle call lifts
 each boundary once, from its stored columns, into sparse rows
-{column: series}; each order only windows those rows, and pivot
-inverses are memoized across the orders and boundaries of the call.
-Pivot heights never decrease, so each elimination, at the window of
-order 2N, also gives the ranks of order N (see `_series_rank`).
+{column: series}; each order only windows those rows, and each row is
+cleared by one windowed series division by the pivot, with no pivot
+inverse built. Pivot heights never decrease, so each elimination, at
+the window of order 2N, also gives the ranks of order N (see
+`_series_rank`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import floor
 from operator import mul
 
@@ -43,7 +45,6 @@ from .lattice import (
     zero_class,
 )
 from .morse import morse_reduce
-from .novseries import _nonzero, height_accumulate, height_inverse
 from .twist import tensor_base_change, twisted_complex
 
 _MAX_DOUBLINGS = 8  # orders the series oracle runs before IncreaseOrder
@@ -153,6 +154,74 @@ def _polytope_ring(T) -> dict:
 
 # ---------------------------------------------------------------------------
 # truncated-series oracle
+#
+# The `height_*` helpers do the arithmetic of `novseries` in one variable
+# on {height: coefficient} dicts, without building elements; the window
+# of order N (height <= floor(N * s)) is the integer cutoff of
+# `Truncation(a, N)`, and coefficients over Z/2 are reduced mod 2.
+
+
+def _nonzero(acc, mod2):
+    if mod2:
+        return {h: 1 for h, c in acc.items() if c & 1}
+    return {h: c for h, c in acc.items() if c}
+
+
+def height_accumulate(acc, a, b, cutoff):
+    """Add a*b windowed at `cutoff` into the dict `acc` and return it, not
+    reduced; b is given as (height, coefficient) pairs sorted by height.
+
+    A pair of terms lands at height h1 + h2 and nowhere else, so skipping
+    the pairs above the cutoff gives the full product windowed afterwards.
+    """
+    get = acc.get
+    for h1, c1 in a.items():
+        room = cutoff - h1
+        for h2, c2 in b:
+            if h2 > room:
+                break
+            acc[h1 + h2] = get(h1 + h2, 0) + c1 * c2
+    return acc
+
+
+def height_quotient(x, p, cutoff, mod2):
+    """x / p of height dicts, windowed at `cutoff`, for min(p) == 0 and
+    min(x) >= 0; the result is reduced and in increasing height order.
+
+    With a = p[0], p = a (1 - u) where u has only positive heights, and
+    x / p = a^-1 s with s = x / (1 - u): s_k = x_k + sum_i u_i s_(k-i),
+    the power-series long division (Knuth, TAOCP vol. 2, 4.7). Each
+    nonzero s_k is pushed forward to the heights k + i, and a heap hands
+    out the next height with pending terms, so the work follows the
+    nonzero terms, not the window. With x = 1 this is the windowed
+    `novseries.leading_unit_inverse` of p.
+    """
+    a = p[0]
+    inv = a if a in (1, -1) else 1 / Fraction(a)
+    u = sorted((h, -c * inv) for h, c in p.items() if h)
+    pending = {h: c for h, c in x.items() if h <= cutoff}  # height -> s_k so far
+    heap = sorted(pending)
+    get = pending.get
+    out = {}
+    while heap:
+        k = heappop(heap)
+        c = pending[k]  # final: later terms land above k
+        if mod2:
+            c &= 1
+        if not c:
+            continue
+        out[k] = inv * c
+        for i, ui in u:
+            j = k + i
+            if j > cutoff:
+                break
+            s = get(j)
+            if s is None:
+                pending[j] = ui * c
+                heappush(heap, j)
+            else:
+                pending[j] = s + ui * c
+    return out
 
 
 def _lift(band, nrows, heights, mod2):
@@ -179,28 +248,28 @@ def _lift(band, nrows, heights, mod2):
     return rows
 
 
-def _series_rank(rows, cutoff, ring, inverses) -> list:
+def _series_rank(rows, cutoff, ring) -> list:
     """Pivot heights, in the order taken, of a full-pivot elimination of
     `_lift` rows (left unchanged) over series windowed at height <= cutoff;
     their number is the rank.
 
     The pivot is the free entry of least lowest height, first in
-    row-major order, where the leading-term inverse is most accurate, so
+    row-major order, where a division by it keeps the most of the window, so
     every height stays in [0, cutoff]; each row keeps its least (height,
     column), recomputed when an update changes the row. Entries that
     vanish inside the window count as zero. A pivot p of least height h0
-    only multiplies entries of height h0 or more, so it is inverted as
-    p t^-h0 up to height cutoff (`novseries.height_inverse`), memoized in
-    `inverses` under (frozenset of the items of p t^-h0, cutoff, ring).
-    Each update x - f*y is summed into one windowed dict
-    (`novseries.height_accumulate`, over the factor f sorted once per
-    row). Coefficients are reduced mod 2 over Z/2, and integral ones are
-    ints over Z and Q alike. So every windowed entry, pivot and rank is
-    the one the same elimination over `TruncatedNovikovSeries` with
-    `leading_unit_inverse` gives in one variable, where the height is the
-    exponent times the window's sign.
+    clears the entry x of another row with the factor
+    f = -x / p = (-x t^-h0) / (p t^-h0), one `height_quotient` windowed at
+    cutoff - h0: f only multiplies entries of height h0 or more, so its
+    terms above that never reach the window, and no pivot is inverted.
+    Each update x + f*y is summed into one windowed dict
+    (`height_accumulate`). Coefficients are reduced mod 2 over Z/2, and
+    integral ones are ints over Z and Q alike. So every windowed entry,
+    pivot and rank is the one the same elimination over
+    `TruncatedNovikovSeries` with `leading_unit_inverse` gives in one
+    variable, where the height is the exponent times the window's sign.
 
-    Every entry has height h0 or more, and x - f*y keeps it so, so pivot
+    Every entry has height h0 or more, and x + f*y keeps it so, so pivot
     heights never decrease. Entries at cutoff c are exact below height
     c + 1, and a factor is exact below c + 1 - h0 and multiplies heights
     of h0 or more. So the runs at cutoffs c <= C hold the same entries up
@@ -226,20 +295,15 @@ def _series_rank(rows, cutoff, ring, inverses) -> list:
         pivot = work.pop(pr)
         del best[pr]
         p = {h - h0: v for h, v in pivot.pop(pc).items()}
-        key = (frozenset(p.items()), cutoff, ring)
-        if key not in inverses:
-            inverses[key] = sorted(height_inverse(p, cutoff, mod2).items())
-        pinv = inverses[key]
         heights.append(h0)
         for r in list(work):
             row = work[r]
             x = row.pop(pc, None)
             if x is None:
                 continue
-            # -x p^-1 = (-x t^-h0)(p t^-h0)^-1, windowed at cutoff
             neg = {h - h0: -v for h, v in x.items()}
-            factor = _nonzero(height_accumulate({}, neg, pinv, cutoff), mod2)
-            factor = sorted(factor.items())
+            # in height order, as height_accumulate wants it
+            factor = list(height_quotient(neg, p, cutoff - h0, mod2).items())
             for c, y in pivot.items():
                 acc = height_accumulate(dict(row.get(c, ())), y, factor, cutoff)
                 acc = _nonzero(acc, mod2)
@@ -306,13 +370,12 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
     lifted = [
         _lift(band, n, heights, mod2) for band, n in zip(X.columns, counts)
     ]
-    inverses = {}
     N, cutoff = order, window(order)
     orders = [N]
     for _ in range(_MAX_DOUBLINGS - 1):
         N *= 2
         narrow, cutoff = cutoff, window(N)
-        pivots = [_series_rank(rows, cutoff, X.ring, inverses) for rows in lifted]
+        pivots = [_series_rank(rows, cutoff, X.ring) for rows in lifted]
         # the pivot heights <= narrow give the ranks of order N / 2
         previous = tuple(sum(h <= narrow for h in p) for p in pivots)
         ranks = tuple(map(len, pivots))

@@ -12,17 +12,10 @@ For data whose support has nonnegative direction-period (every series this
 module constructs) the discarded monomials form an ideal, so results agree
 with the untruncated computation modulo the window.
 
-The `height_*` functions do the same arithmetic on plain
-{height: coefficient} dicts, without building elements; the truncated
-oracle (`homology.truncated_homology_oracle`) runs on them alone. Along a
-class a = w / s, w a primitive integer vector and s > 0, the monomial t^e
-has height w . e, the window of order N keeps exactly the heights
-<= floor(N * s) (the integer cutoff of `Truncation(a, N)`), and
-coefficients over Z/2 are reduced mod 2.
-
 `Truncation`, `TruncatedNovikovSeries`, `leading_unit_inverse`,
 `geom_inverse` and `positivity_check` are on no command's path. They stay
-as API and as the tests' reference for the oracle's height arithmetic;
+as API and as the tests' reference for the height arithmetic of the
+truncated oracle (`homology.truncated_homology_oracle`);
 `geom_inverse` is the independent cross-check of `leading_unit_inverse`,
 which the benchmark's per-layer tracer also wraps by name.
 """
@@ -31,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import floor
 from operator import mul
 
@@ -264,72 +256,3 @@ def leading_unit_inverse(x, direction: CohomologyClass, truncation: Truncation):
     series = _geometric_series(-v, inner)
     return TruncatedNovikovSeries(lead_inv * series.element, truncation)
 
-
-# ---------------------------------------------------------------------------
-# height dicts: rank-one windows in integers
-
-
-def _nonzero(acc, mod2):
-    if mod2:
-        return {h: 1 for h, c in acc.items() if c & 1}
-    return {h: c for h, c in acc.items() if c}
-
-
-def height_accumulate(acc, a, b, cutoff):
-    """Add a*b windowed at `cutoff` into the dict `acc` and return it, not
-    reduced; b is given as (height, coefficient) pairs sorted by height.
-
-    A pair of terms lands at height h1 + h2 and nowhere else, so skipping
-    the pairs above the cutoff gives the full product windowed afterwards.
-    """
-    get = acc.get
-    for h1, c1 in a.items():
-        room = cutoff - h1
-        for h2, c2 in b:
-            if h2 > room:
-                break
-            acc[h1 + h2] = get(h1 + h2, 0) + c1 * c2
-    return acc
-
-
-def height_inverse(x, cutoff, mod2):
-    """`leading_unit_inverse` of a nonzero height dict, windowed at `cutoff`.
-
-    With h0 the least height and a its coefficient, x = a t^h0 (1 - u)
-    where u has only positive heights, and the inverse is
-    a^-1 t^-h0 sum_j u^j. The sum is kept up to height cutoff + h0, the
-    integer form of the `order + m` inner window, so that after the shift
-    by -h0 it fills the window. Its coefficients are those of the power
-    series inverse s of 1 - u, s_k = sum_i u_i s_(k-i), which is the
-    truncated geometric sum term by term. Each nonzero s_k is pushed
-    forward to the heights k + i, and a heap hands out the next height
-    with pending terms, so the work follows the nonzero terms, not the
-    window. Needs h0 >= -cutoff, which holds in the oracle, where every
-    height is in [0, cutoff].
-    """
-    h0 = min(x)
-    a = x[h0]
-    inv = a if a in (1, -1) else 1 / Fraction(a)
-    u = sorted((h - h0, -c * inv) for h, c in x.items() if h != h0)
-    top = cutoff + h0
-    out = {}
-    pending = {0: 1}  # height -> s_k summed so far
-    heap = [0]
-    while heap:
-        k = heappop(heap)
-        c = pending.pop(k)
-        if mod2:
-            c &= 1
-        if not c:
-            continue
-        out[k - h0] = inv * c
-        for i, ui in u:
-            j = k + i
-            if j > top:
-                break
-            if j in pending:
-                pending[j] += ui * c
-            else:
-                pending[j] = ui * c
-                heappush(heap, j)
-    return out

@@ -226,6 +226,18 @@ def test_bad_words_rejected():
         GroupPresentation([], [])
 
 
+@pytest.mark.parametrize("relator", [["w^0"], ["x*w^0"], [[["w", 0]]]])
+def test_zero_powers_of_unknown_generators_are_rejected(relator):
+    # the name is resolved before a zero power is dropped, in both forms
+    with pytest.raises(InputError, match="unknown generator 'w'"):
+        GroupPresentation(["x"], relator)
+
+
+def test_zero_powers_of_known_generators_are_dropped():
+    assert GroupPresentation(["x"], ["x^0*x"]).relators == (((0, 1),),)
+    assert GroupPresentation(["x"], ["X^0"]).relators == ((),)
+
+
 # -- construction and validation --------------------------------------------
 
 

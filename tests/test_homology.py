@@ -43,8 +43,6 @@ from polynov.morse import morse_reduce
 from polynov.novseries import (
     TruncatedNovikovSeries,
     Truncation,
-    height_accumulate,
-    height_inverse,
     leading_unit_inverse,
 )
 from polynov.twist import twisted_complex
@@ -424,9 +422,14 @@ def test_oracle_stabilizes_on_negative_period_rows(a, monkeypatch):
 def reference_series_rank(matrix, region, order, ring):
     """The oracle's elimination on the public series arithmetic: rows moved
     to least period 0, minimal-period pivots first in row-major order,
-    inverted by leading_unit_inverse, every result windowed."""
+    inverted by leading_unit_inverse, every result windowed. Returns the
+    pivots in the order taken, each as (height, series, cleared): the
+    integer height of its least term, the pivot as a {height: coefficient}
+    dict shifted to height 0, and the number of rows it cleared; the
+    number of pivots is the rank."""
     trunc = Truncation.interior(region, order)
     direction = trunc.direction
+    (weight,) = trunc._weights
     work = []
     for row in matrix:
         support = [exp for e in row for exp in e.terms]
@@ -438,7 +441,7 @@ def reference_series_rank(matrix, region, order, ring):
     zero = TruncatedNovikovSeries.zero(ring, trunc)
     nrows, ncols = len(work), len(work[0])
     row_free, col_free = [True] * nrows, [True] * ncols
-    rank = 0
+    pivots = []
     while True:
         best = None
         for r in range(nrows):
@@ -448,9 +451,10 @@ def reference_series_rank(matrix, region, order, ring):
                     if p is not None and (best is None or p < best[0]):
                         best = (p, r, c)
         if best is None:
-            return rank
+            return pivots
         _, pr, pc = best
         pinv = leading_unit_inverse(work[pr][pc], direction, trunc)
+        cleared = 0
         for r in range(nrows):
             if r == pr or not row_free[r] or work[r][pc].is_zero():
                 continue
@@ -459,8 +463,11 @@ def reference_series_rank(matrix, region, order, ring):
                 if col_free[c]:
                     work[r][c] = work[r][c] - factor * work[pr][c]
             work[r][pc] = zero
+            cleared += 1
         row_free[pr] = col_free[pc] = False
-        rank += 1
+        p = {weight * e: c for (e,), c in work[pr][pc].element.terms.items()}
+        h0 = min(p)
+        pivots.append((h0, {h - h0: c for h, c in p.items()}, cleared))
 
 
 def lifted_rows(matrix, weights, ring):
@@ -481,18 +488,33 @@ def series_rank(matrix, region, order, ring):
     `Truncation.interior`."""
     trunc = Truncation.interior(region, order)
     rows = lifted_rows(matrix, trunc._weights, ring)
-    return len(homology._series_rank(rows, trunc._cutoff, ring, {}))
+    return len(homology._series_rank(rows, trunc._cutoff, ring))
 
 
-def memo_entries(inverses):
-    """(pivot, cutoff, ring, inverse) of each memoized pivot inverse: the
-    pivot is keyed as a frozenset of (height, coefficient), and the inverse
-    is stored as (height, coefficient) pairs sorted by height, returned as
-    a dict."""
-    for (pivot, cutoff, ring), inverse in inverses.items():
-        assert type(pivot) is frozenset
-        assert [h for h, _ in inverse] == sorted(h for h, _ in inverse)
-        yield pivot, cutoff, ring, dict(inverse)
+def record_quotients(monkeypatch):
+    """Make `homology.height_quotient` record (x, p, cutoff, mod2, x / p)
+    of each call in the returned list."""
+    calls = []
+    quotient = homology.height_quotient
+
+    def spy(x, p, cutoff, mod2):
+        calls.append((x, p, cutoff, mod2, quotient(x, p, cutoff, mod2)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(homology, "height_quotient", spy)
+    return calls
+
+
+def assert_divides(x, p, cutoff, mod2, q):
+    """q times p is x in the window of `cutoff`."""
+    product = homology.height_accumulate({}, q, sorted(p.items()), cutoff)
+    window = {h: c for h, c in x.items() if h <= cutoff}
+    assert homology._nonzero(product, mod2) == homology._nonzero(window, mod2)
+
+
+def divisions(pivots):
+    """The divisors of the reference's pivots, once per row each cleared."""
+    return [p for _, p, cleared in pivots for _ in range(cleared)]
 
 
 def random_dependent_matrix(rng, ring):
@@ -528,7 +550,7 @@ def test_series_rank_matches_the_series_reference():
             for order in (4, 5, 8, 16) + ((32, 64) if trial < 4 else ()):
                 expected = reference_series_rank(matrix, region, order, ring)
                 got = series_rank(matrix, region, order, ring)
-                assert got == expected, (ring, region, order)
+                assert got == len(expected), (ring, region, order)
 
 
 def random_sparse_matrix(rng, ring):
@@ -571,16 +593,9 @@ def random_sparse_matrix(rng, ring):
 
 
 def test_series_rank_on_sparse_matrices_matches_the_series_reference(monkeypatch):
-    # the reference's pivots, shifted to height 0, are the memoized ones
-    inverted = []
-
-    def spy(x, direction, trunc, _original=leading_unit_inverse):
-        heights = {trunc._weights[0] * e: c for (e,), c in x.element.terms.items()}
-        low = min(heights)
-        inverted.append(frozenset((h - low, c) for h, c in heights.items()))
-        return _original(x, direction, trunc)
-
-    monkeypatch.setitem(globals(), "leading_unit_inverse", spy)
+    # the pivot heights are the reference's, and each row is divided by
+    # the reference's pivot that clears it, shifted to height 0
+    quotients = record_quotients(monkeypatch)
     rng = random.Random(97)
     seen = dict.fromkeys(
         ("empty row", "empty column", "tie across rows", "tie across columns",
@@ -603,12 +618,11 @@ def test_series_rank_on_sparse_matrices_matches_the_series_reference(monkeypatch
                 seen["tie across rows"] += len({i for i, _ in first}) > 1
                 seen["tie across columns"] += len({j for _, j in first}) > 1
                 seen["vanishes in the window"] += len(lows) < sum(map(len, rows))
-                inverted.clear()
-                expected = reference_series_rank(matrix, region, order, ring)
-                inverses = {}
-                got = homology._series_rank(rows, trunc._cutoff, ring, inverses)
-                assert len(got) == expected, (ring, trial, order)
-                assert {key for key, *_ in memo_entries(inverses)} == set(inverted)
+                quotients.clear()
+                pivots = reference_series_rank(matrix, region, order, ring)
+                got = homology._series_rank(rows, trunc._cutoff, ring)
+                assert got == [h for h, _, _ in pivots], (ring, trial, order)
+                assert [p for _, p, *_ in quotients] == divisions(pivots)
     assert min(seen.values()) >= 10, seen
 
 
@@ -617,32 +631,13 @@ def over_q(matrix):
     return [[GroupRingElement(Q, 1, e.terms) for e in row] for row in matrix]
 
 
-class Unmemoized(dict):
-    """A memo that never hits, so that every pivot is inverted in turn."""
-
-    def __contains__(self, key):
-        return False
-
-
 @pytest.mark.parametrize("ring", [Q, Z, Z2])
 def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
     # the rule the oracle's first elimination rests on: pivot heights never
     # decrease, and the pivots of height <= c of the run at cutoff C are
     # those the run at c takes (up to the window), so their count is the
     # rank at window c
-    inverted, pivots = [], []
-
-    def spy(x, direction, trunc, _original=leading_unit_inverse):
-        heights = {e: c for (e,), c in x.element.terms.items()}
-        inverted.append(frozenset((h - min(heights), c) for h, c in heights.items()))
-        return _original(x, direction, trunc)
-
-    def pivot_spy(p, cutoff, mod2):
-        pivots.append(p)
-        return height_inverse(p, cutoff, mod2)
-
-    monkeypatch.setitem(globals(), "leading_unit_inverse", spy)
-    monkeypatch.setattr(homology, "height_inverse", pivot_spy)
+    quotients = record_quotients(monkeypatch)
     rng = random.Random({Q: 131, Z: 137, Z2: 139}[ring])
     region = Polytope([(1,)])
     runs = 0
@@ -651,20 +646,22 @@ def test_one_run_gives_the_rank_of_every_smaller_window(monkeypatch, ring):
         reference = over_q(matrix) if ring is Z else matrix
         rows = lifted_rows(matrix, (1,), ring)
         cutoff = rng.randint(0, 40)
-        pivots.clear()
-        heights = homology._series_rank(rows, cutoff, ring, Unmemoized())
-        assert heights == sorted(heights) and len(pivots) == len(heights)
+        quotients.clear()
+        heights = homology._series_rank(rows, cutoff, ring)
+        assert heights == sorted(heights)
         assert all(h <= cutoff for h in heights), (trial, cutoff, heights)
+        # a division at window cutoff - h is by a pivot of height h
+        divisors = [(p, cutoff - window) for _, p, window, *_ in quotients]
         for c in range(cutoff + 1):
-            inverted.clear()
-            expected = reference_series_rank(reference, region, c, Q if ring is Z else ring)
-            assert sum(h <= c for h in heights) == expected, (trial, cutoff, c)
+            pivots = reference_series_rank(reference, region, c, Q if ring is Z else ring)
+            assert [h for h in heights if h <= c] == [h for h, _, _ in pivots]
             taken = {
                 frozenset((k, v) for k, v in p.items() if k <= c - h)
-                for p, h in zip(pivots, heights) if h <= c
+                for p, h in divisors if h <= c
             }
-            assert taken == set(inverted), (trial, cutoff, c)
+            assert taken <= {frozenset(p.items()) for _, p, _ in pivots}, (trial, c)
             runs += 1
+        assert [p for p, _ in divisors] == divisions(pivots), (trial, cutoff)
     assert runs > 100
 
 
@@ -678,25 +675,24 @@ def series(x, ring=Q):
     (Q, {0: 2, 1: -1}),  # a pivot lead of 2
     (Z, {0: -2, 2: 1}),  # a pivot lead of -2 over Z
 ])
-def test_packing_declines_fractions_and_non_unit_leads(ring, first):
+def test_packing_declines_fractions_and_non_unit_leads(monkeypatch, ring, first):
     # the name is from the deleted packed encoding, which declined these
     # inputs; they are now checked against the series reference
     t_minus_1 = series({0: -1, 1: 1}, ring)
     matrix = [[series(first, ring), t_minus_1], [t_minus_1, series({0: 1}, ring)]]
     rows = lifted_rows(matrix, (1,), ring)
-    inverses = {}
-    heights = homology._series_rank(rows, 16, ring, inverses)
+    quotients = record_quotients(monkeypatch)
+    heights = homology._series_rank(rows, 16, ring)
     assert len(heights) == 2
     reference = over_q(matrix) if ring is Z else matrix
     for c in range(17):
         expected = reference_series_rank(reference, Polytope([(1,)]), c, Q)
-        assert sum(h <= c for h in heights) == expected, c
-    # the first pivot has the lead of `first`, and every memoized inverse
-    # times its pivot is 1 in the window
-    assert frozenset(first.items()) in {key for key, *_ in memo_entries(inverses)}
-    for pivot, cutoff, _, inverse in memo_entries(inverses):
-        product = height_accumulate({}, dict(pivot), sorted(inverse.items()), cutoff)
-        assert {h: c for h, c in product.items() if c} == {0: 1}
+        assert sum(h <= c for h in heights) == len(expected), c
+    # the first division is by `first`, and every quotient times its
+    # divisor is its numerator in the window
+    assert quotients[0][1] == first
+    for call in quotients:
+        assert_divides(*call)
 
 
 @pytest.mark.parametrize("big", [2**40 + 1, -(2**40) - 3, 2**70, -(2**90)])
@@ -704,48 +700,52 @@ def test_large_coefficients_take_the_expected_pivots(big):
     p, b, bt = series({0: 1, 1: -1}), series({0: big}), series({0: big, 1: 1})
     for matrix, expected in (([[p, b], [p, bt]], [0, 1]), ([[p, p], [bt, bt]], [0])):
         rows = lifted_rows(matrix, (1,), Q)
-        heights = homology._series_rank(rows, 16, Q, {})
+        heights = homology._series_rank(rows, 16, Q)
         assert heights == expected
-        assert len(heights) == reference_series_rank(matrix, Polytope([(1,)]), 16, Q)
+        assert len(heights) == len(reference_series_rank(matrix, Polytope([(1,)]), 16, Q))
 
 
 @pytest.mark.parametrize("ring", [Q, Z2])
-def test_sparse_wide_windows_take_the_expected_pivots(ring):
+def test_sparse_wide_windows_take_the_expected_pivots(monkeypatch, ring):
     # 1 - t^143 fills one height in 143 of the window, as in koszul3-Q at
     # the class (1/7, 1/11, 1/13), and its inverse is sum_k t^(143 k); t - 1
-    # fills every height
+    # fills every height. The second row is (1 + t^5) times the first, so
+    # it is cleared by the quotient -(1 + t^5): two terms in the window of
+    # 16,017 heights, whatever the pivot's inverse fills
     one = 1 if ring is Z2 else -1
+    quotients = record_quotients(monkeypatch)
     for gaps in ((143, 91), (1, 2)):
-        matrix = [[series({0: 1, g: one}, ring) for g in gaps]]
-        inverses = {}
+        first = [series({0: 1, g: one}, ring) for g in gaps]
+        matrix = [first, [series({0: 1, 5: 1}, ring) * x for x in first]]
         rows = lifted_rows(matrix, (1,), ring)
-        assert homology._series_rank(rows, 16016, ring, inverses) == [0]
-        [(pivot, _, _, inverse)] = memo_entries(inverses)
-        assert pivot == frozenset({0: 1, gaps[0]: one}.items())
-        assert inverse == {gaps[0] * k: 1 for k in range(16016 // gaps[0] + 1)}
+        quotients.clear()
+        assert homology._series_rank(rows, 16016, ring) == [0]
+        [(_, divisor, cutoff, _, quotient)] = quotients
+        assert divisor == {0: 1, gaps[0]: one} and cutoff == 16016
+        assert quotient == {0: one, 5: one}
 
 
 @pytest.mark.parametrize(
-    "document, klass, order, orders, cutoffs, reused",
+    "document, klass, order, orders, cutoffs",
     [
         # a = (15, 10, 6) / 30: the window of order N is height <= 30 N,
         # and the first elimination runs at that of order 2N
-        ("hidden-Q", ("1/2", "1/3", "1/5"), 1, [1, 2, 4, 8], {60, 120, 240}, False),
-        # every entry is +-(t_i - 1), so pivots repeat
-        ("koszul3-Q", (1, 1, 1), 16, [16, 32], {32}, True),
-        ("koszul3-Z2", (-1, -1, -1), 16, [16, 32], {32}, True),
+        pytest.param("hidden-Q", ("1/2", "1/3", "1/5"), 1, [1, 2, 4, 8],
+                     {60, 120, 240}, id="hidden-Q"),
+        pytest.param("koszul3-Q", (1, 1, 1), 16, [16, 32], {32}, id="koszul3-Q"),
+        pytest.param("koszul3-Z2", (-1, -1, -1), 16, [16, 32], {32}, id="koszul3-Z2"),
     ],
 )
-def test_oracle_lifts_each_boundary_once_and_memoizes_true_inverses(
-    monkeypatch, document, klass, order, orders, cutoffs, reused
+def test_oracle_lifts_each_boundary_once_and_divides_by_its_pivots(
+    monkeypatch, document, klass, order, orders, cutoffs
 ):
     # each stored term is lifted once per call, from the stored columns,
     # whatever the number of orders; each boundary is eliminated once for
-    # each order after the first; every memoized inverse is that of its
-    # pivot shifted to height 0, and pivots with one shifted series share it
+    # each order after the first; every quotient is by a pivot shifted to
+    # height 0, and times it gives back its numerator in the window
     path = Path(__file__).parent / "golden" / f"{document}.json"
     X = ingest(json.loads(path.read_text()))
-    lifted, lookups, memos, pivots = [], [], [], []
+    lifted, lookups, windows, pivots = [], [], [], []
 
     class CountingHeights(dict):
         def __getitem__(self, e):
@@ -758,9 +758,9 @@ def test_oracle_lifts_each_boundary_once_and_memoizes_true_inverses(
         lifted.append(band)
         return lift(band, nrows, CountingHeights(heights), mod2)
 
-    def rank_spy(rows, cutoff, ring, inverses):
-        memos.append(inverses)
-        pivots.append(series_rank_(rows, cutoff, ring, inverses))
+    def rank_spy(rows, cutoff, ring):
+        windows.append(cutoff)
+        pivots.append(series_rank_(rows, cutoff, ring))
         return pivots[-1]
 
     def no_dense_view(self):
@@ -769,24 +769,21 @@ def test_oracle_lifts_each_boundary_once_and_memoizes_true_inverses(
     monkeypatch.setattr(homology, "_lift", lift_spy)
     monkeypatch.setattr(homology, "_series_rank", rank_spy)
     monkeypatch.setattr(EquivariantComplex, "boundaries", property(no_dense_view))
+    quotients = record_quotients(monkeypatch)
     report = truncated_homology_oracle(X, klass, order)
     assert report.checks["orders"] == orders
     assert [id(b) for b in lifted] == [id(b) for b in X.columns]
     terms = [e for band in X.columns for column in band
              for x in column.values() for e in x.terms]
     assert sorted(lookups) == sorted(terms)
-    assert len(memos) == (len(orders) - 1) * len(X.columns)
-    assert all(m is memos[0] for m in memos)
+    assert len(windows) == (len(orders) - 1) * len(X.columns)
+    assert set(windows) == cutoffs
     assert all(p == sorted(p) for p in pivots)
-    inverses = memos[0]
-    entries = list(memo_entries(inverses))
-    assert {cutoff for _, cutoff, _, _ in entries} == cutoffs
-    assert 0 < len(inverses) <= sum(map(len, pivots))
-    assert (len(inverses) < sum(map(len, pivots))) == reused
-    for series, cutoff, ring, inverse in entries:
-        assert ring is X.ring
-        assert min(h for h, _ in series) == 0
-        assert inverse == height_inverse(dict(series), cutoff, ring is Z2)
+    assert quotients
+    for x, p, cutoff, mod2, q in quotients:
+        assert min(p) == 0 and min(x) >= 0 and cutoff <= max(cutoffs)
+        assert mod2 == (X.ring is Z2)
+        assert_divides(x, p, cutoff, mod2, q)
 
 
 @pytest.mark.parametrize("document", ["koszul3-Q", "koszul3-Z2", "hidden-Q"])
@@ -799,9 +796,9 @@ def test_a_two_order_run_eliminates_each_boundary_once_at_the_doubled_window(
     calls = []
     series_rank_ = homology._series_rank
 
-    def rank_spy(rows, cutoff, ring, inverses):
+    def rank_spy(rows, cutoff, ring):
         calls.append((id(rows), cutoff))
-        return series_rank_(rows, cutoff, ring, inverses)
+        return series_rank_(rows, cutoff, ring)
 
     monkeypatch.setattr(homology, "_series_rank", rank_spy)
     report = truncated_homology_oracle(X, (1, 1, 1), 16)
@@ -821,9 +818,9 @@ def test_the_doubling_cap_bounds_the_orders_and_their_windows(monkeypatch, cap):
     cutoffs = []
     series_rank_ = homology._series_rank
 
-    def rank_spy(rows, cutoff, ring, inverses):
+    def rank_spy(rows, cutoff, ring):
         cutoffs.append(cutoff)
-        return series_rank_(rows, cutoff, ring, inverses)
+        return series_rank_(rows, cutoff, ring)
 
     monkeypatch.setattr(homology, "_MAX_DOUBLINGS", cap)
     monkeypatch.setattr(homology, "_series_rank", rank_spy)
@@ -871,9 +868,9 @@ def test_oracle_stabilization_signal(monkeypatch):
     cutoffs = []
     series_rank_ = homology._series_rank
 
-    def rank_spy(rows, cutoff, ring, inverses):
+    def rank_spy(rows, cutoff, ring):
         cutoffs.append(cutoff)
-        return series_rank_(rows, cutoff, ring, inverses)
+        return series_rank_(rows, cutoff, ring)
 
     monkeypatch.setattr(homology, "_MAX_DOUBLINGS", 1)
     monkeypatch.setattr(homology, "_series_rank", rank_spy)

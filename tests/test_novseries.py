@@ -11,14 +11,12 @@ from polynov.errors import (
     NotInvertibleUnderPolytope,
 )
 from polynov.groupring import CoefficientRing, GroupRingElement
+from polynov.homology import _nonzero, height_accumulate, height_quotient
 from polynov.lattice import CohomologyClass, Polytope, Subpolytope, period_eval
 from polynov.novseries import (
     TruncatedNovikovSeries,
     Truncation,
-    _nonzero,
     geom_inverse,
-    height_accumulate,
-    height_inverse,
     leading_unit_inverse,
     positivity_check,
 )
@@ -250,11 +248,30 @@ def test_leading_unit_inverse_matches_geom_inverse_when_leading_is_one():
 def test_height_helpers_match_the_series_window():
     # along the direction s = +-1 the monomial t^e has height s*e, and the
     # window of order N keeps heights <= N: the height helpers must give
-    # the reference series arithmetic's windowed terms exactly
+    # the reference series arithmetic's windowed terms exactly, and
+    # height_quotient(y, x, N) is the windowed y * leading_unit_inverse(x)
     rng = random.Random(29)
     coefficients = (-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 4))
     for ring in (Q, Z2):
         mod2 = ring is Z2
+
+        def coefficient(choices=coefficients):
+            return 1 if mod2 else rng.choice(choices)
+
+        def check_quotient(y, x, s, N):
+            c = CohomologyClass((s,))
+            T = Truncation(c, N)
+
+            def series(d):
+                terms = {(s * h,): v for h, v in d.items()}
+                return TruncatedNovikovSeries(GroupRingElement(ring, 1, terms), T)
+
+            expected = (series(y) * leading_unit_inverse(series(x), c, T)).element
+            q = height_quotient(y, x, N, mod2)
+            assert q == {s * e: v for (e,), v in expected.terms.items()}
+            product = height_accumulate({}, q, sorted(x.items()), N)
+            assert _nonzero(product, mod2) == {h: v for h, v in y.items() if h <= N}
+
         for _ in range(80):
             s = rng.choice((1, -1))
             c = CohomologyClass((s,))
@@ -263,11 +280,9 @@ def test_height_helpers_match_the_series_window():
 
             def series(low):
                 terms = {
-                    (s * rng.randint(low, N + 2),): rng.choice(coefficients)
+                    (s * rng.randint(low, N + 2),): coefficient()
                     for _ in range(rng.randint(1, 4))
                 }
-                if mod2:
-                    terms = {e: 1 for e in terms}
                 return TruncatedNovikovSeries(GroupRingElement(ring, 1, terms), T)
 
             def heights(x):
@@ -276,22 +291,29 @@ def test_height_helpers_match_the_series_window():
             a, b = series(-3), series(-3)
             product = height_accumulate({}, heights(a), sorted(heights(b).items()), N)
             assert _nonzero(product, mod2) == heights(a * b)
-            x = series(0)
-            if not x.is_zero():
-                inv = leading_unit_inverse(x, c, T)
-                assert height_inverse(heights(x), N, mod2) == heights(inv)
+            # a divisor of least height 0 with each lead, over random
+            # numerators of least height 0 or more, and 1
+            lead = coefficient((-1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 4)))
+            x = {0: lead, **{rng.randint(1, N + 2): coefficient()
+                             for _ in range(rng.randint(0, 3))}}
+            y = {rng.randint(0, N + 2): coefficient() for _ in range(rng.randint(1, 4))}
+            for numerator in (y, {0: 1}):
+                check_quotient(numerator, x, s, N)
 
         # binomials and trinomials with gaps in the hundreds, in windows of
-        # thousands of heights, where the inverse has few nonzero terms
+        # thousands of heights, where the quotient has few nonzero terms
         for _ in range(10):
             s = rng.choice((1, -1))
-            c = CohomologyClass((s,))
             N = rng.randint(1000, 4000)
-            T = Truncation(c, N)
-            low = rng.randint(0, 50)
-            rest = rng.sample(range(low + 100, low + 900), rng.randint(1, 2))
-            x = {h: 1 if mod2 else rng.choice(coefficients) for h in [low, *rest]}
-            terms = {(s * h,): v for h, v in x.items()}
-            element = TruncatedNovikovSeries(GroupRingElement(ring, 1, terms), T)
-            inv = leading_unit_inverse(element, c, T).element.terms
-            assert height_inverse(x, N, mod2) == {s * e: v for (e,), v in inv.items()}
+            rest = rng.sample(range(100, 900), rng.randint(1, 2))
+            x = {h: coefficient() for h in [0, *rest]}
+            y = {h: coefficient() for h in rng.sample(range(N + 50), 3)}
+            for numerator in (y, {0: 1}):
+                check_quotient(numerator, x, s, N)
+
+        # 1 - t^143 (1 + t^143 over Z/2) fills one height in 143 of a wide
+        # window, and so does its inverse sum_k t^(143 k)
+        for gap in (143, 1):
+            x = {0: 1, gap: 1 if mod2 else -1}
+            inverse = {gap * k: 1 for k in range(16016 // gap + 1)}
+            assert height_quotient({0: 1}, x, 16016, mod2) == inverse

@@ -10,7 +10,8 @@ checkout and the polynov of A; every job runs with --format json. Then
 `demo` and `approx` (in both formats), the error commands below (an
 over-long relator among them), both twist routes at the zero vertex, oracle
 runs over rational classes, Z input, three or four orders, the window
-limit, wide windows (dense ones at the limit among them), a pivot lead
+limit, wide windows (dense ones at the limit and sparse ones at the
+class (1/7, 1/11, 1/13) among them), a pivot lead
 of 2 and a coefficient above 2^40 (some on this checkout's tests/golden
 documents), and a text-format run of every other subcommand run too. Each tree
 replays the whole list in one fresh interpreter, one in-process
@@ -144,6 +145,11 @@ OTHER_COMMANDS = [
     ["novikov", "{golden/koszul3-Q.json}", "--class=1,1,1", "--order", "32768",
      "--format", "json"],
     ["novikov", "{golden/koszul3-Z2.json}", "--class=1,1,1", "--order", "32768",
+     "--format", "json"],
+    # wide sparse windows, divided by pivots of hundreds of terms
+    ["novikov", "{golden/koszul3-Q.json}", "--class=1/7,1/11,1/13", "--order", "16",
+     "--format", "json"],
+    ["novikov", "{golden/koszul3-Z2.json}", "--class=1/7,1/11,1/13", "--order", "16",
      "--format", "json"],
     ["novikov", "{lead-2}", "--class=1,1", "--format", "json"],
     ["novikov", "{slot-overflow}", "--class=1,1", "--format", "json"],
