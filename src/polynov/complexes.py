@@ -6,7 +6,9 @@ degree down, columns by cells of the degree). It is stored once, as sparse
 columns with zeros never stored, and every layer reads those, the rank
 engine and the truncated-series oracle included; the dense `boundaries`
 view serves serialization only.
-Square-zero is validated exactly on construction.
+Square-zero is checked exactly where a complex enters (`ingest`,
+`fox_boundary`); a complex derived from a checked one keeps d∘d = 0 by
+construction and is built unchecked, by `EquivariantComplex._stored`.
 
 Two JSON input modes are understood by `ingest`: explicit matrices, and a
 group presentation whose 2-complex (one vertex, one edge per generator, one
@@ -39,7 +41,7 @@ from .lattice import (
 
 
 class EquivariantComplex:
-    """A finite free chain complex over R[Z^rank], validated square-zero.
+    """A finite free chain complex over R[Z^rank], square-zero.
 
     columns[k][j] is {row: element} for the nonzero entries of column j
     of the boundary from degree k + 1 to degree k, rows ascending.
@@ -67,21 +69,11 @@ class EquivariantComplex:
             self.validate()
 
     @classmethod
-    def from_columns(cls, ring, rank, cells, columns, validate=True):
-        """Build from stored cells (name tuples) and columns; drops zeros."""
-        X = cls._stored(ring, rank, cells, tuple(
-            tuple({i: e for i, e in column.items() if e.terms} for column in band)
-            for band in columns
-        ))
-        if validate:
-            X.validate()
-        return X
-
-    @classmethod
     def _stored(cls, ring, rank, cells, columns):
-        """The complex with exactly these cells and columns (tuples of
-        tuples of {row: nonzero element} dicts), neither checked nor
-        validated."""
+        """The one trusted constructor: cells (name tuples) and columns
+        (tuples of tuples of {row: nonzero element} dicts, rows ascending)
+        as they are, d∘d = 0 unchecked. For complexes derived from a
+        checked one, and for `ingest`, which validates what it builds."""
         X = cls.__new__(cls)
         X.ring, X.deck, X.cells, X.columns = ring, DeckGroup(rank), cells, columns
         return X
@@ -498,8 +490,8 @@ def _is_table(value) -> bool:
 def parse_document(data, source=None):
     """The JSON object in a document's text or bytes. InputError, naming
     the source if given, for text that is not JSON, bytes that are not
-    UTF-8, an integer literal of more than MAX_DECIMAL_EXPONENT digits and
-    a value that is no object."""
+    UTF-8, an integer literal of more than MAX_DECIMAL_EXPONENT digits,
+    nesting too deep for the parser and a value that is no object."""
     where = "" if source is None else f"{source} is "
     try:
         document = json.loads(data)
@@ -508,6 +500,8 @@ def parse_document(data, source=None):
             f"an integer literal has more than {MAX_DECIMAL_EXPONENT} digits"
         )
         raise InputError(f"{where}not valid JSON: {reason}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{where}nested too deeply for the JSON parser") from exc
     if not isinstance(document, dict):
         raise InputError("complex document must be a JSON object")
     return document
@@ -521,9 +515,9 @@ def ingest(document) -> EquivariantComplex:
     strings share one (immutable) element; the columns are built straight
     from the rows, skipping "0". The parses share one memo, so each
     distinct term and factor of the document is parsed once; it is freed
-    when ingest returns. Errors come in a fixed order: document
-    structure, non-string entries, the first unparsable string in
-    row-major order, cell names, matrix count, then row count and length.
+    when ingest returns. Errors come in a fixed order: document structure,
+    non-string entries, the first unparsable string in row-major order,
+    cell names, matrix count, row count and length, then square-zero.
     A deck rank (`rank`, or the row count of `deck_map`) above
     `lattice.MAX_DECK_RANK` is an InputError."""
     if isinstance(document, (str, bytes)):
@@ -575,12 +569,14 @@ def ingest(document) -> EquivariantComplex:
     elements = {text: parse(text, ring, rank, memo) for text in texts}
 
     def fill(band, i, row):
+        # an entry such as "2*t1" over Z/2 parses to zero
         for column, text in zip(band, row):
-            if text != "0":
-                column[i] = elements[text]
+            if text != "0" and (e := elements[text]).terms:
+                column[i] = e
 
     cells, columns = _columns(cells, raw, fill)
-    X = EquivariantComplex.from_columns(ring, rank, cells, columns)
+    X = EquivariantComplex._stored(ring, rank, cells, columns)
+    X.validate()
     if not any(X.cells):
         raise InputError("a complex document needs at least one cell")
     return X

@@ -115,7 +115,8 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     -u^-1 times their incidences (u the unit incidence of the pair).
     The reduced boundary of a critical cell pushes each face through its
     flow. A matching whose flow search re-enters a cell it is still
-    resolving is cyclic and is reported as such.
+    resolving is cyclic and is reported as such. An acyclic matching
+    keeps d∘d = 0 (algebraic Morse theory): the result is not validated.
     """
     validate_matching(X, matching)
     if not matching.pairs:
@@ -184,13 +185,13 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     columns = []
     for k in range(len(faces)):
         rows = {c: r for r, c in enumerate(critical[k])}
-        columns.append([
+        columns.append(tuple(
             {rows[c]: val for c, val in sorted(push(k, j).items())}
             for j in critical[k + 1]
-        ])
+        ))
 
     cells = tuple(tuple(X.cells[k][i] for i in c) for k, c in enumerate(critical))
-    return EquivariantComplex.from_columns(ring, rank, cells, columns)
+    return EquivariantComplex._stored(ring, rank, cells, tuple(columns))
 
 
 def morse_reduce(X: EquivariantComplex, seed: int = 0):

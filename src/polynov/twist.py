@@ -124,13 +124,14 @@ def _extend_scalars(X: EquivariantComplex, q: LatticeMap) -> EquivariantComplex:
                 terms[image] = s
         return GroupRingElement.of_terms(ring, q.rank_out, terms)
 
-    columns = [
-        [{i: move(e) for i, e in column.items()} for column in band]
+    columns = tuple(
+        tuple(
+            {i: image for i, e in column.items() if (image := move(e)).terms}
+            for column in band
+        )
         for band in X.columns
-    ]
-    return EquivariantComplex.from_columns(
-        ring, q.rank_out, X.cells, columns, validate=False
     )
+    return EquivariantComplex._stored(ring, q.rank_out, X.cells, columns)
 
 
 def zero_vertex_extend(P: Polytope):

@@ -342,9 +342,9 @@ def test_constant_ranks_above_64_cells_are_exact(capsys, tmp_path):
 
 
 def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
-    # ingest and the Morse reduction validate; the images under the
-    # quotient map, by either twist route, are not checked again, because
-    # a ring map keeps d∘d = 0
+    # only ingest validates: the images under the quotient map, by either
+    # twist route, are not checked again, because a ring map keeps d∘d = 0,
+    # and neither is a Morse reduction, because an acyclic matching does
     calls = []
     original = EquivariantComplex.validate
 
@@ -358,12 +358,12 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
     for args, expected in (
         (["betti", "torus"], 1),
         (["betti", str(path)], 1),
-        (["morse", str(path), "--seed", "2"], 2),  # 5 cells -> 1 per degree
+        (["morse", str(path), "--seed", "2"], 1),  # 5 cells -> 1 per degree
         (["novikov", str(GOLDEN / "koszul3-Z.json"), "--class=1,2,3"], 1),
-        # ingest only: neither twist route validates, and the torus has no
-        # Morse pair to reduce
         (["main-check", "torus", "--vertices", "1,0;0,1",
           "--a", "1/2,1/2", "--b", "1/3,2/3"], 1),
+        # both sides of the comparison square reduce 4 Morse pairs
+        (["main-check", str(path), "--vertices", "1", "--a", "1", "--b", "1"], 1),
     ):
         calls.clear()
         code, _, _ = call(capsys, [*args, "--format", "json"])
@@ -503,6 +503,25 @@ def test_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     error = json.loads(err)["error"]
     assert error["type"] == "InputError"
     assert error["message"].startswith(f"{path} is not valid JSON: ")
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("text", [
+    DEEP,
+    '{"coefficients": "Q", "rank": 1, "cells": [["v"]], "boundaries": ' + DEEP + "}",
+], ids=["top-level", "in-boundaries"])
+def test_deeply_nested_document_is_an_input_error(capsys, tmp_path, text):
+    # json.loads raises RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = call(capsys, ["validate", str(path), "--format", "json"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "InputError",
+        "message": f"{path} is nested too deeply for the JSON parser",
+    }
 
 
 LINE = {"coefficients": "Q", "rank": 1, "cells": [["v"], ["e"], ["f"]]}

@@ -895,15 +895,15 @@ def conjugated(X, rng):
         return -u if ring is not CoefficientRing.MOD2 and rng.random() < 0.5 else u
 
     units = [[unit() for _ in names] for names in X.cells]
-    columns = [
-        [
+    columns = tuple(
+        tuple(
             {i: units[k][i].monomial_inverse() * e * units[k + 1][j]
              for i, e in column.items()}
             for j, column in enumerate(band)
-        ]
+        )
         for k, band in enumerate(X.columns)
-    ]
-    return EquivariantComplex.from_columns(ring, rank, X.cells, columns, validate=False)
+    )
+    return EquivariantComplex._stored(ring, rank, X.cells, columns)
 
 
 def pushed_reference(e, q):
@@ -941,14 +941,14 @@ def random_pushable(rng, ring, rank, q):
             ring, rank, {x: c, tuple(a + b for a, b in zip(x, v)): -c}
         ))
     cells = [tuple(f"c{k}_{j}" for j in range(rng.randint(1, 4))) for k in range(3)]
-    columns = [
-        [
+    columns = tuple(
+        tuple(
             {i: rng.choice(pool) for i in range(len(cells[k])) if rng.random() < 0.6}
             for _ in cells[k + 1]
-        ]
+        )
         for k in range(2)
-    ]
-    return EquivariantComplex.from_columns(ring, rank, cells, columns, validate=False)
+    )
+    return EquivariantComplex._stored(ring, rank, tuple(cells), columns)
 
 
 @pytest.mark.parametrize("ring", list(CoefficientRing))

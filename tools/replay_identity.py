@@ -8,15 +8,17 @@ every workload in perfbench/workloads.py, one round of jobs and its warm-up
 job are built once, into a temporary directory, with the perfbench of this
 checkout and the polynov of A; every job runs with --format json. Then
 `demo` and `approx` (in both formats), the error commands below (an
-over-long relator among them), both twist routes at the zero vertex, oracle
-runs over rational classes, Z input, three or four orders, the window
-limit, wide windows (dense ones at the limit and sparse ones at the
-class (1/7, 1/11, 1/13) among them), a pivot lead
-of 2 and a coefficient above 2^40 (some on this checkout's tests/golden
-documents), and a text-format run of every other subcommand run too. Each tree
-replays the whole list in one fresh interpreter, one in-process
-`polynov.cli.main` call after another as the benchmark makes them, so state
-kept between calls shows up as a difference. The two interpreters run with
+over-long relator and deeply nested JSON among them), both twist routes at
+the zero vertex, oracle runs over rational classes, Z input, three or four
+orders, the window limit, wide windows (dense ones at the limit and sparse
+ones at the class (1/7, 1/11, 1/13) among them), a pivot lead of 2 and a
+coefficient above 2^40 (some on this checkout's tests/golden documents),
+`morse --format json --seed 1` on a relabelled cubical T^3,3 over Q and
+over Z/2 (95 pairs, more than any `betti-cubical` job reduces), and a
+text-format run of every other subcommand run too. Each tree replays the
+whole list in one fresh interpreter, one in-process `polynov.cli.main`
+call after another as the benchmark makes them, so state kept between
+calls shows up as a difference. The two interpreters run with
 different hash seeds (PYTHONHASHSEED 1 and 2), so output that follows the
 iteration order of a set or dict of strings shows up too; with A == B the
 script is a determinism check. The script compares stdout,
@@ -33,6 +35,7 @@ import difflib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -90,6 +93,11 @@ ERROR_DOCUMENTS = {
     "rank-2-t3": _row("t3 - 1", "t3^2 - t3", rank=2),
     "zero-mod-2": _row("2*t1 + t2", "t2 + 2*t1", "2*t1", ring="Z2"),
     "empty-object": {},
+    # json.loads raises RecursionError on these, not a ValueError
+    "nested-200000-deep": "[" * 200_000 + "]" * 200_000,
+    "nested-in-boundaries":
+        '{"coefficients": "Q", "rank": 1, "cells": [["v"]], "boundaries": '
+        + "[" * 200_000 + "]" * 200_000 + "}",
     # json.dump cannot write an int that str() cannot print
     "integer-literal-of-5000-digits":
         '{"coefficients": "Q", "rank": ' + "1" * 5000 + ', "cells": [["v"]], "boundaries": []}',
@@ -112,8 +120,9 @@ ORACLE_DOCUMENTS = {
 
 SHOWN = 5  # differences printed in full
 
-# argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name], and
-# "{golden/name}" for that of tests/golden/name
+# argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name] or
+# ORACLE_DOCUMENTS[name], "{cubical-3,3-ring}" for that of a relabelled
+# cubical T^3,3 over ring, and "{golden/name}" for that of tests/golden/name
 OTHER_COMMANDS = [
     ["betti", "no_such_thing", "--format", "json"],
     ["novikov", "torus", "--class", "1,2,3", "--format", "json"],
@@ -164,6 +173,9 @@ OTHER_COMMANDS = [
     ["main-check", "genus2", "--vertices", "1,0,0,0;0,1,0,0", "--a", "1,0",
      "--b", "1/2,1/2"],
     ["morse", "genus2"],
+    # Morse reductions of 95 pairs each
+    ["morse", "{cubical-3,3-Q}", "--format", "json", "--seed", "1"],
+    ["morse", "{cubical-3,3-Z2}", "--format", "json", "--seed", "1"],
     # the zero vertex alone: both twist routes push to a quotient of rank 0
     ["polytope", "torus", "--vertices", "0,0", "--format", "json"],
     ["main-check", "torus", "--vertices", "0,0", "--a", "1", "--b", "1", "--format", "json"],
@@ -175,6 +187,7 @@ def build_commands(workdir, seeds):
     each seed, warm-ups included, then the other commands; the documents
     are written under workdir."""
     sys.path.insert(0, PERFBENCH)
+    from families import cubical, relabel
     from workloads import WORKLOADS
 
     commands = []
@@ -198,6 +211,11 @@ def build_commands(workdir, seeds):
         if name in ERROR_DOCUMENTS:
             for sub in ("validate", "betti"):
                 commands.append([sub, paths[name], "--format", "json"])
+    for ring in ("Q", "Z2"):
+        name = f"cubical-3,3-{ring}"
+        paths[name] = os.path.join(workdir, f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(relabel(cubical(3, 3, ring), random.Random(1)).complex.to_json(), fh)
     paths.update((f"golden/{name}", os.path.join(GOLDEN, name)) for name in os.listdir(GOLDEN))
     for argv in OTHER_COMMANDS:
         commands.append([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
