@@ -238,7 +238,10 @@ def _lift(band, nrows, heights, mod2):
             for e, c in x.terms.items():
                 h = heights[e]
                 acc[h] = acc.get(h, 0) + c
-            acc = _nonzero(acc, mod2)
+            # with no two terms on one height, acc holds the stored nonzero
+            # coefficients (1 over Z/2) and needs no reduction
+            if len(acc) < len(x.terms):
+                acc = _nonzero(acc, mod2)
             if acc:
                 rows[i][j] = acc
     for i, row in enumerate(rows):

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add, sub
 
 from .complexes import EquivariantComplex
 from .errors import CyclicMatchingError, InputError
-from .groupring import GroupRingElement
+from .groupring import CoefficientRing, GroupRingElement
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,18 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
     upward to tau flows through the other faces of tau, weighted by
     -u^-1 times their incidences (u the unit incidence of the pair).
     The reduced boundary of a critical cell pushes each face through its
-    flow. A matching whose flow search re-enters a cell it is still
-    resolving is cyclic and is reported as such. An acyclic matching
-    keeps d∘d = 0 (algebraic Morse theory): the result is not validated.
+    flow. A flow is kept as plain terms, {critical cell: {exponent:
+    nonzero coefficient}}, and group-ring elements are built only for the
+    entries of the reduced columns. A matching whose flow search
+    re-enters a cell it is still resolving is cyclic and is reported as
+    such. An acyclic matching keeps d∘d = 0 (algebraic Morse theory): the
+    result is not validated.
     """
     validate_matching(X, matching)
     if not matching.pairs:
         return X
     ring, rank = X.ring, X.deck.rank
-    one = GroupRingElement.one(ring, rank)
+    mod2 = ring is CoefficientRing.MOD2
     faces = X.columns
 
     up = [{} for _ in X.cells]
@@ -135,25 +139,44 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
         for k, names in enumerate(X.cells)
     ]
 
-    # flow[k][i]: the critical chain k-cell i flows to, as {critical
-    # k-cell index: coefficient}; cells matched upward are filled in below
+    # flow[k][i]: the critical chain k-cell i flows to, as {critical k-cell
+    # index: {exponent: coefficient}}; cells matched upward are filled in
+    # below
+    zero = (0,) * rank
     flow = [
-        dict.fromkeys(d, {}) | {i: {i: one} for i in c}
+        dict.fromkeys(d, {}) | {i: {i: {zero: 1}} for i in c}
         for d, c in zip(down, critical)
     ]
 
     def push(k, j, skip=None):
-        # sum of d[i][j] * flow[k][i] over the faces i != skip of column j,
-        # as {critical k-cell index: nonzero coefficient}
+        # sum of d[i][j] * flow[k][i] over the faces i of column j, as
+        # {critical k-cell index: nonzero terms}; with skip, the flow of
+        # the cell matched up to j through the unit u = a t^v: the other
+        # faces weighted by -u^-1 = -a t^-v (a = +-1, and 1 over Z/2)
+        column = faces[k][j]
+        incidences = ((i, e.terms) for i, e in column.items())
+        if skip is not None:
+            ((v, a),) = column[skip].terms.items()
+            keep = mod2 or a == -1
+            incidences = (
+                (i, {tuple(map(sub, e1, v)): c1 if keep else -c1
+                     for e1, c1 in terms.items()})
+                for i, terms in incidences if i != skip
+            )
         acc = {}
-        for i, e in faces[k][j].items():
-            if i == skip:
-                continue
-            for c, val in flow[k][i].items():
-                term = e * val
-                got = acc.get(c)
-                acc[c] = term if got is None else got + term
-        return {c: val for c, val in acc.items() if not val.is_zero()}
+        for i, incidence in incidences:
+            for c, chain in flow[k][i].items():
+                terms = acc.setdefault(c, {})
+                for e1, c1 in incidence.items():
+                    shifted = e1 != zero  # a constant term adds no exponent
+                    for e2, c2 in chain.items():
+                        exp = tuple(map(add, e1, e2)) if shifted else e2
+                        got = terms.pop(exp, 0) + c1 * c2
+                        if mod2:
+                            got &= 1
+                        if got:
+                            terms[exp] = got
+        return {c: terms for c, terms in acc.items() if terms}
 
     # every flow up front, so closed paths are caught even when no critical
     # cell's boundary would ever walk into them; depth first from the lowest
@@ -166,10 +189,7 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
             while stack:
                 i, ready = stack.pop()
                 if ready:
-                    u_inv = faces[k][band[i]][i].monomial_inverse()
-                    # u_inv is a unit, so nonzero coefficients stay nonzero
-                    pushed = push(k, band[i], skip=i).items()
-                    flow[k][i] = {c: -(u_inv * val) for c, val in pushed}
+                    flow[k][i] = push(k, band[i], skip=i)
                     active.discard(i)
                 elif i not in flow[k]:
                     if i in active:
@@ -182,11 +202,13 @@ def vpath_boundary(X: EquivariantComplex, matching: Matching) -> EquivariantComp
                     stack.extend((i2, False) for i2 in faces_i if i2 != i)
 
     # push lists cells in accumulation order; sorted, the rows ascend
+    of_terms = GroupRingElement.of_terms
     columns = []
     for k in range(len(faces)):
         rows = {c: r for r, c in enumerate(critical[k])}
         columns.append(tuple(
-            {rows[c]: val for c, val in sorted(push(k, j).items())}
+            {rows[c]: of_terms(ring, rank, terms)
+             for c, terms in sorted(push(k, j).items())}
             for j in critical[k + 1]
         ))
 

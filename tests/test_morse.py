@@ -10,6 +10,8 @@ library's flow-based reduction exactly.
 
 import random
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,7 @@ from polynov.morse import (
     vpath_boundary,
 )
 from test_complexes import cubical_torus
+from test_generated import SHAPES, _hidden_koszul, families
 
 Q = CoefficientRing.RAT
 
@@ -247,6 +250,81 @@ def test_vpath_matches_elimination_oracle_on_cubical_t3_4():
     R = vpath_boundary(X, m)
     assert R == eliminate_pairs(X, m)
     assert ordinary_betti(R).betti == (1, 3, 3, 1)
+
+
+def generated_complex(shape, ring):
+    """Relabelled cubical T^n,m for (n, m), hidden Koszul T^n for (n,); over
+    Z the Q document is read back with its coefficients re-tagged."""
+    rng = random.Random(f"{shape}:{ring}")
+    tag = "Q" if ring == "Z" else ring
+    if len(shape) == 2:
+        X = families.relabel(families.cubical(*shape, tag), rng).complex
+    else:
+        X = _hidden_koszul(*shape, tag, rng).complex
+    return ingest({**X.to_json(), "coefficients": "Z"}) if ring == "Z" else X
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z", "Z2"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[
+    f"cubical-{s[0]},{s[1]}" if len(s) == 2 else f"hidden-koszul-{s[0]}" for s in SHAPES
+])
+def test_vpath_matches_the_oracle_on_generated_complexes(shape, ring):
+    # hidden Koszul entries have several terms and non-unit coefficients
+    X = generated_complex(shape, ring)
+    for seed in range(4):
+        m = acyclic_matching(X, seed=seed)
+        assert m.pairs
+        assert vpath_boundary(X, m) == eliminate_pairs(X, m)
+
+
+def test_vpath_carries_fractions_through_matched_pairs():
+    # a relabelled cubical T^3,3 over Q with half of its edges doubled: the
+    # edge's row of the face band is scaled by 1/2 and its column of the
+    # edge band by 2, so d∘d = 0 holds and the other entries of a face
+    # stay units that the matching may pair
+    rng = random.Random(5)
+    X = families.relabel(families.cubical(3, 3, "Q"), rng).complex
+    rank = X.deck.rank
+
+    def scaled(e, factor):
+        return GroupRingElement(Q, rank, {x: c * factor for x, c in e.terms.items()})
+
+    edges, faces, solids = (list(map(list, m)) for m in X.boundaries)
+    halved = set(rng.sample(range(len(X.cells[1])), len(X.cells[1]) // 2))
+    for r in halved:
+        faces[r] = [scaled(e, Fraction(1, 2)) for e in faces[r]]
+        for row in edges:
+            row[r] = scaled(row[r], 2)
+    Y = EquivariantComplex(Q, rank, X.cells, [edges, faces, solids])
+    through = 0
+    for seed in range(4):
+        m = acyclic_matching(Y, seed=seed)
+        # a pair of the face band whose face has another, halved edge puts
+        # 1/2 into the flow of the paired edge
+        through += sum(
+            k == 1 and any(r in halved for r in Y.columns[1][j] if r != i)
+            for k, i, j in m.pairs
+        )
+        assert vpath_boundary(Y, m) == eliminate_pairs(Y, m)
+    assert through
+
+
+def test_vpath_builds_no_element_per_flow_step(monkeypatch):
+    cases = [generated_complex(shape, ring)
+             for shape, ring in (((3, 3), "Q"), ((4,), "Q"), ((4,), "Z"), ((3, 3), "Z2"))]
+    calls = Counter()
+    for name in ("__mul__", "__add__"):
+        def spy(self, other, name=name, method=getattr(GroupRingElement, name)):
+            calls[name] += 1
+            return method(self, other)
+        monkeypatch.setattr(GroupRingElement, name, spy)
+    for X in cases:
+        m = acyclic_matching(X, seed=1)
+        R = vpath_boundary(X, m)
+        assert not calls
+        assert R == eliminate_pairs(X, m)
+        assert calls["__mul__"]  # the spies see the oracle's products
+        calls.clear()
 
 
 def reference_matching(X: EquivariantComplex, seed: int):

@@ -14,17 +14,19 @@ orders, the window limit, wide windows (dense ones at the limit and sparse
 ones at the class (1/7, 1/11, 1/13) among them), a pivot lead of 2 and a
 coefficient above 2^40 (some on this checkout's tests/golden documents),
 `morse --format json --seed 1` on a relabelled cubical T^3,3 over Q and
-over Z/2 (95 pairs, more than any `betti-cubical` job reduces), and a
-text-format run of every other subcommand run too. Each tree replays the
-whole list in one fresh interpreter, one in-process `polynov.cli.main`
-call after another as the benchmark makes them, so state kept between
-calls shows up as a difference. The two interpreters run with
-different hash seeds (PYTHONHASHSEED 1 and 2), so output that follows the
-iteration order of a set or dict of strings shows up too; with A == B the
-script is a determinism check. The script compares stdout,
-stderr and exit code of each command, prints the command count and the
-first differences, and exits 1 if any command differs. It reads perfbench/
-but writes nothing there and no bytecode into either tree.
+over Z/2 (95 pairs, more than any `betti-cubical` job reduces), on a
+relabelled cubical T^4,3 over Q (566 pairs) and on a Koszul T^4 with
+hidden summands over Q and, the same document re-tagged, over Z (entries
+of several terms), and a text-format run of every other subcommand run
+too. Each tree replays the whole list in one fresh interpreter, one
+in-process `polynov.cli.main` call after another as the benchmark makes
+them, so state kept between calls shows up as a difference. The two
+interpreters run with different hash seeds (PYTHONHASHSEED 1 and 2), so
+output that follows the iteration order of a set or dict of strings shows
+up too; with A == B the script is a determinism check. The script compares
+stdout, stderr and exit code of each command, prints the command count and
+the first differences, and exits 1 if any command differs. It reads
+perfbench/ but writes nothing there and no bytecode into either tree.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ ORACLE_DOCUMENTS = {
 SHOWN = 5  # differences printed in full
 
 # argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name] or
-# ORACLE_DOCUMENTS[name], "{cubical-3,3-ring}" for that of a relabelled
-# cubical T^3,3 over ring, and "{golden/name}" for that of tests/golden/name
+# ORACLE_DOCUMENTS[name], "{cubical-n,m-ring}" and "{hidden-koszul-4-ring}"
+# for that of a document generated in build_commands, and "{golden/name}"
+# for that of tests/golden/name
 OTHER_COMMANDS = [
     ["betti", "no_such_thing", "--format", "json"],
     ["novikov", "torus", "--class", "1,2,3", "--format", "json"],
@@ -173,9 +176,13 @@ OTHER_COMMANDS = [
     ["main-check", "genus2", "--vertices", "1,0,0,0;0,1,0,0", "--a", "1,0",
      "--b", "1/2,1/2"],
     ["morse", "genus2"],
-    # Morse reductions of 95 pairs each
+    # Morse reductions of 95 pairs each, of 566 pairs, and V-paths through
+    # incidences of several terms
     ["morse", "{cubical-3,3-Q}", "--format", "json", "--seed", "1"],
     ["morse", "{cubical-3,3-Z2}", "--format", "json", "--seed", "1"],
+    ["morse", "{cubical-4,3-Q}", "--format", "json", "--seed", "1"],
+    ["morse", "{hidden-koszul-4-Q}", "--format", "json", "--seed", "1"],
+    ["morse", "{hidden-koszul-4-Z}", "--format", "json", "--seed", "1"],
     # the zero vertex alone: both twist routes push to a quotient of rank 0
     ["polytope", "torus", "--vertices", "0,0", "--format", "json"],
     ["main-check", "torus", "--vertices", "0,0", "--a", "1", "--b", "1", "--format", "json"],
@@ -187,7 +194,7 @@ def build_commands(workdir, seeds):
     each seed, warm-ups included, then the other commands; the documents
     are written under workdir."""
     sys.path.insert(0, PERFBENCH)
-    from families import cubical, relabel
+    from families import Summand, cubical, hidden, koszul, relabel
     from workloads import WORKLOADS
 
     commands = []
@@ -211,11 +218,20 @@ def build_commands(workdir, seeds):
         if name in ERROR_DOCUMENTS:
             for sub in ("validate", "betti"):
                 commands.append([sub, paths[name], "--format", "json"])
-    for ring in ("Q", "Z2"):
-        name = f"cubical-3,3-{ring}"
+    generated = {
+        f"cubical-3,3-{ring}": relabel(cubical(3, 3, ring), random.Random(1)).complex.to_json()
+        for ring in ("Q", "Z2")
+    }
+    generated["cubical-4,3-Q"] = relabel(cubical(4, 3, "Q"), random.Random(1)).complex.to_json()
+    rng = random.Random(1)
+    summands = [Summand(d, c) for d in range(4) for c in (None, rng.randrange(4))]
+    koszul4 = hidden(koszul(4, "Q"), summands, 160, rng).complex.to_json()
+    generated["hidden-koszul-4-Q"] = koszul4
+    generated["hidden-koszul-4-Z"] = {**koszul4, "coefficients": "Z"}
+    for name, document in generated.items():
         paths[name] = os.path.join(workdir, f"{name}.json")
         with open(paths[name], "w") as fh:
-            json.dump(relabel(cubical(3, 3, ring), random.Random(1)).complex.to_json(), fh)
+            json.dump(document, fh)
     paths.update((f"golden/{name}", os.path.join(GOLDEN, name)) for name in os.listdir(GOLDEN))
     for argv in OTHER_COMMANDS:
         commands.append([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
