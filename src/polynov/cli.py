@@ -5,6 +5,14 @@ bundled example), runs one computation, and prints a report. For a fixed
 configuration and seed the JSON output is byte-identical across runs.
 Exit codes: 0 success, 1 validation failure, 2 input error; errors are
 reported as one JSON object on stderr.
+
+The fixed cost of a command is kept small. The argv is parsed once: when
+its first word names a subcommand, that subcommand's parser reads the
+rest, as the top-level parser would hand it over, and every other argv
+goes to the top-level parser. The `--format json` report is written by
+`_json_report`, whose bytes are those of
+`json.dumps(payload, indent=2, sort_keys=True)` without the generator
+encoder that any indent selects in the standard library.
 """
 
 import argparse
@@ -12,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import acceptance, corpus
 from .complexes import ingest, parse_document
@@ -302,6 +311,61 @@ def _render_text(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON report
+
+
+def _json_report(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for the
+    types a report holds: str, int, bool, None, dicts with str keys, lists
+    and tuples; TypeError for anything else. Any indent sends json.dumps
+    to its pure-Python generator encoder; this appends to one list."""
+    out = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline, out):
+    """Append the text of value to out; newline is "\n" plus the indent of
+    the line value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator)
+            out.append(_encode_str(key))  # TypeError for a key that is not a str
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -320,9 +384,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on first use and kept: argparse keeps no state
-    between parse_args calls, and building it costs milliseconds."""
+def _build_parser():
+    """(the top-level parser, {subcommand name: its subparser}), built on
+    first use and kept: argparse keeps no state between parse_args calls,
+    and building them costs milliseconds."""
     parser = _Parser(
         prog="polynov",
         description=(
@@ -342,9 +407,11 @@ def _build_parser() -> _Parser:
         help="output format (json is byte-stable per config and seed)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
 
     def add(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+        subparsers[name] = sub.add_parser(name, help=help_text, parents=[common])
+        return subparsers[name]
 
     def with_input(p):
         p.add_argument("input", help="complex JSON file or bundled example name")
@@ -388,13 +455,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", required=True, help="rational tolerance, e.g. 1/10")
 
     add("demo", "run every acceptance criterion")
-    return parser
+    return parser, subparsers
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _build_parser()
+    if argv and argv[0] in subparsers:
+        name = argv[0]
+        args = subparsers[name].parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
+        name = args.subcommand
     try:
-        code, payload = _COMMANDS[args.subcommand](args)
+        code, payload = _COMMANDS[name](args)
     except PolynovError as exc:
         info = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ValidationError):
@@ -402,7 +476,7 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": info}, sort_keys=True) + "\n")
         return 1 if isinstance(exc, ValidationError) else 2
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_report(payload) + "\n")
     else:
         sys.stdout.write(_render_text(payload))
     return code

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from math import prod
+from operator import add, mul
 
 from .errors import CoverMismatch, InputError, ValidationError
 from .groupring import (
@@ -107,40 +108,36 @@ class EquivariantComplex:
         d_k. Each term product goes to one int key
         (`groupring.kronecker_weights`) whose digits are the row i and the
         exponent sum, so a product of monomials is one int addition and
-        one dict holds the column. Exponents are taken relative to their
-        least value in the band, and the radix of variable v is its span
-        in d_k plus its span in d_{k+1} plus one: every sum of two
-        exponents has digits of its own, so a sum is zero exactly when the
-        sum on exponent tuples is, over Z, Q and Z/2. The least nonzero
-        key of a column gives its first offending row; the first offending
-        entry in row-major order is recomputed with group-ring arithmetic
-        for the report.
+        one dict holds the column. The keys are set up once per document:
+        exponents are taken relative to their least value lo_v in the
+        whole complex, and the radix of variable v is 2 * (hi_v - lo_v) + 1
+        for its greatest value hi_v there. Every sum of two exponents of
+        the complex then has digits of its own, so a sum is zero exactly
+        when the sum on exponent tuples is, over Z, Q and Z/2, and the row
+        is the digit above them all. The least nonzero key of a column
+        gives its first offending row; the first offending entry in
+        row-major order is recomputed with group-ring arithmetic for the
+        report.
         """
         mod2 = self.ring is CoefficientRing.MOD2
-        exps = [
-            {x for c in band for e in c.values() for x in e.terms}
-            for band in self.columns
-        ]
+        exps = list({
+            x for band in self.columns for c in band for e in c.values()
+            for x in e.terms
+        })
+        # one key per exponent, summed column-wise as `LatticeMap.images` does
+        columns = list(zip(*exps))
+        lows = [min(column) for column in columns]
+        radices = [2 * (max(column) - lo) + 1 for column, lo in zip(columns, lows)]
+        weights = kronecker_weights(radices)
+        row_w = prod(radices)
+        keys = repeat(-sum(map(mul, lows, weights)), len(exps))
+        for w, column in zip(weights, columns):
+            keys = map(add, keys, map(mul, repeat(w), column))
+        key = dict(zip(exps, keys))
         for k, (lower, upper) in enumerate(zip(self.columns, self.columns[1:])):
-            a_exps, b_exps = exps[k], exps[k + 1]
-            if not a_exps or not b_exps:
-                continue
-            a_low = [min(p) for p in zip(*a_exps)]
-            b_low = [min(p) for p in zip(*b_exps)]
-            row_w, *weights = kronecker_weights(
-                [len(self.cells[k])]
-                + [
-                    max(p) - la + max(q) - lb + 1
-                    for p, q, la, lb in zip(zip(*a_exps), zip(*b_exps), a_low, b_low)
-                ]
-            )
-            a_off = sum(map(mul, a_low, weights))
-            b_off = sum(map(mul, b_low, weights))
-            a_key = {x: sum(map(mul, x, weights)) - a_off for x in a_exps}
-            b_key = {x: sum(map(mul, x, weights)) - b_off for x in b_exps}
             a_terms = [
                 [
-                    (i * row_w + a_key[x], c)
+                    (i * row_w + key[x], c)
                     for i, e in column.items()
                     for x, c in e.terms.items()
                 ]
@@ -153,7 +150,7 @@ class EquivariantComplex:
                 for l, b in column.items():
                     a_column = a_terms[l]
                     for x, c2 in b.terms.items():
-                        k2 = b_key[x]
+                        k2 = key[x]
                         for k1, c1 in a_column:
                             s = k1 + k2
                             acc[s] = get(s, 0) + c1 * c2

@@ -184,9 +184,20 @@ def height_accumulate(acc, a, b, cutoff):
     return acc
 
 
-def height_quotient(x, p, cutoff, mod2):
-    """x / p of height dicts, windowed at `cutoff`, for min(p) == 0 and
-    min(x) >= 0; the result is reduced and in increasing height order.
+def height_divisor(p):
+    """(a^-1, u) for the height dict p with min(p) == 0 and lead
+    a = p[0], where p = a (1 - u) and u lists (height, coefficient) pairs
+    of increasing positive height: the form `height_quotient` divides by,
+    built once for all the quotients by one p."""
+    a = p[0]
+    inv = a if a in (1, -1) else 1 / Fraction(a)
+    return inv, sorted((h, -c * inv) for h, c in p.items() if h)
+
+
+def height_quotient(x, divisor, cutoff, mod2):
+    """x / p of height dicts, windowed at `cutoff`, for min(x) >= 0 and
+    p given as `height_divisor(p)`; the result is reduced and in
+    increasing height order.
 
     With a = p[0], p = a (1 - u) where u has only positive heights, and
     x / p = a^-1 s with s = x / (1 - u): s_k = x_k + sum_i u_i s_(k-i),
@@ -196,9 +207,7 @@ def height_quotient(x, p, cutoff, mod2):
     nonzero terms, not the window. With x = 1 this is the windowed
     `novseries.leading_unit_inverse` of p.
     """
-    a = p[0]
-    inv = a if a in (1, -1) else 1 / Fraction(a)
-    u = sorted((h, -c * inv) for h, c in p.items() if h)
+    inv, u = divisor
     pending = {h: c for h, c in x.items() if h <= cutoff}  # height -> s_k so far
     heap = sorted(pending)
     get = pending.get
@@ -264,7 +273,8 @@ def _series_rank(rows, cutoff, ring) -> list:
     clears the entry x of another row with the factor
     f = -x / p = (-x t^-h0) / (p t^-h0), one `height_quotient` windowed at
     cutoff - h0: f only multiplies entries of height h0 or more, so its
-    terms above that never reach the window, and no pivot is inverted.
+    terms above that never reach the window, and no pivot is inverted;
+    the divisor's lead inverse and unit part are built once per pivot.
     Each update x + f*y is summed into one windowed dict
     (`height_accumulate`). Coefficients are reduced mod 2 over Z/2, and
     integral ones are ints over Z and Q alike. So every windowed entry,
@@ -299,6 +309,8 @@ def _series_rank(rows, cutoff, ring) -> list:
         del best[pr]
         p = {h - h0: v for h, v in pivot.pop(pc).items()}
         heights.append(h0)
+        if work:
+            divisor = height_divisor(p)
         for r in list(work):
             row = work[r]
             x = row.pop(pc, None)
@@ -306,7 +318,7 @@ def _series_rank(rows, cutoff, ring) -> list:
                 continue
             neg = {h - h0: -v for h, v in x.items()}
             # in height order, as height_accumulate wants it
-            factor = list(height_quotient(neg, p, cutoff - h0, mod2).items())
+            factor = list(height_quotient(neg, divisor, cutoff - h0, mod2).items())
             for c, y in pivot.items():
                 acc = height_accumulate(dict(row.get(c, ())), y, factor, cutoff)
                 acc = _nonzero(acc, mod2)

@@ -171,12 +171,17 @@ class CohomologyClass:
 
         Everything a class induces here (its kernel, its finiteness
         condition) depends only on its positive ray, so this is the
-        canonical representative used in reports.
+        canonical representative used in reports. A nonzero class computes
+        it once and keeps it, so it lives as long as the class does.
         """
         if self.is_zero():
             return self
-        weights, _ = _primitive_form(self.periods)
-        return CohomologyClass(tuple(map(Fraction, weights)))
+        ray = self.__dict__.get("_ray")
+        if ray is None:
+            weights, _ = _primitive_form(self.periods)
+            ray = CohomologyClass(tuple(map(Fraction, weights)))
+            object.__setattr__(self, "_ray", ray)
+        return ray
 
     def to_json(self):
         """The periods as strings; InputError for a period that str()

@@ -5,14 +5,16 @@ pin down process-level behavior (exit codes, stderr, byte determinism).
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from polynov import cli, homology
+from polynov import cli, homology, lattice
 from polynov.cli import main
 from polynov.complexes import EquivariantComplex, ingest
 from polynov.groupring import CoefficientRing, GroupRingElement, matrix_rank_fraction_field
@@ -369,6 +371,23 @@ def test_each_complex_is_validated_once(capsys, monkeypatch, tmp_path):
         code, _, _ = call(capsys, [*args, "--format", "json"])
         assert code == 0
         assert len(calls) == expected
+
+
+def test_novikov_normalizes_its_class_once(capsys, monkeypatch):
+    # the report and the oracle's report both print the class's ray
+    normalized = []
+    original = lattice._primitive_form
+
+    def counting(periods):
+        normalized.append(periods)
+        return original(periods)
+
+    monkeypatch.setattr(lattice, "_primitive_form", counting)
+    code, out, _ = call(capsys, ["novikov", "torus", "--class", "2/3,4/3", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["report"]["ring"]["class"] == payload["oracle"]["ring"]["class"] == ["1", "2"]
+    assert len(normalized) == 1
 
 
 def test_one_pushed_complex_per_novikov_job(capsys, monkeypatch):
@@ -743,3 +762,99 @@ def test_demo_passes_everything():
     assert lines[-1].startswith("12/12")
     assert sum(1 for line in lines if line.startswith("PASS")) == 12
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+# -- the JSON report writer ------------------------------------------------
+
+ODD_TEXT = (
+    "plain", "", 'quo"te', "back\\slash", "tab\there", "new\nline",
+    "\x00\x01\x1f\x7f", "café", "中文", "\U0001f600",
+    "\ud800 lone", "mixed \"\\é\b\f\r",
+)
+ODD_INTS = (0, 1, -1, 7, -42, 2**63, 2**64, 2**64 + 1, -(2**64) - 1, 10**40, -(3**90))
+
+
+def random_report(rng, depth):
+    """A random nest of dicts, lists, tuples, str, int, bool and None."""
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.choice(ODD_TEXT) + "".join(
+            chr(rng.choice((rng.randrange(32), rng.randrange(32, 127),
+                            rng.randrange(128, 0x3000))))
+            for _ in range(rng.randrange(4))
+        )
+    if kind == 1:
+        return rng.choice(ODD_INTS + (rng.randint(-(2**80), 2**80),))
+    if kind == 2:
+        return rng.choice((True, False))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(({}, [], ()))
+    if kind in (5, 6):
+        return {
+            rng.choice(ODD_TEXT) + str(rng.randrange(50)):
+            random_report(rng, depth - 1)
+            for _ in range(rng.randrange(5))
+        }
+    items = [random_report(rng, depth - 1) for _ in range(rng.randrange(5))]
+    return items if kind == 7 else tuple(items)
+
+
+def test_json_report_writer_matches_json_dumps():
+    rng = random.Random(2029)
+    for _ in range(600):
+        value = random_report(rng, rng.randrange(5))
+        assert cli._json_report(value) == json.dumps(value, indent=2, sort_keys=True)
+    for value in ODD_TEXT + ODD_INTS + (True, False, None, {}, [], (), [[]], {"": {}}):
+        assert cli._json_report(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 2), [1, 2.0], {"a": {"b": Fraction(3)}}, {1: "int key"},
+])
+def test_json_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_report(value)
+
+
+# -- argv dispatch -----------------------------------------------------------
+
+
+def top_level_parse(capsys, argv):
+    """(exit code, stdout, stderr) of the top-level parser alone on argv:
+    it hands what follows a subcommand's name to that subcommand's parser,
+    so `main`, which calls that parser itself, must print the same."""
+    parser, _ = cli._build_parser()
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, out_start, message", [
+    ([], 2, "", "the following arguments are required: subcommand"),
+    (["-h"], 0, "usage: polynov [-h]", None),
+    (["novikov", "-h"], 0, "usage: polynov novikov [-h]", None),
+    (["nonsense", "torus"], 2, "", "invalid choice: 'nonsense'"),
+    (["novikov", "torus"], 2, "", "the following arguments are required: --class"),
+    (["novikov", "torus", "--class", "1,0", "--bogus"], 2, "",
+     "unrecognized arguments: --bogus"),
+    (["betti", "torus", "--format", "yaml"], 2, "", "invalid choice: 'yaml'"),
+])
+def test_argv_dispatch_prints_what_the_top_level_parser_prints(
+    capsys, argv, code, out_start, message
+):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    got = (info.value.code, captured.out, captured.err)
+    assert got == top_level_parse(capsys, list(argv))
+    assert got[0] == code
+    assert captured.out.startswith(out_start)
+    if message is None:
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "InputError" and message in error["message"]

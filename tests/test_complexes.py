@@ -435,14 +435,62 @@ def test_validate_matches_dense_reference_at_deck_ranks_3_and_4(ring):
 
 @pytest.mark.parametrize("ring", [Q, CoefficientRing.MOD2])
 def test_violation_at_opposite_corners_of_the_box(ring):
-    # d1 d2 = t1 - t2^3: spans (1, 3) give radices (2, 4), where t1 and t2^3
-    # are the digits (1, 0) and (0, 3); one radix less would pack both to 3
-    # and let them cancel (over Z/2 as well, where the sum is t1 + t2^3)
+    # d1 d2 = t1 - t2^3: the document's exponents span (1, 3), and t1 and
+    # t2^3 are the digits (1, 0) and (0, 3), at opposite corners of the box
+    # of sums (they must not cancel over Z/2 either, where the sum is
+    # t1 + t2^3)
     X = EquivariantComplex(
         ring, 2, [["v"], ["e"], ["f"]],
         [[[elem("1", 2, ring)]], [[elem("t1 - t2^3", 2, ring)]]], validate=False,
     )
     text = "t1 - t2^3" if ring is Q else "t1 + t2^3"
+    expected = (2, 0, 0, f"boundary square is nonzero from degree 2: entry (0, 0) is {text}")
+    assert dense_violation(X) == expected
+    assert validate_outcome(X) == expected
+
+
+
+@pytest.mark.parametrize("ring", list(CoefficientRing))
+def test_validate_packs_far_apart_bands_once_per_document(ring):
+    # d_1 times t^(-40, ...), d_3 times t^(40, ...): a unit per band keeps
+    # d∘d = 0, and the document's exponents then span about 84 per variable
+    # while each band spans 4; one entry gains a monomial near its band's
+    # exponents, and the first nonzero entry of d∘d, if any, must be the
+    # one group-ring arithmetic finds
+    rng = random.Random({Q: 3101, CoefficientRing.INT: 3102}.get(ring, 3103))
+    shifts = (-40, 0, 40)
+    violations = 0
+    for rank in (0, 1, 3):
+        for _ in range(6):
+            names, mats = random_square_zero(rng, ring, rank, span=2)
+            units = [GroupRingElement.monomial(ring, rank, (s,) * rank) for s in shifts]
+            mats = [[[u * e for e in row] for row in m] for u, m in zip(units, mats)]
+            assert EquivariantComplex(ring, rank, names, mats).validate()
+            k = rng.randrange(3)
+            i = rng.randrange(len(mats[k]))
+            j = rng.randrange(len(mats[k][i]))
+            bump = tuple(shifts[k] + rng.randint(-2, 2) for _ in range(rank))
+            mats[k][i][j] = mats[k][i][j] + GroupRingElement.monomial(ring, rank, bump)
+            X = EquivariantComplex(ring, rank, names, mats, validate=False)
+            expected = dense_violation(X)
+            assert validate_outcome(X) == expected
+            violations += expected is not None
+    assert violations >= 12
+
+
+@pytest.mark.parametrize("ring", list(CoefficientRing))
+def test_sums_that_a_radix_of_twice_the_span_would_merge(ring):
+    # d1 d2 = t1^2 - t1*t2^2 (t1^2 + t1*t2^2 over Z/2). The document's
+    # exponents lie in {0, 1}^2, so each radix is 2 * 1 + 1 = 3; at radix
+    # 2 the digit pairs (2, 0) and (1, 2) of the two terms both pack to
+    # 2 * 2 + 0 = 1 * 2 + 2 = 4, and the terms would cancel
+    X = EquivariantComplex(
+        ring, 2, [["v"], ["e1", "e2"], ["f"]],
+        [[[elem("t1", 2, ring), elem("t2", 2, ring)]],
+         [[elem("t1", 2, ring)], [elem("-t1*t2", 2, ring)]]],
+        validate=False,
+    )
+    text = "t1^2 + t1*t2^2" if ring is CoefficientRing.MOD2 else "t1^2 - t1*t2^2"
     expected = (2, 0, 0, f"boundary square is nonzero from degree 2: entry (0, 0) is {text}")
     assert dense_violation(X) == expected
     assert validate_outcome(X) == expected

@@ -11,7 +11,7 @@ code path.
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 
 import pytest
@@ -493,14 +493,22 @@ def series_rank(matrix, region, order, ring):
 
 def record_quotients(monkeypatch):
     """Make `homology.height_quotient` record (x, p, cutoff, mod2, x / p)
-    of each call in the returned list."""
-    calls = []
-    quotient = homology.height_quotient
+    of each call in the returned list, p the dict that
+    `homology.height_divisor` built the call's divisor from."""
+    calls, divisors = [], {}
+    divisor_, quotient = homology.height_divisor, homology.height_quotient
 
-    def spy(x, p, cutoff, mod2):
-        calls.append((x, p, cutoff, mod2, quotient(x, p, cutoff, mod2)))
+    def divisor_spy(p):
+        divisor = divisor_(p)
+        divisors[id(divisor)] = divisor, p  # holding divisor keeps its id
+        return divisor
+
+    def spy(x, divisor, cutoff, mod2):
+        p = divisors[id(divisor)][1]
+        calls.append((x, p, cutoff, mod2, quotient(x, divisor, cutoff, mod2)))
         return calls[-1][-1]
 
+    monkeypatch.setattr(homology, "height_divisor", divisor_spy)
     monkeypatch.setattr(homology, "height_quotient", spy)
     return calls
 
@@ -624,6 +632,38 @@ def test_series_rank_on_sparse_matrices_matches_the_series_reference(monkeypatch
                 assert got == [h for h, _, _ in pivots], (ring, trial, order)
                 assert [p for _, p, *_ in quotients] == divisions(pivots)
     assert min(seen.values()) >= 10, seen
+
+
+def test_series_rank_builds_each_divisor_once_per_pivot(monkeypatch):
+    # a pivot's lead inverse and unit part are built once, before it
+    # clears its first row, and serve every row it clears
+    builds, uses = [], []
+    divisor_, quotient = homology.height_divisor, homology.height_quotient
+
+    def divisor_spy(p):
+        builds.append(divisor_(p))
+        return builds[-1]
+
+    def quotient_spy(x, divisor, cutoff, mod2):
+        uses.append(id(divisor))
+        return quotient(x, divisor, cutoff, mod2)
+
+    monkeypatch.setattr(homology, "height_divisor", divisor_spy)
+    monkeypatch.setattr(homology, "height_quotient", quotient_spy)
+    rng = random.Random(53)
+    shared = 0
+    for ring in (Q, Z, Z2):
+        for _ in range(40):
+            rows = lifted_rows(random_sparse_matrix(rng, ring), (1,), ring)
+            builds.clear()
+            uses.clear()
+            heights = homology._series_rank(rows, rng.randint(0, 20), ring)
+            assert len(builds) <= len(heights)
+            assert set(uses) <= {id(d) for d in builds}
+            runs = [d for d, _ in groupby(uses)]
+            assert len(runs) == len(set(runs))
+            shared += len(uses) > len(runs)
+    assert shared >= 10
 
 
 def over_q(matrix):

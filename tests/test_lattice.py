@@ -281,6 +281,10 @@ def test_ray_normalization():
     # scaling never changes the normalized form
     assert a.scale(7).ray_normalized() == a.ray_normalized()
     assert a.scale(Fraction(1, 5)).ray_normalized() == a.ray_normalized()
+    # a class keeps its normalization, which its equality and hash ignore
+    assert a.ray_normalized() is a.ray_normalized()
+    assert a == CohomologyClass(a.periods) and hash(a) == hash(CohomologyClass(a.periods))
+    assert repr(a) == repr(CohomologyClass(a.periods))
 
 
 def random_classes(rng, r, k):

@@ -18,8 +18,13 @@ over Z/2 (95 pairs, more than any `betti-cubical` job reduces), on a
 relabelled cubical T^4,3 over Q (566 pairs) and on a Koszul T^4 with
 hidden summands over Q and, the same document re-tagged, over Z (entries
 of several terms), and a text-format run of every other subcommand run
-too. Each tree replays the whole list in one fresh interpreter, one
-in-process `polynov.cli.main` call after another as the benchmark makes
+too. `validate` runs on a Koszul T^3 whose boundaries sit at exponents
+near -40, 0 and +40, square-zero and with one more term that breaks it,
+and on a square whose two terms a radix of twice the exponent span would
+merge. The argv that end in the parser run too: none, `-h`,
+`novikov -h`, an unknown subcommand, a missing `--class`, an unknown
+flag after the input and `--format yaml`. Each tree replays the whole
+list in one fresh interpreter, one in-process `polynov.cli.main` call after another as the benchmark makes
 them, so state kept between calls shows up as a difference. The two
 interpreters run with different hash seeds (PYTHONHASHSEED 1 and 2), so
 output that follows the iteration order of a set or dict of strings shows
@@ -68,6 +73,28 @@ def _row(*entries, ring="Q", rank=2):
     }
 
 
+def _koszul3_far(extra=""):
+    """Koszul T^3 on t_i - 1 with d_1 times t^(-40,-40,-40) and d_3 times
+    t^(40,40,40), whose exponents lie far apart; `extra` is added to
+    entry (1, 0) of d_3."""
+    def f(i, s, sign=1):
+        up = "*".join(f"t{v}^{s + (v == i)}" for v in (1, 2, 3))
+        low = "*".join(f"t{v}^{s}" for v in (1, 2, 3))
+        return f"{up} - {low}" if sign > 0 else f"{low} - {up}"
+
+    return {
+        "coefficients": "Q",
+        "rank": 3,
+        "cells": [["v"], ["e1", "e2", "e3"], ["f12", "f13", "f23"], ["c"]],
+        "boundaries": [
+            [[f(1, -40), f(2, -40), f(3, -40)]],
+            [[f(2, 0, -1), f(3, 0, -1), "0"], [f(1, 0), "0", f(3, 0, -1)],
+             ["0", f(1, 0), f(2, 0)]],
+            [[f(3, 40)], [f(2, 40, -1) + extra], [f(1, 40)]],
+        ],
+    }
+
+
 # name -> document, or the text of one; each is run under validate and betti
 ERROR_DOCUMENTS = {
     "corrupted": _torus("1 - t2", "t1 + 1"),
@@ -94,6 +121,13 @@ ERROR_DOCUMENTS = {
     "rank-3-t3": _row("t3 - 1", "t3^2 - t3", rank=3),
     "rank-2-t3": _row("t3 - 1", "t3^2 - t3", rank=2),
     "zero-mod-2": _row("2*t1 + t2", "t2 + 2*t1", "2*t1", ring="Z2"),
+    # validate's keys span the whole document; d∘d is nonzero from degree 3
+    "far-bands": _koszul3_far(" + t1^41*t2^40*t3^40"),
+    # d∘d = t1^2 - t1*t2^2, whose terms a radix of twice the span would merge
+    "merged-at-twice-the-span": {
+        "coefficients": "Z", "rank": 2, "cells": [["v"], ["e1", "e2"], ["f"]],
+        "boundaries": [[["t1", "t2"]], [["t1"], ["-t1*t2"]]],
+    },
     "empty-object": {},
     # json.loads raises RecursionError on these, not a ValueError
     "nested-200000-deep": "[" * 200_000 + "]" * 200_000,
@@ -112,18 +146,19 @@ ERROR_DOCUMENTS = {
 }
 
 # name -> document that only the commands below read
-ORACLE_DOCUMENTS = {
+OTHER_DOCUMENTS = {
     # the oracle's first pivot, 2 - t1, has lead 2, so its inverse has
     # fractions
     "lead-2": _row("2 - t1", "t2 - 1"),
     # the coefficient 2^40 + 1 and its products grow past 64 bits
     "slot-overflow": _row("1 - t1", "1099511627777 + t2", ring="Z"),
+    "far-bands-valid": _koszul3_far(),
 }
 
 SHOWN = 5  # differences printed in full
 
 # argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name] or
-# ORACLE_DOCUMENTS[name], "{cubical-n,m-ring}" and "{hidden-koszul-4-ring}"
+# OTHER_DOCUMENTS[name], "{cubical-n,m-ring}" and "{hidden-koszul-4-ring}"
 # for that of a document generated in build_commands, and "{golden/name}"
 # for that of tests/golden/name
 OTHER_COMMANDS = [
@@ -186,6 +221,18 @@ OTHER_COMMANDS = [
     # the zero vertex alone: both twist routes push to a quotient of rank 0
     ["polytope", "torus", "--vertices", "0,0", "--format", "json"],
     ["main-check", "torus", "--vertices", "0,0", "--a", "1", "--b", "1", "--format", "json"],
+    # far-apart exponents that square to zero, in both formats
+    ["validate", "{far-bands-valid}", "--format", "json"],
+    ["validate", "{far-bands-valid}"],
+    ["betti", "{far-bands-valid}", "--format", "json"],
+    # argv that ends in the parser: help, usage errors, a bad --format
+    [],
+    ["-h"],
+    ["novikov", "-h"],
+    ["nonsense", "torus"],
+    ["novikov", "torus"],
+    ["novikov", "torus", "--class", "1,0", "--bogus"],
+    ["betti", "torus", "--format", "yaml"],
 ]
 
 
@@ -208,7 +255,7 @@ def build_commands(workdir, seeds):
     paths = {"not-json": os.path.join(workdir, "not-json.json")}
     with open(paths["not-json"], "w") as fh:
         fh.write("{ not json")
-    for name, document in {**ERROR_DOCUMENTS, **ORACLE_DOCUMENTS}.items():
+    for name, document in {**ERROR_DOCUMENTS, **OTHER_DOCUMENTS}.items():
         paths[name] = os.path.join(workdir, f"document-{name}.json")
         with open(paths[name], "w") as fh:
             if isinstance(document, str):
