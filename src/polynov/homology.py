@@ -36,7 +36,6 @@ from .lattice import (
     MAX_ORACLE_ORDER,
     CohomologyClass,
     Polytope,
-    _primitive_form,
     convex_combination,
     format_rational,
     kernel_lattice,
@@ -363,7 +362,7 @@ def truncated_homology_oracle(X: EquivariantComplex, a, order=16) -> BettiReport
         raise InputError(
             f"truncation order {order} is above the limit {MAX_ORACLE_ORDER}"
         )
-    weights, s = _primitive_form(a.periods)
+    weights, s = a.primitive_form()
     counts = X.cell_counts()
     chi = euler_characteristic(X)
 

@@ -178,10 +178,22 @@ class CohomologyClass:
             return self
         ray = self.__dict__.get("_ray")
         if ray is None:
-            weights, _ = _primitive_form(self.periods)
+            weights, _ = self.primitive_form()
             ray = CohomologyClass(tuple(map(Fraction, weights)))
             object.__setattr__(self, "_ray", ray)
         return ray
+
+    def primitive_form(self):
+        """(weights, s) with the periods equal to weights / s, weights the
+        primitive integer vector on the class's ray as a tuple and s a
+        positive rational (see `_primitive_form`); computed once and kept
+        beside the ray."""
+        form = self.__dict__.get("_primitive")
+        if form is None:
+            weights, s = _primitive_form(self.periods)
+            form = (tuple(weights), s)
+            object.__setattr__(self, "_primitive", form)
+        return form
 
     def to_json(self):
         """The periods as strings; InputError for a period that str()

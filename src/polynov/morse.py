@@ -7,6 +7,11 @@ unmatched (critical) cells with the same homology over any coefficient
 extension; the reduced boundary sums incidences transported along
 alternating paths through matched pairs.
 
+The matching is searched in two passes. A coreduction sweep pairs each
+cell with its only remaining face, which needs no cycle check; a seeded
+greedy search then pairs what unit incidences remain between unpaired
+cells, checking each new pair for a closed V-path.
+
 Pairs are recorded positionally: (k, i, j) matches cell i of degree k
 with cell j of degree k + 1 through the stored incidence columns[k][j][i].
 """
@@ -77,32 +82,116 @@ def _closes_vpath(faces, pairs, i, j) -> bool:
     return False
 
 
-def acyclic_matching(X: EquivariantComplex, seed: int = 0) -> Matching:
-    """Randomized greedy search for an acyclic unit-incidence matching.
+def _coreduction(X: EquivariantComplex, rng: random.Random) -> list:
+    """Coreduction sweep (Mrozek-Batko; Harker-Mischaikow-Mrozek-Nanda).
 
-    Candidates are shuffled with the seed, then accepted whenever both
-    cells are still free and the band's V-path digraph stays acyclic.
+    Every cell starts out remaining. A remaining cell with exactly one
+    remaining face is paired with it when their incidence is a unit
+    monomial, and both leave; when no such cell is queued, the
+    lowest-degree remaining cell with no remaining face leaves unpaired
+    (critical for the sweep), drawn with `rng`. Linear in the cells plus
+    the stored incidences. The pairs need no cycle check: every other face
+    of a pair's upper cell left before the pair did, so a V-path runs
+    through pairs that left ever earlier. Returns the pairs in the order
+    they were made.
+    """
+    faces = X.columns
+    # left[k][j]: remaining faces of k-cell j; cofaces[k][i]: the columns of
+    # band k that have i as a face
+    left = [[0] * len(X.cells[0])] + [list(map(len, band)) for band in faces]
+    cofaces = [[[] for _ in names] for names in X.cells]
+    for k, band in enumerate(faces):
+        up = cofaces[k]
+        for j, column in enumerate(band):
+            for i in column:
+                up[i].append(j)
+    gone = [bytearray(len(names)) for names in X.cells]
+    # cells with one remaining face, last in first out: on relabelled
+    # cubical tori that leaves fewer critical cells than first in first out
+    queue = [
+        (k + 1, j) for k, band in enumerate(faces)
+        for j, column in enumerate(band) if len(column) == 1
+    ]
+    # cells whose remaining faces ran out, per degree; those that left since
+    # are dropped when drawn
+    free = [[i for i, n in enumerate(counts) if not n] for counts in left]
+
+    def leave(k, i):
+        gone[k][i] = 1
+        if k + 1 < len(left):
+            counts, out = left[k + 1], gone[k + 1]
+            for j in cofaces[k][i]:
+                if not out[j]:
+                    n = counts[j] - 1
+                    counts[j] = n
+                    if n == 1:
+                        queue.append((k + 1, j))
+                    elif not n:
+                        free[k + 1].append(j)
+
+    def draw():
+        # a remaining cell of the lowest degree with no remaining face
+        for k, pool in enumerate(free):
+            while pool:
+                r = rng.randrange(len(pool))
+                pool[r], pool[-1] = pool[-1], pool[r]
+                i = pool.pop()
+                if not gone[k][i]:
+                    return k, i
+        return None
+
+    pairs = []
+    while True:
+        while queue:
+            k, j = queue.pop()
+            if gone[k][j] or left[k][j] != 1:
+                continue
+            column = faces[k - 1][j]
+            i = next(i for i in column if not gone[k - 1][i])
+            if column[i].unit_monomial() is None:
+                continue
+            pairs.append((k - 1, i, j))
+            leave(k, j)
+            leave(k - 1, i)
+        cell = draw()
+        if cell is None:
+            return pairs
+        leave(*cell)
+
+
+def acyclic_matching(X: EquivariantComplex, seed: int = 0) -> Matching:
+    """Coreduction sweep, then a randomized greedy search for more pairs.
+
+    The sweep (`_coreduction`) pairs each cell with its only remaining
+    face. The unit incidences between cells it left unpaired are then
+    shuffled with the same seeded generator and accepted whenever both
+    cells are still free and the band's V-path digraph, the sweep's pairs
+    included, stays acyclic.
     """
     rng = random.Random(seed)
+    accepted = _coreduction(X, rng)
+    band = [{} for _ in X.columns]
+    used = [set() for _ in X.cells]
+    for k, i, j in accepted:
+        band[k][i] = j
+        used[k].add(i)
+        used[k + 1].add(j)
     candidates = sorted(
         (k, i, j)
-        for k, band in enumerate(X.columns)
-        for j, column in enumerate(band)
+        for k, faces in enumerate(X.columns)
+        for j, column in enumerate(faces) if j not in used[k + 1]
         for i, e in column.items()
-        if e.unit_monomial() is not None
+        if i not in used[k] and e.unit_monomial() is not None
     )
     rng.shuffle(candidates)
-    used = set()
-    accepted = []
-    band = [{} for _ in X.columns]
     for k, i, j in candidates:
-        if (k, i) in used or (k + 1, j) in used:
+        if i in used[k] or j in used[k + 1]:
             continue
         if _closes_vpath(X.columns[k], band[k], i, j):
             continue
         band[k][i] = j
-        used.add((k, i))
-        used.add((k + 1, j))
+        used[k].add(i)
+        used[k + 1].add(j)
         accepted.append((k, i, j))
     return Matching(tuple(accepted))
 

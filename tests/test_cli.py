@@ -383,6 +383,9 @@ def test_novikov_normalizes_its_class_once(capsys, monkeypatch):
         return original(periods)
 
     monkeypatch.setattr(lattice, "_primitive_form", counting)
+    # the oracle reads the form the class keeps; a homology import of its
+    # own would be counted here
+    monkeypatch.setattr(homology, "_primitive_form", counting, raising=False)
     code, out, _ = call(capsys, ["novikov", "torus", "--class", "2/3,4/3", "--format", "json"])
     assert code == 0
     payload = json.loads(out)

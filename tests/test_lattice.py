@@ -283,6 +283,8 @@ def test_ray_normalization():
     assert a.scale(Fraction(1, 5)).ray_normalized() == a.ray_normalized()
     # a class keeps its normalization, which its equality and hash ignore
     assert a.ray_normalized() is a.ray_normalized()
+    assert a.primitive_form() == ((1, -2), Fraction(3, 2))
+    assert a.primitive_form() is a.primitive_form()
     assert a == CohomologyClass(a.periods) and hash(a) == hash(CohomologyClass(a.periods))
     assert repr(a) == repr(CohomologyClass(a.periods))
 

@@ -14,14 +14,16 @@ orders, the window limit, wide windows (dense ones at the limit and sparse
 ones at the class (1/7, 1/11, 1/13) among them), a pivot lead of 2 and a
 coefficient above 2^40 (some on this checkout's tests/golden documents),
 `morse --format json --seed 1` on a relabelled cubical T^3,3 over Q and
-over Z/2 (95 pairs, more than any `betti-cubical` job reduces), on a
-relabelled cubical T^4,3 over Q (566 pairs) and on a Koszul T^4 with
-hidden summands over Q and, the same document re-tagged, over Z (entries
-of several terms), and a text-format run of every other subcommand run
-too. `validate` runs on a Koszul T^3 whose boundaries sit at exponents
-near -40, 0 and +40, square-zero and with one more term that breaks it,
-and on a square whose two terms a radix of twice the exponent span would
-merge. The argv that end in the parser run too: none, `-h`,
+over Z/2 (more pairs than any `betti-cubical` job reduces), on a
+relabelled cubical T^4,3 over Q, on a relabelled circle of 300 edges over
+Q and over Z/2 (a coreduction sweep along the whole circle, where the
+greedy search alone leaves 40-46 cells per degree) and on a Koszul T^4
+with hidden summands over Q and, the same document re-tagged, over Z
+(entries of several terms), and a text-format run of every other
+subcommand run too. `validate` runs on a Koszul T^3 whose boundaries sit
+at exponents near -40, 0 and +40, square-zero and with one more term that
+breaks it, and on a square whose two terms a radix of twice the exponent
+span would merge. The argv that end in the parser run too: none, `-h`,
 `novikov -h`, an unknown subcommand, a missing `--class`, an unknown
 flag after the input and `--format yaml`. Each tree replays the whole
 list in one fresh interpreter, one in-process `polynov.cli.main` call after another as the benchmark makes
@@ -158,9 +160,9 @@ OTHER_DOCUMENTS = {
 SHOWN = 5  # differences printed in full
 
 # argv lists; "{name}" stands for the path of ERROR_DOCUMENTS[name] or
-# OTHER_DOCUMENTS[name], "{cubical-n,m-ring}" and "{hidden-koszul-4-ring}"
-# for that of a document generated in build_commands, and "{golden/name}"
-# for that of tests/golden/name
+# OTHER_DOCUMENTS[name], "{cubical-n,m-ring}", "{circle-300-ring}" and
+# "{hidden-koszul-4-ring}" for that of a document generated in
+# build_commands, and "{golden/name}" for that of tests/golden/name
 OTHER_COMMANDS = [
     ["betti", "no_such_thing", "--format", "json"],
     ["novikov", "torus", "--class", "1,2,3", "--format", "json"],
@@ -211,11 +213,13 @@ OTHER_COMMANDS = [
     ["main-check", "genus2", "--vertices", "1,0,0,0;0,1,0,0", "--a", "1,0",
      "--b", "1/2,1/2"],
     ["morse", "genus2"],
-    # Morse reductions of 95 pairs each, of 566 pairs, and V-paths through
-    # incidences of several terms
+    # Morse reductions of 3- and 4-tori, sweeps along a long circle, and
+    # V-paths through incidences of several terms
     ["morse", "{cubical-3,3-Q}", "--format", "json", "--seed", "1"],
     ["morse", "{cubical-3,3-Z2}", "--format", "json", "--seed", "1"],
     ["morse", "{cubical-4,3-Q}", "--format", "json", "--seed", "1"],
+    ["morse", "{circle-300-Q}", "--format", "json", "--seed", "1"],
+    ["morse", "{circle-300-Z2}", "--format", "json", "--seed", "1"],
     ["morse", "{hidden-koszul-4-Q}", "--format", "json", "--seed", "1"],
     ["morse", "{hidden-koszul-4-Z}", "--format", "json", "--seed", "1"],
     # the zero vertex alone: both twist routes push to a quotient of rank 0
@@ -270,6 +274,9 @@ def build_commands(workdir, seeds):
         for ring in ("Q", "Z2")
     }
     generated["cubical-4,3-Q"] = relabel(cubical(4, 3, "Q"), random.Random(1)).complex.to_json()
+    for ring in ("Q", "Z2"):
+        circle = relabel(cubical(1, 300, ring), random.Random(1)).complex
+        generated[f"circle-300-{ring}"] = circle.to_json()
     rng = random.Random(1)
     summands = [Summand(d, c) for d in range(4) for c in (None, rng.randrange(4))]
     koszul4 = hidden(koszul(4, "Q"), summands, 160, rng).complex.to_json()
