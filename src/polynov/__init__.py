@@ -8,12 +8,10 @@ series oracle cross-checks the rank-one cases.
 """
 
 from .errors import (
-    AmbiguousLeadingTerm,
     CoverMismatch,
     CyclicMatchingError,
     IncreaseOrder,
     InputError,
-    NotInvertibleUnderPolytope,
     PolynovError,
     ValidationError,
 )
@@ -38,13 +36,6 @@ from .groupring import (
     GroupRingElement,
     RankResult,
     matrix_rank_fraction_field,
-)
-from .novseries import (
-    TruncatedNovikovSeries,
-    Truncation,
-    geom_inverse,
-    leading_unit_inverse,
-    positivity_check,
 )
 from .complexes import (
     EquivariantComplex,
@@ -82,7 +73,6 @@ from . import corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousLeadingTerm",
     "ApproximationFamily",
     "BettiReport",
     "CoefficientRing",
@@ -97,13 +87,10 @@ __all__ = [
     "InputError",
     "LatticeMap",
     "Matching",
-    "NotInvertibleUnderPolytope",
     "Polytope",
     "PolynovError",
     "RankResult",
     "Subpolytope",
-    "TruncatedNovikovSeries",
-    "Truncation",
     "TwistedComplex",
     "ValidationError",
     "acyclic_matching",
@@ -113,10 +100,8 @@ __all__ = [
     "euler_characteristic",
     "fox_boundary",
     "format_rational",
-    "geom_inverse",
     "ingest",
     "kernel_lattice",
-    "leading_unit_inverse",
     "main_theorem_check",
     "matrix_rank_fraction_field",
     "morse_reduce",
@@ -126,7 +111,6 @@ __all__ = [
     "period_eval",
     "polytope_betti",
     "polytope_min_period",
-    "positivity_check",
     "quotient_map",
     "rational_approximation",
     "scale_check",

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ValidationError -> 1, InputError (and
-subclasses) -> 2. Everything else is a bug and escapes.
+The CLI maps these onto exit codes: ValidationError -> 1, every other
+PolynovError (InputError and its subclasses, IncreaseOrder,
+CyclicMatchingError) -> 2, with the error as a JSON object on stderr.
+Any other exception is a bug and escapes.
 """
 
 
@@ -33,16 +35,6 @@ class ValidationError(PolynovError):
 class CoverMismatch(InputError):
     """A relator does not die in the chosen free-abelian quotient, so the
     requested cover does not exist for the presentation."""
-
-
-class NotInvertibleUnderPolytope(PolynovError):
-    """Geometric inversion refused: 1 - u with u not strictly positive at
-    every active vertex functional."""
-
-
-class AmbiguousLeadingTerm(PolynovError):
-    """The direction functional does not single out a unique minimal monomial
-    of the element, so there is no leading unit to invert."""
 
 
 class IncreaseOrder(PolynovError):

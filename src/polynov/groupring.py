@@ -80,10 +80,6 @@ class CoefficientRing(enum.Enum):
                 return ring
         raise InputError(f"unknown coefficient ring tag {tag!r}")
 
-    @property
-    def is_field(self) -> bool:
-        return self in (CoefficientRing.RAT, CoefficientRing.MOD2)
-
     def coerce(self, value):
         """Normalize a raw coefficient into this ring (may normalize to 0).
 
@@ -946,13 +942,14 @@ def matrix_rank_fraction_field(rows, *, seed: int = 0):
 def chain_ranks(X, *, seed: int = 0):
     """Ranks over the fraction field of the boundaries of the complex X.
 
-    Boundary i, from degree i + 1 to degree i, is read from `X.columns`
-    as sparse rows {column: element}; d∘d = 0 holds for every validated
-    complex and its images under ring maps. Each boundary with deck
-    variables is evaluated once, at one seeded random point, and its rank
-    there is a proved lower bound lb. It is the exact rank when it is
-    min(rows, cols), or when the chain bound closes: d∘d = 0 gives
-    rank d_i + rank d_{i+1} <= n_i, the cell count between them, so
+    Boundary i, from degree i + 1 to degree i, is ranked as it is stored:
+    the columns of `X.columns[i]`, {row: element} each, are the sparse
+    lines of its transpose, which has the same rank. d∘d = 0 holds for
+    every validated complex and its images under ring maps. Each boundary
+    with deck variables is evaluated once, at one seeded random point,
+    and its rank there is a proved lower bound lb. It is the exact rank
+    when it is min(rows, cols), or when the chain bound closes: d∘d = 0
+    gives rank d_i + rank d_{i+1} <= n_i, the cell count between them, so
     lb_i + lb_{i+1} = n_i pins both ranks. These come back exact with
     route "modular"; the randomness can only cost a certificate, never
     make one wrong. Every other such boundary takes the fallback of
@@ -960,23 +957,19 @@ def chain_ranks(X, *, seed: int = 0):
     Constant boundaries are exact at any size (route "constant"): bitmask
     elimination over Z/2, the unit pivots and then Bareiss over Z and Q.
     """
-    bands = []
-    for k, band in enumerate(X.columns):
-        rows = [{} for _ in X.cells[k]]
-        for j, column in enumerate(band):
-            for i, e in column.items():
-                rows[i][j] = e
-        bands.append((rows, len(band)))
+    bands = [(band, len(X.cells[k])) for k, band in enumerate(X.columns)]
     return _ranks(bands, X.ring, X.deck.rank, seed)
 
 
 def _ranks(bands, ring, nvars, seed):
-    """RankResults of the boundaries (sparse rows, column count) of one
-    chain, consecutive products zero, as `chain_ranks` describes. The
-    fallback runs the unit phase, then Bareiss on the rows left; over Z
-    and Q only when those rows and the columns they store number at most
-    _BAREISS_LIMIT each, else the rank at the point is reported as the
-    labelled lower bound."""
+    """RankResults of the boundaries of one chain, consecutive products
+    zero, as `chain_ranks` describes. Band i is (lines, length): boundary
+    i as its sparse columns {row: element}, and its row count. The chain
+    bound reads n_i, the cell count between boundaries i - 1 and i, as
+    the line count of band i - 1. The fallback runs the unit phase, then
+    Bareiss on the lines left; over Z and Q only when those lines and the
+    indices they store number at most _BAREISS_LIMIT each, else the rank
+    at the point is reported as the labelled lower bound."""
     mod2 = ring is CoefficientRing.MOD2
     point, monomials = _point(ring, nvars, seed), {}
     results, bounds = [], []
@@ -999,7 +992,7 @@ def _ranks(bands, ring, nvars, seed):
         for result, bound, (rows, m) in zip(results, bounds, bands)
     ]
     for i in range(1, len(bands)):
-        if bounds[i - 1] + bounds[i] == len(bands[i][0]):
+        if bounds[i - 1] + bounds[i] == len(bands[i - 1][0]):
             certified[i - 1] = certified[i] = True
     for i, (rows, m) in enumerate(bands):
         if results[i] is not None:

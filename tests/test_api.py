@@ -1,7 +1,8 @@
 """Names that must not disappear: every export of the package, every
 function the benchmark's per-layer tracer (`perfbench/tracing.py`) wraps
 by name, and the dense view its counters read. Deleting a traced name
-fails here, not only in a traced benchmark run.
+fails here, not only in a traced benchmark run, and so does a traced
+name that a command stops calling.
 """
 
 import importlib
@@ -9,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import polynov
-from polynov import corpus
+from polynov import cli, corpus, homology
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +43,23 @@ def test_every_traced_name_exists():
     assert missing == []
     # its counters also read each complex's entries through the dense view
     assert len(list(tracing._entries(corpus.load("torus")))) == 4
+
+
+def test_a_traced_novikov_builds_one_series_inverse_per_oracle_pivot(monkeypatch, capsys):
+    # the oracle divides by each pivot through its factored inverse,
+    # `novseries.leading_unit_inverse`, so the traced name counts pivots
+    pivots = []
+    series_rank = homology._series_rank
+
+    def counted(*args):
+        heights = series_rank(*args)
+        pivots.append(len(heights))
+        return heights
+
+    monkeypatch.setattr(homology, "_series_rank", counted)
+    tracer = load_tracing().Tracer()
+    with tracer:
+        assert cli.main(["novikov", "torus", "--class=1,2"]) == 0
+    assert "oracle orders [16, 32]: agree" in capsys.readouterr().out
+    calls = tracer.layer_metrics()["novseries.leading_unit_inverse.calls"]
+    assert calls == sum(pivots) > 0

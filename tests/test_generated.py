@@ -2,7 +2,8 @@
 the library and checked against the answer each generator states.
 
 The generators are those of the benchmark (perfbench/families.py), loaded
-by path. A Morse reduction is not validated when it is built, since an
+by path. Each instance is ranked as generated, and must come back proved
+exact. A Morse reduction is not validated when it is built, since an
 acyclic matching keeps d∘d = 0; here each reduction of a seeded instance
 is validated, checked as a store, and ranked against `Instance.betti`.
 """
@@ -60,6 +61,10 @@ def test_morse_reductions_keep_the_known_homology(shape, ring):
     ordinary = instance.betti(set(range(n)))
     novikov = instance.betti(set())
     a = CohomologyClass(tuple(range(1, n + 1)))
+    for report, betti in ((ordinary_betti(instance.complex), ordinary),
+                          (novikov_betti(instance.complex, a), novikov)):
+        assert report.betti == betti
+        assert report.checks["rank_exact"] is True
     for seed in range(4):
         R, matching = morse_reduce(instance.complex, seed=seed)
         assert matching.pairs

@@ -40,12 +40,12 @@ from polynov.homology import (
 )
 from polynov.lattice import CohomologyClass, Polytope, Subpolytope, period_eval
 from polynov.morse import morse_reduce
-from polynov.novseries import (
+from polynov.twist import twisted_complex
+from series_reference import (
     TruncatedNovikovSeries,
     Truncation,
     leading_unit_inverse,
 )
-from polynov.twist import twisted_complex
 
 Q = CoefficientRing.RAT
 Z = CoefficientRing.INT
@@ -494,9 +494,9 @@ def series_rank(matrix, region, order, ring):
 def record_quotients(monkeypatch):
     """Make `homology.height_quotient` record (x, p, cutoff, mod2, x / p)
     of each call in the returned list, p the dict that
-    `homology.height_divisor` built the call's divisor from."""
+    `homology.leading_unit_inverse` built the call's divisor from."""
     calls, divisors = [], {}
-    divisor_, quotient = homology.height_divisor, homology.height_quotient
+    divisor_, quotient = homology.leading_unit_inverse, homology.height_quotient
 
     def divisor_spy(p):
         divisor = divisor_(p)
@@ -508,7 +508,7 @@ def record_quotients(monkeypatch):
         calls.append((x, p, cutoff, mod2, quotient(x, divisor, cutoff, mod2)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(homology, "height_divisor", divisor_spy)
+    monkeypatch.setattr(homology, "leading_unit_inverse", divisor_spy)
     monkeypatch.setattr(homology, "height_quotient", spy)
     return calls
 
@@ -638,7 +638,7 @@ def test_series_rank_builds_each_divisor_once_per_pivot(monkeypatch):
     # a pivot's lead inverse and unit part are built once, before it
     # clears its first row, and serve every row it clears
     builds, uses = [], []
-    divisor_, quotient = homology.height_divisor, homology.height_quotient
+    divisor_, quotient = homology.leading_unit_inverse, homology.height_quotient
 
     def divisor_spy(p):
         builds.append(divisor_(p))
@@ -648,7 +648,7 @@ def test_series_rank_builds_each_divisor_once_per_pivot(monkeypatch):
         uses.append(id(divisor))
         return quotient(x, divisor, cutoff, mod2)
 
-    monkeypatch.setattr(homology, "height_divisor", divisor_spy)
+    monkeypatch.setattr(homology, "leading_unit_inverse", divisor_spy)
     monkeypatch.setattr(homology, "height_quotient", quotient_spy)
     rng = random.Random(53)
     shared = 0

@@ -24,7 +24,7 @@ from polynov.lattice import (
     quotient_map,
     zero_class,
 )
-from polynov.novseries import Truncation
+from series_reference import Truncation
 
 
 def sympy_kernel(rows):
